@@ -21,10 +21,6 @@ class UnknownVariableError(SingchiError):
     """An identifier was used that is not declared in the ring."""
 
 
-class NonDivisibleError(SingchiError):
-    """An exact polynomial division left a remainder; indicates an internal bug."""
-
-
 class EmptyArgsError(SingchiError):
     """A divided difference was requested with no arguments."""
 

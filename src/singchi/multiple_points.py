@@ -7,11 +7,16 @@ A germ (C^n, 0) -> (C^(n+1), 0) of corank one is taken in the normal form
 with p, q vanishing at the origin to second order in z. Its k-th multiple
 point space lives in the source coordinates together with k copies
 z_1, .., z_k of the distinguished variable, cut out by the divided
-differences of p and q over growing node prefixes. Identifying nodes
-according to a partition of k gives the spaces that stratify how sheets
-collide; the identified generators are confluent divided differences,
-which is the same thing as substituting repeated node variables into the
-distinct ones.
+differences of p and q over growing node prefixes (Marar and Mond,
+"Multiple point schemes for corank 1 maps", J. London Math. Soc., 1989).
+Writing g = sum_m c_m(x) z^m, the generator over z_1..z_j is
+sum_m c_m(x) h_(m-j+1)(z_1, .., z_j), with h_d the complete homogeneous
+symmetric polynomial; it involves z_1..z_j only, so D^(k-1) is a
+generator prefix of D^k. Identifying nodes according to a partition of k
+gives the spaces that stratify how sheets collide; the identified
+generators are confluent divided differences, the same h_d over the nodes
+taken as a multiset, which is the same thing as substituting repeated
+node variables into the distinct ones.
 
 The headline invariants for n = 3 are collected by invariant_tuple: Milnor
 numbers of the double and triple point spaces and of their partition
@@ -108,6 +113,24 @@ def _node_names(f: MapGerm, k: int) -> tuple:
     return names
 
 
+def _ideal(f: MapGerm, nodes, ring) -> IdealPresentation:
+    """Divided differences of p and q over the prefixes nodes[:j], j >= 2."""
+    z = f.source_vars[-1]
+    gens = []
+    for j in range(2, len(nodes) + 1):
+        for g in (f.hyperplane_part, f.deep_part):
+            gens.append(divided_difference(g, z, nodes[:j]).with_ring(ring))
+    return IdealPresentation(ring, tuple(gens))
+
+
+def _prefix_ideal(I: IdealPresentation, k: int) -> IdealPresentation:
+    """D^k from a deeper D^K: the generators over the prefixes up to k
+    involve only z_1..z_k, so they are the first 2(k-1) of D^K's."""
+    deeper = len(I.gens) // 2 + 1
+    ring = I.ring[: len(I.ring) - (deeper - k)]
+    return IdealPresentation(ring, tuple(g.with_ring(ring) for g in I.gens[: 2 * (k - 1)]))
+
+
 def multiple_point_ideal(f: MapGerm, k: int) -> IdealPresentation:
     """The k-th multiple point space ideal, k >= 2.
 
@@ -119,14 +142,7 @@ def multiple_point_ideal(f: MapGerm, k: int) -> IdealPresentation:
     if k < 2:
         raise BadParamsError("multiple point spaces need k >= 2")
     nodes = _node_names(f, k)
-    ring = f.source_vars[:-1] + nodes
-    z = f.source_vars[-1]
-    gens = []
-    for j in range(2, k + 1):
-        for g in (f.hyperplane_part, f.deep_part):
-            dd = divided_difference(g, z, nodes[:j])
-            gens.append(dd.with_ring(ring))
-    return IdealPresentation(ring, tuple(gens))
+    return _ideal(f, nodes, f.source_vars[:-1] + nodes)
 
 
 def _check_partition(partition, k) -> tuple:
@@ -134,6 +150,19 @@ def _check_partition(partition, k) -> tuple:
     if not parts or parts[0] < 1 or sum(parts) != k:
         raise BadParamsError(f"{partition} is not a partition of {k}")
     return parts
+
+
+def _restricted_ideal(f: MapGerm, k: int, parts: tuple) -> IdealPresentation:
+    nodes = _node_names(f, k)
+    identified = []
+    survivors = []
+    pos = 0
+    for size in parts:
+        first = nodes[pos]
+        survivors.append(first)
+        identified.extend([first] * size)
+        pos += size
+    return _ideal(f, tuple(identified), f.source_vars[:-1] + tuple(survivors))
 
 
 def partition_restricted_ideal(f: MapGerm, k: int, partition) -> IdealPresentation:
@@ -149,24 +178,7 @@ def partition_restricted_ideal(f: MapGerm, k: int, partition) -> IdealPresentati
     validate_corank1(f)
     if k < 2:
         raise BadParamsError("multiple point spaces need k >= 2")
-    parts = _check_partition(partition, k)
-    nodes = _node_names(f, k)
-    identified = []
-    survivors = []
-    pos = 0
-    for size in parts:
-        first = nodes[pos]
-        survivors.append(first)
-        identified.extend([first] * size)
-        pos += size
-    ring = f.source_vars[:-1] + tuple(survivors)
-    z = f.source_vars[-1]
-    gens = []
-    for j in range(2, k + 1):
-        for g in (f.hyperplane_part, f.deep_part):
-            dd = divided_difference(g, z, identified[:j])
-            gens.append(dd.with_ring(ring))
-    return IdealPresentation(ring, tuple(gens))
+    return _restricted_ideal(f, k, _check_partition(partition, k))
 
 
 def multiple_point_indicator(f: MapGerm, k: int) -> bool:
@@ -208,8 +220,11 @@ def invariant_tuple(
     field=RATIONAL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> InvariantTuple:
-    """All multiple point invariants of a germ (C^3, 0) -> (C^4, 0)."""
-    validate_corank1(f)
+    """All multiple point invariants of a germ (C^3, 0) -> (C^4, 0).
+
+    D^4 is built once, and D^2, D^3 are its generator prefixes.
+    """
+    d4 = multiple_point_ideal(f, 4)  # the one check of the normal form
     if f.dim != 3:
         raise BadParamsError(f"invariant tuple is defined for 3-dimensional sources, got {f.dim}")
 
@@ -219,11 +234,10 @@ def invariant_tuple(
         except SingchiError as exc:
             raise type(exc)(f"{space}: {exc}") from exc
 
-    d2 = multiple_point_ideal(f, 2)
-    d2h = partition_restricted_ideal(f, 2, (2,))
-    d3 = multiple_point_ideal(f, 3)
-    d3h1 = partition_restricted_ideal(f, 3, (1, 2))
-    d4 = multiple_point_ideal(f, 4)
+    d2 = _prefix_ideal(d4, 2)
+    d2h = _restricted_ideal(f, 2, (2,))
+    d3 = _prefix_ideal(d4, 3)
+    d3h1 = _restricted_ideal(f, 3, (1, 2))
 
     r_d2 = mu("double points", d2)
     r_d2h = mu("diagonal double points", d2h)

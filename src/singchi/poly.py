@@ -7,7 +7,12 @@ All arithmetic is exact; nothing here ever rounds.
 The module also carries the small amount of symbolic calculus the rest of
 the package needs: substitution, partial derivatives, Jacobian matrices,
 determinants of polynomial matrices, Sylvester resultants, and divided
-differences with the confluent (repeated-argument) rule.
+differences. Those are taken in closed form: the divided difference of
+z^m over nodes a_1..a_j is the complete homogeneous symmetric polynomial
+h_(m-j+1)(a_1..a_j), and repeated (confluent) nodes are just a multiset
+in it, so no derivative and no exact division is ever taken. These are
+the generators of the multiple point spaces of Marar and Mond, "Multiple
+point schemes for corank 1 maps" (J. London Math. Soc., 1989).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from fractions import Fraction
 
 from .errors import (
     EmptyArgsError,
-    NonDivisibleError,
     PolyParseError,
     UnknownVariableError,
     ZeroDegreeError,
@@ -84,26 +88,6 @@ class Monomial:
         merged = dict(self.exps)
         for v, e in other.exps:
             merged[v] = merged.get(v, 0) + e
-        return Monomial(merged)
-
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; other must divide self."""
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            have = merged.get(v, 0)
-            if have < e:
-                raise NonDivisibleError(f"{other} does not divide {self}")
-            merged[v] = have - e
-        return Monomial(merged)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = max(merged.get(v, 0), e)
         return Monomial(merged)
 
     def __eq__(self, other):
@@ -577,38 +561,42 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _divide_by_linear(numerator: Polynomial, va: str, vb: str) -> Polynomial:
-    """Exact quotient numerator / (va - vb); raises if a remainder is left."""
-    coeffs = numerator.coefficients_in(va)
-    if not coeffs:
-        return numerator
-    d = max(coeffs)
-    ring = numerator.ring
-    zero = Polynomial.zero(ring)
-    b = Polynomial.variable(vb, ring)
-    quotient_coeffs = {}
-    carry = zero
-    for j in range(d, 0, -1):
-        carry = coeffs.get(j, zero) + b * carry
-        quotient_coeffs[j - 1] = carry
-    remainder = coeffs.get(0, zero) + b * carry
-    if not remainder.is_zero:
-        raise NonDivisibleError(f"polynomial is not divisible by ({va} - {vb})")
-    result = zero
-    for j, c in quotient_coeffs.items():
-        result = result + c * Polynomial.variable(va, ring) ** j
-    return result
+def _node_powers(degree: int, multiplicities) -> list:
+    """The terms of h_degree over a multiset of nodes, as (exponents, weight).
+
+    multiplicities[i] is how often node i repeats; the weight of the
+    monomial with exponents e is prod_i C(e_i + r_i - 1, r_i - 1), the
+    number of ways to spread e_i over the r_i copies of node i.
+    """
+    r = multiplicities[0]
+    if len(multiplicities) == 1:
+        return [((degree,), math.comb(degree + r - 1, r - 1))]
+    out = []
+    for e in range(degree + 1):
+        weight = math.comb(e + r - 1, r - 1)
+        for rest, w in _node_powers(degree - e, multiplicities[1:]):
+            out.append(((e,) + rest, weight * w))
+    return out
 
 
 def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
     """Divided difference of g in the distinguished variable var at args.
 
-    args is a sequence of fresh variable names; repeats are allowed and are
-    handled by the confluent rule: with m+1 copies of the same argument the
-    value is the m-th derivative divided by m!. For distinct arguments the
-    classical recursion
-        g[a_0..a_j] = (g[a_0..a_{j-1}] - g[a_1..a_j]) / (a_0 - a_j)
-    applies, and the division is exact by symmetry.
+    args is a sequence of fresh variable names a_1..a_j. Writing
+    g = sum_m c_m z^m with z = var and c_m free of z, the value is
+
+        g[a_1..a_j] = sum_m c_m * h_(m-j+1)(a_1..a_j),
+
+    with h_d the complete homogeneous symmetric polynomial of degree d
+    (zero for d < 0). Repeated arguments need no separate confluent rule:
+    they form a multiset, and in h_d the coefficient of prod_v v^(e_v) is
+    prod_v C(e_v + r_v - 1, r_v - 1), where r_v is how often v repeats.
+    With m+1 copies of one argument this is the m-th derivative over m!.
+    These are the multiple point generators of Marar and Mond, "Multiple
+    point schemes for corank 1 maps" (J. London Math. Soc., 1989).
+
+    The result ring is the variables of g other than var, then the
+    distinct arguments in first-appearance order.
     """
     args = tuple(args)
     if not args:
@@ -620,31 +608,20 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
             raise ValueError(f"argument {a!r} collides with a ring variable")
 
     params = tuple(v for v in g.ring if v != var)
-    ring_out = params + tuple(dict.fromkeys(args))
-    memo = {}
-    derivative_cache = {0: g}
-
-    def nth_derivative(m: int) -> Polynomial:
-        while m not in derivative_cache:
-            top = max(derivative_cache)
-            derivative_cache[top + 1] = derivative_cache[top].partial(var)
-        return derivative_cache[m]
-
-    def rec(sorted_args: tuple) -> Polynomial:
-        if sorted_args in memo:
-            return memo[sorted_args]
-        count = len(sorted_args)
-        if sorted_args[0] == sorted_args[-1]:
-            m = count - 1
-            value = nth_derivative(m) * Fraction(1, math.factorial(m))
-            target = Polynomial.variable(sorted_args[0], ring_out)
-            result = substitute(value, {var: target})
-        else:
-            left = rec(sorted_args[:-1])
-            right = rec(sorted_args[1:])
-            result = _divide_by_linear(left - right, sorted_args[0], sorted_args[-1])
-        result = result.with_ring(ring_out)
-        memo[sorted_args] = result
-        return result
-
-    return rec(tuple(sorted(args)))
+    nodes = tuple(dict.fromkeys(args))
+    multiplicities = [args.count(a) for a in nodes]
+    shift = len(args) - 1
+    h = {}
+    terms = {}
+    # Parameter parts and node parts share no variable, and h_d has node
+    # degree d, so every product below is a distinct monomial.
+    for mono, coeff in g.terms.items():
+        d = mono.exponent(var) - shift
+        if d < 0:
+            continue
+        if d not in h:
+            h[d] = [(tuple(zip(nodes, e)), w) for e, w in _node_powers(d, multiplicities)]
+        rest = tuple(pair for pair in mono.exps if pair[0] != var)
+        for node_exps, weight in h[d]:
+            terms[Monomial(rest + node_exps)] = coeff * weight
+    return Polynomial(params + nodes, terms)

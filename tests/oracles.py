@@ -18,14 +18,19 @@ Two facts make this a rigorous oracle:
 
 So scanning D upward either certifies an exact finite answer or proves a
 lower bound. No standard basis, no monomial ordering.
+
+The module also keeps the recursive divided difference, the reference
+the package's closed form is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from singchi.poly import Monomial
+from singchi.errors import EmptyArgsError, UnknownVariableError
+from singchi.poly import Monomial, Polynomial, substitute
 
 
 def monomials_up_to(ring, degree):
@@ -170,3 +175,76 @@ def brute_membership(p, gens, ring, colength):
     if not target:
         return True
     return _sparse_rank(rows + [target]) == base
+
+
+def _divide_by_linear(numerator, va, vb):
+    """Exact quotient numerator / (va - vb); raises if a remainder is left."""
+    coeffs = numerator.coefficients_in(va)
+    if not coeffs:
+        return numerator
+    d = max(coeffs)
+    ring = numerator.ring
+    zero = Polynomial.zero(ring)
+    b = Polynomial.variable(vb, ring)
+    quotient_coeffs = {}
+    carry = zero
+    for j in range(d, 0, -1):
+        carry = coeffs.get(j, zero) + b * carry
+        quotient_coeffs[j - 1] = carry
+    remainder = coeffs.get(0, zero) + b * carry
+    if not remainder.is_zero:
+        raise ArithmeticError(f"polynomial is not divisible by ({va} - {vb})")
+    result = zero
+    for j, c in quotient_coeffs.items():
+        result = result + c * Polynomial.variable(va, ring) ** j
+    return result
+
+
+def recursive_divided_difference(g, var, args):
+    """Divided difference of g in var at args, by the classical recursion.
+
+    With m+1 copies of one argument the value is the m-th derivative
+    divided by m!; otherwise
+        g[a_0..a_j] = (g[a_0..a_{j-1}] - g[a_1..a_j]) / (a_0 - a_j)
+    over the sorted arguments, and the division is exact by symmetry. The
+    result ring is the parameters of g, then the distinct arguments in
+    first-appearance order.
+    """
+    args = tuple(args)
+    if not args:
+        raise EmptyArgsError("divided difference needs at least one argument")
+    if var not in g.ring:
+        raise UnknownVariableError(f"variable {var!r} not in ring {g.ring}")
+    for a in args:
+        if a in g.ring:
+            raise ValueError(f"argument {a!r} collides with a ring variable")
+
+    params = tuple(v for v in g.ring if v != var)
+    ring_out = params + tuple(dict.fromkeys(args))
+    memo = {}
+    derivative_cache = {0: g}
+
+    def nth_derivative(m):
+        while m not in derivative_cache:
+            top = max(derivative_cache)
+            derivative_cache[top + 1] = derivative_cache[top].partial(var)
+        return derivative_cache[m]
+
+    def rec(sorted_args):
+        if sorted_args in memo:
+            return memo[sorted_args]
+        count = len(sorted_args)
+        if sorted_args[0] == sorted_args[-1]:
+            m = count - 1
+            value = nth_derivative(m) * Fraction(1, math.factorial(m))
+            target = Polynomial.variable(sorted_args[0], ring_out)
+            result = substitute(value, {var: target})
+        else:
+            left = rec(sorted_args[:-1])
+            right = rec(sorted_args[1:])
+            result = _divide_by_linear(left - right, sorted_args[0], sorted_args[-1])
+        result = result.with_ring(ring_out)
+        memo[sorted_args] = result
+        return result
+
+    return rec(tuple(sorted(args)))

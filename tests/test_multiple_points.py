@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from singchi.catalog import ACCEPTANCE_ROWS, resolve_row
 from singchi.errors import (
     BadParamsError,
     NotCorankOneError,
@@ -110,6 +111,16 @@ def test_generator_count_grows_two_per_level():
         I = multiple_point_ideal(P1, k)
         assert len(I.gens) == 2 * (k - 1)
         assert I.ring == ("x", "y") + tuple(f"z{i}" for i in range(1, k + 1))
+    # D^(k-1) is a generator prefix of D^k, ring and all: invariant_tuple
+    # builds D^2 and D^3 this way from D^4.
+    for name in ACCEPTANCE_ROWS:
+        f = resolve_row(name).germ
+        for k in (3, 4, 5):
+            lower = multiple_point_ideal(f, k - 1)
+            upper = multiple_point_ideal(f, k)
+            head = tuple(g.with_ring(lower.ring) for g in upper.gens[: 2 * (k - 2)])
+            assert head == lower.gens, (name, k)
+            assert lower.ring == upper.ring[:-1]
 
 
 def test_generators_vanish_at_origin_on_double_points():

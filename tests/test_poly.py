@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from singchi.errors import (
     EmptyArgsError,
-    NonDivisibleError,
     PolyParseError,
     UnknownVariableError,
     ZeroDegreeError,
 )
+from oracles import recursive_divided_difference
 from singchi.poly import (
     Monomial,
     Polynomial,
@@ -349,10 +349,25 @@ def test_divided_difference_symmetry_under_all_permutations_small():
         assert divided_difference(g, "z", order) == base
 
 
-def test_nondivisible_is_internal_only():
-    # The public recursion never divides inexactly; the guard is reachable
-    # only through the private helper.
-    from singchi.poly import _divide_by_linear
+# Node patterns for the oracle comparison: distinct, confluent and unsorted.
+NODE_PATTERNS = (
+    ("z1",),
+    ("z1", "z2"),
+    ("z1", "z2", "z3"),
+    ("z1", "z2", "z3", "z4"),
+    ("z1", "z1"),
+    ("z1", "z1", "z1"),
+    ("z1", "z2", "z2"),
+    ("z2", "z1", "z1", "z3"),
+    ("z3", "z1"),
+    ("z2", "z2", "z1", "z2"),
+)
 
-    with pytest.raises(NonDivisibleError):
-        _divide_by_linear(parse_poly("z1^2 + 1", ("z1", "z2")), "z1", "z2")
+
+@settings(max_examples=200, deadline=None)
+@given(z_polys, st.sampled_from(NODE_PATTERNS))
+def test_closed_form_matches_recursive_oracle(g, nodes):
+    closed = divided_difference(g, "z", nodes)
+    reference = recursive_divided_difference(g, "z", nodes)
+    assert closed == reference
+    assert closed.ring == reference.ring
