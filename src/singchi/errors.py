@@ -29,6 +29,10 @@ class ZeroDegreeError(SingchiError):
     """A resultant was requested in a variable one argument does not contain."""
 
 
+class BadPrimeError(SingchiError):
+    """A chosen prime divides the denominator of an input coefficient."""
+
+
 class ResourceLimitError(SingchiError):
     """The reduction-step budget of the standard basis engine was exhausted."""
 

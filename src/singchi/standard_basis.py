@@ -6,19 +6,27 @@ results when every reducer would raise the ecart. The orderings are local
 (1 is the largest monomial), so leading terms pick out lowest-order parts
 and quotient dimensions are counted at the origin.
 
-Everything here is exact. The default coefficient field is the rationals;
-a prime field can be substituted for probabilistic speedups, in which case
-results are only correct for unexceptional primes.
+Colengths of zero-dimensional ideals come from row reduction in a
+truncated quotient O/m^(D+1) instead: plain integers modulo a prime find
+the colength and the degree where it is reached, and one rational
+elimination at that degree certifies it over Q.
+
+Everything here is exact. The default coefficient field is the rationals.
+A prime field Z/p can be requested instead; results are then exact over
+Z/p, which agrees with Q except for the finitely many primes where some
+rank drops.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError
+from .errors import BadPrimeError, ResourceLimitError
 from .poly import Monomial, Polynomial, parse_poly, substitute
 
 NEGDEGREVLEX = "negdegrevlex"
@@ -113,6 +121,14 @@ def _is_probable_prime(p: int) -> bool:
     return True
 
 
+def _residue(c: Fraction, p: int) -> int:
+    """c mod p as a plain int in [0, p)."""
+    den = c.denominator % p
+    if den == 0:
+        raise BadPrimeError(f"{p} divides the denominator of the coefficient {c}")
+    return c.numerator * pow(den, -1, p) % p
+
+
 def prime_field(p: int):
     """Coefficient field Z/p for a word-sized prime p."""
     if not _is_probable_prime(p):
@@ -154,10 +170,7 @@ def prime_field(p: int):
 
         @staticmethod
         def convert(c: Fraction):
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            return Element(c.numerator * pow(den, p - 2, p))
+            return Element(_residue(c, p))
 
     return Field()
 
@@ -191,25 +204,20 @@ def _divides(a: tuple, b: tuple) -> bool:
 class _Engine:
     """Mora's tangent cone algorithm over an abstract coefficient field.
 
-    With truncate set to a degree bound D, every polynomial is reduced
-    modulo monomials of degree > D, i.e. the computation happens in
-    O/m^(D+1). That is exact for the ideal I + m^(D+1): the S-pairs
-    against the implicit m^(D+1) generators consist entirely of terms of
-    degree > D and vanish under truncation, so they never need forming.
-    Truncation bounds degrees but not rational coefficient heights:
-    reductions against earlier partial remainders can add the heights of
-    both operands, which compounds exponentially down a reduction chain
-    and content stripping does not help because the swollen coefficients
-    are typically coprime. The height guard in make() turns such runs
-    into a resource error instead of an unbounded grind; colength avoids
-    the issue altogether by certifying through linear algebra.
+    Every reduction step counts against max_steps. Over Q, reductions
+    against earlier partial remainders can add the heights of both
+    operands, which compounds exponentially down a reduction chain, and
+    content stripping does not help because the swollen coefficients are
+    typically coprime. The height guard in make() turns such runs into a
+    resource error instead of an unbounded grind. colength runs Mora over
+    Q only for infinite answers and for quotients its eliminations cannot
+    certify.
     """
 
-    def __init__(self, ordering: LocalOrdering, field, max_steps: int, truncate=None):
+    def __init__(self, ordering: LocalOrdering, field, max_steps: int):
         self.ordering = ordering
         self.field = field
         self.max_steps = max_steps
-        self.truncate = truncate
         self.steps = 0
         self._keys = {}
 
@@ -220,8 +228,6 @@ class _Engine:
         return k
 
     def make(self, d):
-        if self.truncate is not None:
-            d = {e: c for e, c in d.items() if sum(e) <= self.truncate}
         if not d:
             return None
         if self.field is RATIONAL:
@@ -414,63 +420,29 @@ def leading_monomials(I, ordering=None, field=RATIONAL, max_steps=DEFAULT_MAX_ST
     return tuple(Monomial({v: e for v, e in zip(ordering.variables, exp)}) for exp in lms)
 
 
-def _staircase_count(lms, nvars):
-    zero_exp = (0,) * nvars
-    if any(lm == zero_exp for lm in lms):
-        return 0
+def _staircase(lms, nvars):
+    """(count, top) for the monomials outside the monomial ideal (lms).
+
+    top is the highest degree of such a monomial, None when there is no
+    highest: for the unit ideal and for an infinite staircase.
+    """
+    if any(not any(lm) for lm in lms):
+        return 0, None
     for i in range(nvars):
         if not any(all(e == 0 for j, e in enumerate(lm) if j != i) for lm in lms):
-            return INFINITE
+            return INFINITE, None
     exp = [0] * nvars
     count = 0
+    top = -1
 
-    def in_ideal():
-        t = tuple(exp)
-        return any(_divides(lm, t) for lm in lms)
-
-    def walk(i):
-        nonlocal count
+    def walk(i, used):
+        nonlocal count, top
         if i == nvars:
             count += 1
+            top = max(top, used)
             return
         e = 0
         while True:
-            exp[i] = e
-            if in_ideal():
-                break
-            walk(i + 1)
-            e += 1
-        exp[i] = 0
-
-    if not lms:
-        return INFINITE if nvars else 1
-    walk(0)
-    return count
-
-
-def _truncated_staircase(lms, nvars, bound):
-    """Monomials of degree <= bound outside the monomial ideal (lms).
-
-    Returns (count, highest degree seen). If the highest degree stays
-    strictly below the bound, the degree-bound piece of the quotient is
-    empty, so m^bound lies in the ideal by Nakayama and the count is the
-    exact colength of the untruncated ideal.
-    """
-    if nvars == 0:
-        return (0, -1) if any(lm == () for lm in lms) else (1, 0)
-    exp = [0] * nvars
-    count = 0
-    maxdeg = -1
-
-    def walk(i, used):
-        nonlocal count, maxdeg
-        if i == nvars:
-            count += 1
-            if used > maxdeg:
-                maxdeg = used
-            return
-        e = 0
-        while used + e <= bound:
             exp[i] = e
             t = tuple(exp)
             if any(_divides(lm, t) for lm in lms):
@@ -480,134 +452,114 @@ def _truncated_staircase(lms, nvars, bound):
         exp[i] = 0
 
     walk(0, 0)
-    return count, maxdeg
+    return count, top
 
 
-def _exponents_up_to(nv, maxdeg):
-    """All exponent tuples in nv variables of total degree at most maxdeg."""
-    if maxdeg < 0:
-        return
-    if nv == 0:
-        yield ()
-        return
-    for head in range(maxdeg + 1):
-        for tail in _exponents_up_to(nv - 1, maxdeg - head):
-            yield (head,) + tail
+def _pivot_profile(gens, nv, bound, p=None):
+    """Pivots per degree of the image of J in O/m^(bound+1).
 
+    gens are J's nonzero generators as exponent dicts, with Fraction
+    coefficients, or with plain ints reduced mod p when p is given. The
+    rows are the truncated monomial multiples of the generators, which
+    span exactly the image of J, because every unit of the truncated ring
+    is itself a polynomial image. A row is reduced by the pivot of every
+    pivot column it meets, lowest column first, and what is left becomes
+    the pivot of its lowest column, so every stored row lives on columns
+    at or above its pivot.
 
-def _exponents_of_degree(nv, deg):
-    if nv == 0:
-        if deg == 0:
-            yield ()
-        return
-    for head in range(deg + 1):
-        for tail in _exponents_of_degree(nv - 1, deg - head):
-            yield (head,) + tail
+    Returns counts, where counts[D] is the number of pivots in degree D.
+    Columns are ordered by degree first, so pivots up to degree D stay
+    independent after truncating to degree D, and pivots above it vanish
+    there. Hence for every D <= bound
+        d_D = dim O/(J + m^(D+1)) = #monomials of degree <= D
+                                    - counts[0] - ... - counts[D].
+    When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
+    pushes it into J, and d_D is the colength of J: the quotient seals.
 
-
-def _artinian_dims(J, bound, field):
-    """Dimension data of O/(J + m^(bound+1)) by sparse row reduction.
-
-    Returns (dim, sealed). dim is the vector-space dimension of the
-    truncated quotient: monomials of degree <= bound minus the rank of
-    the span of all truncated monomial multiples of the generators,
-    which is exactly the image of J because every unit of the truncated
-    ring is itself a polynomial image. sealed reports that every
-    monomial of degree exactly bound lies in that span; then m^bound is
-    contained in J + m^(bound+1), Nakayama pushes m^bound into J, and
-    dim is the exact colength of J.
-
-    Row reduction in a fixed finite-dimensional space keeps rational
+    Over Q, row reduction in a fixed finite-dimensional space keeps
     heights polynomial (entries are quotients of minors of the input),
-    unlike iterated Mora normal forms whose heights can compound
-    exponentially, so this is the preferred exact route over Q.
+    unlike iterated Mora normal forms, whose heights can compound.
     """
-    nv = len(J.ring)
-    one = field.convert(Fraction(1))
+    # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
+    # in base bound + 1, so columns order by degree and then exponent, and
+    # the column of a product of monomials is the sum of their columns.
+    radix = bound + 1
+    weights = [radix ** (nv - i) for i in range(nv + 1)]
+    base = weights[0]
+    shifts = [0]
+    for w in weights[1:]:
+        shifts = [k + j * (base + w) for k in shifts for j in range(bound - k // base + 1)]
+    shifts.sort()
     pivots = {}
-
-    def reduce_row(v):
-        # Stored rows never contain pivot columns created before their
-        # own insertion, so clearing the earliest-created pivot present
-        # strictly raises that minimum and the loop terminates.
-        while v:
-            lead = None
-            for e in v:
-                slot = pivots.get(e)
-                if slot is not None and (lead is None or slot[0] < lead[1][0]):
-                    lead = (e, slot)
-            if lead is None:
-                break
-            e, (_, prow) = lead
-            f = v.pop(e)
-            for ee, cc in prow.items():
-                if ee == e:
+    for g in gens:
+        terms = []
+        for e, c in g.items():
+            deg = sum(e)
+            terms.append((deg, sum(a * w for a, w in zip((deg,) + e, weights)), c))
+        mindeg = min(deg for deg, _, _ in terms)
+        for shift in shifts[: bisect.bisect_left(shifts, (bound - mindeg + 1) * base)]:
+            room = bound - shift // base
+            row = {col + shift: c for deg, col, c in terms if deg <= room}
+            # Reducing at a column only brings in columns above it, so a
+            # column the heap has handed out never comes back.
+            todo = [col for col in row if col in pivots]
+            heapq.heapify(todo)
+            while todo:
+                lead = heapq.heappop(todo)
+                f = row.pop(lead, 0)
+                if not f:
                     continue
-                nc = v.get(ee)
-                nc = -f * cc if nc is None else nc - f * cc
-                if nc:
-                    v[ee] = nc
-                else:
-                    v.pop(ee, None)
-        return v
-
-    for g in J.gens:
-        d = _to_exp_dict(g, J.ring, field)
-        if not d:
-            continue
-        mindeg = min(sum(e) for e in d)
-        shifts = sorted(_exponents_up_to(nv, bound - mindeg), key=lambda s: (sum(s), s))
-        for shift in shifts:
-            row = {}
-            for e, c in d.items():
-                s = tuple(a + b for a, b in zip(e, shift))
-                if sum(s) <= bound:
-                    row[s] = c
-            row = reduce_row(row)
+                for col, v in pivots[lead].items():
+                    x = row.get(col)
+                    if x is None:
+                        x = -f * v
+                        if col in pivots:
+                            heapq.heappush(todo, col)
+                    else:
+                        x -= f * v
+                    if p is not None:
+                        x %= p
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
             if row:
-                lead = min(row, key=lambda e: (sum(e), e))
-                inv = one / row[lead]
-                pivots[lead] = (len(pivots), {e: c * inv for e, c in row.items()})
+                lead = min(row)
+                if p is None:
+                    inv = 1 / row.pop(lead)
+                    pivots[lead] = {col: v * inv for col, v in row.items()}
+                else:
+                    inv = pow(row.pop(lead), -1, p)
+                    pivots[lead] = {col: v * inv % p for col, v in row.items()}
+    counts = [0] * (bound + 1)
+    for lead in pivots:
+        counts[lead // base] += 1
+    return counts
 
-    dim = math.comb(bound + nv, nv) - len(pivots)
-    sealed = all(not reduce_row({e: one}) for e in _exponents_of_degree(nv, bound))
-    return dim, sealed
+
+def _truncated_dims(counts, nv):
+    """[d_0, ..., d_bound] from the pivot counts of _pivot_profile."""
+    dims, rank = [], 0
+    for D, filled in enumerate(counts):
+        rank += filled
+        dims.append(math.comb(D + nv, nv) - rank)
+    return dims
 
 
-#: Monomial count above which an Artinian elimination is not attempted.
+def _seal_degree(counts, nv):
+    """The first degree D >= 1 whose monomials the pivots fill, or None."""
+    for D in range(1, len(counts)):
+        if counts[D] == math.comb(D + nv - 1, nv - 1):
+            return D
+    return None
+
+
+#: Monomial count above which a rational elimination is not attempted.
 _CELL_LIMIT = 20000
 
-#: Cheap-probe cell budget: large enough to seal most finite quotients
-#: met in practice, small enough to waste only milliseconds elsewhere.
+#: Monomial budget that sets the modular ladder's top degree (_ladder_top).
 _PROBE_CELLS = 1500
 
-
-def _artinian_ladder(J, field, cap, cell_limit=_CELL_LIMIT):
-    """Colength by certified elimination up a degree ladder, or None.
-
-    Runs _artinian_dims at growing degree bounds until a run seals its
-    top degree, stopping once a bound's monomial count exceeds the cell
-    budget. cap, when given, is a degree at which a zero-dimensional
-    quotient must seal (m^cap lies in J whenever colength(J) <= cap), so
-    the ladder stops there. None means no ladder step certified, which
-    covers every infinite-colength ideal.
-    """
-    nv = len(J.ring)
-    D = 2
-    while True:
-        if cap is not None:
-            D = min(D, cap)
-        if math.comb(D + nv, nv) > cell_limit:
-            return None
-        dim, sealed = _artinian_dims(J, D, field)
-        if sealed:
-            return dim
-        if cap is not None and D >= cap:
-            return None
-        D += max(1, D // 2)
-
-
-_QUICK_MORA_STEPS = 20000
 _GUIDE_PRIMES = (2147483647, 2147483629, 2147483587)
 _FIELDS = {}
 
@@ -618,37 +570,86 @@ def _guide_field(p):
     return _FIELDS[p]
 
 
-def _truncated_colength(J, ordering, field, bound, max_steps):
-    ordering = _resolve(J, ordering)
-    engine = _Engine(ordering, field, max_steps, truncate=bound)
-    dicts = [_to_exp_dict(g, ordering.variables, field) for g in J.gens]
-    basis = engine.basis(dicts)
-    return _truncated_staircase([g.lm for g in basis], len(J.ring), bound)
-
-
-def _exact_colength(J, ordering, field, max_steps):
-    """Colength over one fixed field, exact for that field.
-
-    A cheap Artinian probe settles most finite quotients outright; Mora
-    with a modest step budget then handles infinite answers and whatever
-    the probe could not afford. The stubborn remainder goes through the
-    full-budget ladder and finally full Mora, which is the only route
-    that certifies an infinite colength.
+def _ladder_top(nv):
+    """Last degree of 2, 3, 4, 6, 9, 13, ... (each half again, rounded
+    down) within _PROBE_CELLS monomials: 42 in two variables, 13 in three.
     """
-    count = _artinian_ladder(J, field, None, _PROBE_CELLS)
-    if count is not None:
-        return count
-    try:
-        lms, _ = _leading_exps(J, ordering, field, min(_QUICK_MORA_STEPS, max_steps))
-        return _staircase_count(lms, len(J.ring))
-    except ResourceLimitError:
-        if max_steps <= _QUICK_MORA_STEPS:
-            raise
-    count = _artinian_ladder(J, field, None)
-    if count is not None:
-        return count
+    top, D = 1, 2
+    while math.comb(D + nv, nv) <= _PROBE_CELLS:
+        top, D = D, D + D // 2
+    return top
+
+
+def _residues(gens, p):
+    """The exponent dicts gens reduced mod p, dropping what vanishes."""
+    out = []
+    for d in gens:
+        m = {}
+        for e, c in d.items():
+            r = _residue(c, p)
+            if r:
+                m[e] = r
+        if m:
+            out.append(m)
+    return out
+
+
+def _modular_colength(J, gens, ordering, field, max_steps):
+    """(u, D): the colength u of J over the prime field, and a degree D
+    with d_D = u over that field, or None when u is INFINITE.
+
+    gens are J's generators as exponent dicts over Q. Plain-int
+    eliminations mod p step up one degree at a time until one seals, which
+    makes D the first degree where d_D reaches u. Past the ladder's top
+    degree one Mora run over the field gives u, and D is the top degree of
+    its staircase: for a local degree ordering d_D counts the standard
+    monomials of degree <= D. Raises BadPrimeError when p divides a
+    denominator and ResourceLimitError when Mora runs out of steps.
+    """
+    p = field.modulus
+    nv = len(J.ring)
+    modular = _residues(gens, p)
+    for bound in range(1, _ladder_top(nv) + 1):
+        counts = _pivot_profile(modular, nv, bound, p)
+        if _seal_degree(counts, nv) is not None:
+            dims = _truncated_dims(counts, nv)
+            return dims[-1], dims.index(dims[-1])
     lms, _ = _leading_exps(J, ordering, field, max_steps)
-    return _staircase_count(lms, len(J.ring))
+    return _staircase(lms, nv)
+
+
+def _rational_colength(J, gens, ordering, max_steps):
+    """Colength of J over Q, certified.
+
+    For each guide prime p, u = colength over Z/p comes with a degree D
+    where d_D(Z/p) = u. Ranks can only drop mod p, so
+        d_D(Q) <= colength over Q <= u,
+    and one rational elimination at D that reaches d_D(Q) = u certifies u
+    from both sides. A rational seal at or below D certifies as well. A
+    bad prime makes u too large, and the next prime is tried. An infinite
+    u, an exhausted step budget or a degree past _CELL_LIMIT leaves Mora
+    over Q, whose staircase is the only certificate of an infinite
+    colength.
+    """
+    nv = len(J.ring)
+    for p in _GUIDE_PRIMES:
+        try:
+            u, D = _modular_colength(J, gens, ordering, _guide_field(p), max_steps)
+        except BadPrimeError:
+            continue
+        except ResourceLimitError:
+            break
+        if D is None or math.comb(D + nv, nv) > _CELL_LIMIT:
+            break
+        counts = _pivot_profile(gens, nv, D)
+        dims = _truncated_dims(counts, nv)
+        if dims[D] == u:
+            return u
+        seal = _seal_degree(counts, nv)
+        if seal is not None:
+            return dims[seal]
+    lms, _ = _leading_exps(J, ordering, RATIONAL, max_steps)
+    return _staircase(lms, nv)[0]
 
 
 def colength(
@@ -663,15 +664,16 @@ def colength(
     splitting off variables a generator cuts transversally, which leaves
     the quotient unchanged.
 
-    Everything returned is exact for the requested field. Over the
-    rationals a cheap Artinian elimination probe, certified by Nakayama,
-    settles most finite quotients outright. After that a prime-field
-    pass steers the exact computation: ranks can only drop modulo p, so
-    a finite prime-field colength bounds the rational one from above,
-    and rational eliminations up a degree ladder capped at that bound
-    are then certified the same way. Infinite answers are always
-    certified by a full rational standard basis. Bad primes cost time,
-    never correctness.
+    Everything returned is exact for the requested field, and every
+    answer over Q carries one of three certificates:
+      * seal: an elimination over Q shows m^D inside J by Nakayama;
+      * two-sided: a rational elimination reaches d_D(Q) = u, where u is
+        a colength over Z/p, which bounds the rational one from above;
+      * staircase: a completed Mora standard basis over Q, the only
+        certificate of an infinite colength.
+    A bad prime costs time, never correctness. Over a prime field the
+    same modular ladder and Mora run give the answer directly; a prime
+    that divides a coefficient's denominator raises BadPrimeError.
     """
     if any(g.constant_term() for g in I.gens):
         return 0
@@ -680,41 +682,12 @@ def colength(
     if ordering is not None and len(ordering.variables or ()) != nvars:
         kept = tuple(v for v in (ordering.variables or I.ring) if v in J.ring)
         ordering = LocalOrdering(ordering.kind, kept)
-    if not any(not g.is_zero for g in J.gens):
+    gens = [d for d in (_to_exp_dict(g, J.ring, RATIONAL) for g in J.gens) if d]
+    if not gens:
         return INFINITE if nvars else 1
     if field is not RATIONAL:
-        return _exact_colength(J, ordering, field, max_steps)
-
-    count = _artinian_ladder(J, RATIONAL, None, _PROBE_CELLS)
-    if count is not None:
-        return count
-
-    guide = None
-    infinite_votes = 0
-    for p in _GUIDE_PRIMES:
-        try:
-            g = _exact_colength(J, ordering, _guide_field(p), max_steps)
-        except (ZeroDivisionError, ResourceLimitError):
-            continue
-        if g is not INFINITE:
-            guide = g
-            break
-        infinite_votes += 1
-        if infinite_votes == 2:
-            break
-
-    if guide is not None:
-        bound = max(guide, 1)
-        count = _artinian_ladder(J, RATIONAL, bound)
-        if count is not None:
-            return count
-        # reachable only for a cell budget overflow or an unsound guide;
-        # the truncated Mora certificate is the safety net
-        count, maxdeg = _truncated_colength(J, ordering, RATIONAL, bound, max_steps)
-        if maxdeg < bound:
-            return count
-    lms, _ = _leading_exps(J, ordering, RATIONAL, max_steps)
-    return _staircase_count(lms, nvars)
+        return _modular_colength(J, gens, ordering, field, max_steps)[0]
+    return _rational_colength(J, gens, ordering, max_steps)
 
 
 def is_unit_ideal(I: IdealPresentation) -> bool:

@@ -228,6 +228,15 @@ def test_computational_failure_is_exit_one(capsys):
     assert "error:" in err
 
 
+def test_prime_dividing_a_denominator_is_exit_one(capsys):
+    code, out, err = invoke(
+        capsys, "milnor", "x^3 + 1/3*y^4", "--vars", "x,y", "--field", "fp:3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "error: 3 divides the denominator" in err
+
+
 def test_no_command_is_usage(capsys):
     assert run([]) == 2
     capsys.readouterr()

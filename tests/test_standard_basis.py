@@ -5,10 +5,13 @@ import random
 import pytest
 from fractions import Fraction
 
+import singchi.standard_basis as sb
 from singchi.errors import ResourceLimitError
 from singchi.poly import Monomial, parse_poly
 from singchi.standard_basis import (
+    DEFAULT_MAX_STEPS,
     INFINITE,
+    RATIONAL,
     IdealPresentation,
     LocalOrdering,
     NEGDEGLEX,
@@ -24,7 +27,12 @@ from singchi.standard_basis import (
 )
 
 from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
-from oracles import brute_colength, brute_membership, staircase_count_bfs
+from oracles import (
+    brute_colength,
+    brute_membership,
+    staircase_count_bfs,
+    truncated_quotient_dim,
+)
 
 XY = ("x", "y")
 
@@ -208,6 +216,67 @@ def test_monomial_staircase_matches_bfs():
             assert walk == ("at least", 5000)
         else:
             assert walk == c
+
+
+def _exp_dicts(I):
+    return [d for d in (sb._to_exp_dict(g, I.ring, RATIONAL) for g in I.gens) if d]
+
+
+def test_pivot_profile_matches_truncation_oracle():
+    # one elimination at bound B gives every d_D with D <= B, over Q and
+    # mod p, and seals exactly where d_D stops growing
+    rng = random.Random(53)
+    cases = [random_zero_dim_ideal(rng)[0] for _ in range(25)]
+    cases += [random_monomial_ideal(rng) for _ in range(25)]
+    # a generic linear change makes the rows dense, so reductions cascade
+    cases += [generic_linear_change(I, 1 + i) for i, I in enumerate(cases[:20:2])]
+    for I in cases:
+        nv = len(I.ring)
+        bound = {1: 9, 2: 7, 3: 4}[nv]
+        gens = _exp_dicts(I)
+        counts = sb._pivot_profile(gens, nv, bound)
+        dims = sb._truncated_dims(counts, nv)
+        want = [truncated_quotient_dim(I.gens, I.ring, D) for D in range(bound + 1)]
+        assert dims == want, str(I.gens)
+        stops = [D for D in range(1, bound + 1) if want[D] == want[D - 1]]
+        assert sb._seal_degree(counts, nv) == (stops[0] if stops else None)
+        for p in (5, 2147483647):
+            counts_p = sb._pivot_profile(sb._residues(gens, p), nv, bound, p)
+            dims_p = sb._truncated_dims(counts_p, nv)
+            assert all(a >= b for a, b in zip(dims_p, dims)), (p, str(I.gens))
+
+
+def test_bad_guide_prime_is_rejected(monkeypatch):
+    # over F_3 the quadratic part degenerates to x^2 and the colength grows
+    # to 5; the rational check at the modular degree refuses that answer
+    I = ideal(XY, "x^2 + 3*y^2 + y^3", "x*y")
+    gens = _exp_dicts(I)
+    F3 = prime_field(3)
+    assert sb._modular_colength(I, gens, None, F3, DEFAULT_MAX_STEPS) == (5, 3)
+    assert colength(I, field=F3) == 5
+    assert colength(I) == 4
+    monkeypatch.setattr(sb, "_GUIDE_PRIMES", (3, 2147483647))
+    assert sb._rational_colength(I, gens, None, DEFAULT_MAX_STEPS) == 4
+    # a guide prime dividing a denominator moves on to the next prime
+    J = ideal(XY, "x^2", "1/3*y^3")
+    assert sb._rational_colength(J, _exp_dicts(J), None, DEFAULT_MAX_STEPS) == 6
+
+
+def test_colength_past_the_modular_ladder(monkeypatch):
+    # (x^45, y^2) seals at degree 46, above the ladder's top degree in two
+    # variables, so one Mora run mod p finds the staircase and a rational
+    # elimination at its top degree certifies it
+    assert sb._ladder_top(2) == 42
+    fields = []
+    leading_exps = sb._leading_exps
+
+    def recording(I, ordering, field, max_steps):
+        fields.append(field.name)
+        return leading_exps(I, ordering, field, max_steps)
+
+    monkeypatch.setattr(sb, "_leading_exps", recording)
+    assert colength(ideal(XY, "x^45", "y^2")) == 90
+    assert fields == [f"fp:{sb._GUIDE_PRIMES[0]}"]
 
 
 # -- invariance properties ---------------------------------------------------
