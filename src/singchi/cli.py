@@ -431,11 +431,6 @@ def _add_common(sub) -> None:
         help="rational (exact, default) or fp:PRIME (fast, probabilistic)",
     )
     sub.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    sub.add_argument(
-        "--json",
-        action="store_true",
-        help="compact JSON output (the default; kept for symmetry)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

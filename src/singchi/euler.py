@@ -392,16 +392,7 @@ def _check_proportional(disc: Polynomial, expected: Polynomial) -> None:
     """Require disc to be a nonzero rational multiple of expected."""
     if disc.is_zero or expected.is_zero:
         raise SingchiError("discriminant degenerated to zero")
-    ratio = None
-    for mono, coeff in expected.terms.items():
-        other = disc.coefficient(mono)
-        if other == 0:
-            raise SingchiError(f"discriminant is missing the term {mono}")
-        r = other / coeff
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise SingchiError("discriminant is not proportional to the cubic shape")
-    for mono in disc.terms:
-        if mono not in expected.terms:
-            raise SingchiError(f"discriminant has the unexpected term {mono}")
+    anchor = next(iter(expected.terms))
+    ratio = disc.with_ring(expected.ring).coefficient(anchor) / expected.terms[anchor]
+    if not ratio or disc != expected * ratio:
+        raise SingchiError("discriminant is not proportional to the cubic shape")

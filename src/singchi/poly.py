@@ -1,8 +1,15 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials are dictionaries mapping monomials to nonzero Fraction
-coefficients, tagged with an ordered tuple of variable names (the ring).
-All arithmetic is exact; nothing here ever rounds.
+A polynomial is an ordered tuple of variable names (its ring) and a
+dictionary mapping exponent tuples, aligned with the ring, to nonzero
+Fraction coefficients: x^2*y over the ring (x, y, z) is the key (2, 1, 0).
+This is also the representation the standard basis engine works on, so
+nothing is converted between the two. All arithmetic is exact; nothing
+here ever rounds.
+
+Input is checked where it enters: the public Polynomial constructor,
+parse_poly and with_ring. Arithmetic and the calculus below build their
+results unchecked from operands already known to be well formed.
 
 The module also carries the small amount of symbolic calculus the rest of
 the package needs: substitution, partial derivatives, Jacobian matrices,
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     EmptyArgsError,
@@ -27,8 +35,6 @@ from .errors import (
     UnknownVariableError,
     ZeroDegreeError,
 )
-
-Coeff = Fraction
 
 
 def _coeff(value) -> Fraction:
@@ -39,190 +45,177 @@ def _coeff(value) -> Fraction:
     raise TypeError(f"coefficient must be rational, got {type(value).__name__}")
 
 
-class Monomial:
-    """A power product of variables, e.g. x^2*y.
-
-    Stored as a tuple of (variable, exponent) pairs sorted by variable name,
-    with zero exponents dropped, so equal monomials compare and hash equal
-    regardless of the ring they came from.
-    """
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, exps=()):
-        pairs = tuple(sorted((v, int(e)) for v, e in dict(exps).items() if e))
-        for v, e in pairs:
-            if e < 0:
-                raise ValueError(f"negative exponent for {v}")
-        self.exps = pairs
-        self._hash = hash(pairs)
-
-    @staticmethod
-    def one() -> "Monomial":
-        return _MONO_ONE
-
-    @staticmethod
-    def variable(name: str, power: int = 1) -> "Monomial":
-        return Monomial(((name, power),))
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def exponent(self, var: str) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def as_dict(self) -> dict:
-        return dict(self.exps)
-
-    def variables(self) -> tuple:
-        return tuple(v for v, _ in self.exps)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        if not self.exps:
-            return other
-        if not other.exps:
-            return self
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
+def _check_ring(ring) -> tuple:
+    ring = tuple(ring)
+    if len(set(ring)) != len(ring):
+        raise ValueError("duplicate variable in ring")
+    return ring
 
 
-_MONO_ONE = Monomial()
+def _poly(ring: tuple, terms: dict) -> "Polynomial":
+    """The unchecked constructor: terms must already be keyed by exponent
+    tuples aligned with ring and hold only nonzero Fractions."""
+    p = object.__new__(Polynomial)
+    p.ring = ring
+    p.terms = terms
+    return p
+
+
+def _constant(value: Fraction, ring: tuple) -> "Polynomial":
+    return _poly(ring, {(0,) * len(ring): value} if value else {})
+
+
+def _add_into(acc: dict, terms: dict) -> None:
+    """Add terms into acc in place, dropping what cancels."""
+    for m, c in terms.items():
+        x = acc.get(m)
+        if x is None:
+            acc[m] = c
+        else:
+            x += c
+            if x:
+                acc[m] = x
+            else:
+                del acc[m]
+
+
+def _mul_into(acc: dict, left: dict, right: dict, negate: bool = False) -> None:
+    """Add (or subtract) the product of two term dicts over one ring into
+    acc in place; cancelled terms stay in acc as zeros."""
+    for m1, c1 in left.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in right.items():
+            m = tuple(map(add, m1, m2))
+            x = acc.get(m)
+            acc[m] = c1 * c2 if x is None else x + c1 * c2
 
 
 class Polynomial:
     """A sparse polynomial with Fraction coefficients over a declared ring.
 
-    The ring is an ordered tuple of variable names; every variable that
-    occurs in a term must be declared. Instances are treated as immutable.
-    Equality and hashing compare terms only, so the same polynomial declared
+    The ring is an ordered tuple of variable names, and terms maps exponent
+    tuples aligned with it to nonzero coefficients. The constructor checks
+    every key (a tuple of non-negative ints, one per ring variable) and
+    every coefficient (int or Fraction); results of arithmetic are built
+    without checks. Instances are treated as immutable.
+
+    Operands over different rings are first re-ringed to their union (the
+    left ring, then the right one's new variables). Equality and hashing
+    compare the terms by variable name, so the same polynomial declared
     over two different rings is considered equal.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms=None):
-        ring = tuple(ring)
-        if len(set(ring)) != len(ring):
-            raise ValueError("duplicate variable in ring")
-        declared = set(ring)
+        ring = _check_ring(ring)
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
+            for exp, coeff in items:
+                if not (
+                    isinstance(exp, tuple)
+                    and len(exp) == len(ring)
+                    and all(isinstance(e, int) and e >= 0 for e in exp)
+                ):
+                    raise ValueError(f"exponent {exp!r} is not {len(ring)} non-negative ints")
                 coeff = _coeff(coeff)
                 if not coeff:
                     continue
-                for v in mono.variables():
-                    if v not in declared:
-                        raise UnknownVariableError(f"variable {v!r} not in ring {ring}")
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if not clean[mono]:
-                    del clean[mono]
+                clean[exp] = clean.get(exp, Fraction(0)) + coeff
+                if not clean[exp]:
+                    del clean[exp]
         self.ring = ring
         self.terms = clean
 
     @staticmethod
     def zero(ring) -> "Polynomial":
-        return Polynomial(ring)
+        return _poly(_check_ring(ring), {})
 
     @staticmethod
     def one(ring) -> "Polynomial":
-        return Polynomial(ring, {_MONO_ONE: Fraction(1)})
+        return Polynomial.constant(1, ring)
 
     @staticmethod
     def constant(value, ring) -> "Polynomial":
-        return Polynomial(ring, {_MONO_ONE: _coeff(value)})
+        return _constant(_coeff(value), _check_ring(ring))
 
     @staticmethod
     def variable(name: str, ring) -> "Polynomial":
+        ring = _check_ring(ring)
         if name not in ring:
-            raise UnknownVariableError(f"variable {name!r} not in ring {tuple(ring)}")
-        return Polynomial(ring, {Monomial.variable(name): Fraction(1)})
+            raise UnknownVariableError(f"variable {name!r} not in ring {ring}")
+        return _poly(ring, {tuple(int(v == name) for v in ring): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_MONO_ONE, Fraction(0))
+        return self.terms.get((0,) * len(self.ring), Fraction(0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.degree() for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def degree_in(self, var: str) -> int:
         if not self.terms:
             return -1
-        return max(m.exponent(var) for m in self.terms)
+        if var not in self.ring:
+            return 0
+        i = self.ring.index(var)
+        return max(m[i] for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, exp: tuple) -> Fraction:
+        """The coefficient of the monomial with exponents exp (ring order)."""
+        return self.terms.get(exp, Fraction(0))
 
     def coefficients_in(self, var: str) -> dict:
         """Split into {power of var: polynomial coefficient} (var removed)."""
+        if var not in self.ring:
+            return {0: self} if self.terms else {}
+        i = self.ring.index(var)
         out = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(var)
-            rest = {v: k for v, k in mono.exps if v != var}
-            bucket = out.setdefault(e, {})
-            m = Monomial(rest)
-            bucket[m] = bucket.get(m, Fraction(0)) + coeff
-        return {e: Polynomial(self.ring, bucket) for e, bucket in out.items()}
+        for m, c in self.terms.items():
+            out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
+        return {e: _poly(self.ring, bucket) for e, bucket in out.items()}
 
     def partial(self, var: str) -> "Polynomial":
         if var not in self.ring:
             raise UnknownVariableError(f"variable {var!r} not in ring {self.ring}")
+        i = self.ring.index(var)
         terms = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(var)
-            if not e:
-                continue
-            reduced = dict(mono.exps)
-            reduced[var] = e - 1
-            terms[Monomial(reduced)] = coeff * e
-        return Polynomial(self.ring, terms)
+        for m, c in self.terms.items():
+            e = m[i]
+            if e:
+                terms[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return _poly(self.ring, terms)
 
-    def _merged_ring(self, other: "Polynomial") -> tuple:
+    def _align(self, other: "Polynomial"):
+        """(self, other) re-ringed to one ring: self's, then other's new variables."""
         if other.ring == self.ring:
-            return self.ring
-        extra = tuple(v for v in other.ring if v not in self.ring)
-        return self.ring + extra
+            return self, other
+        ring = self.ring + tuple(v for v in other.ring if v not in self.ring)
+        return self.with_ring(ring), other.with_ring(ring)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
-        return Polynomial.constant(other, self.ring)
+        return _constant(_coeff(other), self.ring)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        ring = self._merged_ring(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Polynomial(ring, terms)
+        a, b = self._align(self._coerce(other))
+        terms = dict(a.terms)
+        _add_into(terms, b.terms)
+        return _poly(a.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -234,22 +227,19 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             if not c:
-                return Polynomial(self.ring)
-            return Polynomial(self.ring, {m: k * c for m, k in self.terms.items()})
-        ring = self._merged_ring(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(ring, terms)
+                return _poly(self.ring, {})
+            return _poly(self.ring, {m: k * c for m, k in self.terms.items()})
+        a, b = self._align(other)
+        acc = {}
+        _mul_into(acc, a.terms, b.terms)
+        return _poly(a.ring, {m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.ring)
+        result = _constant(Fraction(1), self.ring)
         base = self
         e = exponent
         while e:
@@ -261,28 +251,49 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.ring)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+            other = _constant(_coeff(other), self.ring)
+        if not isinstance(other, Polynomial):
+            return False
+        a, b = self._align(other)
+        return a.terms == b.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # over the variables in use, sorted by name: the same for every ring
+        used = sorted(v for i, v in enumerate(self.ring) if any(m[i] for m in self.terms))
+        return hash(frozenset(self.with_ring(used).terms.items()))
 
     def with_ring(self, ring) -> "Polynomial":
-        return Polynomial(ring, self.terms)
-
-    def _print_key(self, mono: Monomial):
-        vec = tuple(mono.exponent(v) for v in self.ring)
-        return (mono.degree(), vec)
+        """The same polynomial over ring, which must declare every variable
+        a term uses; raises UnknownVariableError otherwise."""
+        if tuple(ring) == self.ring:
+            return self
+        ring = _check_ring(ring)
+        where = {v: i for i, v in enumerate(self.ring)}
+        for v, i in where.items():
+            if v not in ring and any(m[i] for m in self.terms):
+                raise UnknownVariableError(f"variable {v!r} not in ring {ring}")
+        # index -1 picks the 0 appended to each exponent tuple
+        picks = [where.get(v, -1) for v in ring]
+        terms = {}
+        for m, c in self.terms.items():
+            padded = m + (0,)
+            terms[tuple([padded[i] for i in picks])] = c
+        return _poly(ring, terms)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=self._print_key, reverse=True)
+        # terms by descending (degree, exponent vector); inside a monomial
+        # the variables go by name
+        named = sorted(range(len(self.ring)), key=self.ring.__getitem__)
+        ordered = sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
         pieces = []
-        for mono in ordered:
-            coeff = self.terms[mono]
-            body = repr(mono)
-            if mono.exps:
+        for m in ordered:
+            coeff = self.terms[m]
+            body = "*".join(
+                self.ring[i] if m[i] == 1 else f"{self.ring[i]}^{m[i]}" for i in named if m[i]
+            )
+            if body:
                 if abs(coeff) == 1:
                     text = body
                 else:
@@ -338,7 +349,7 @@ def _tokenize(text: str):
 class _Parser:
     def __init__(self, text: str, ring):
         self.text = text
-        self.ring = tuple(ring)
+        self.ring = _check_ring(ring)
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -420,11 +431,9 @@ class _Parser:
                     raise PolyParseError("expected integer denominator", p)
                 if int(v) == 0:
                     raise PolyParseError("zero denominator", p)
-                return Polynomial.constant(Fraction(numerator, int(v)), self.ring)
-            return Polynomial.constant(numerator, self.ring)
+                return _constant(Fraction(numerator, int(v)), self.ring)
+            return _constant(Fraction(numerator), self.ring)
         if kind == "ident":
-            if value not in self.ring:
-                raise UnknownVariableError(f"variable {value!r} not in ring {self.ring}")
             return Polynomial.variable(value, self.ring)
         if kind == "op" and value == "(":
             inner = self.expr()
@@ -436,6 +445,7 @@ class _Parser:
 def parse_poly(text: str, ring) -> Polynomial:
     """Parse polynomial text over the given ring. Exact round-trip with str()."""
     return _Parser(text, ring).parse()
+
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +474,33 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
                         ring_out.append(w)
     ring_out = tuple(ring_out)
 
-    result = Polynomial.zero(ring_out)
+    kept = [(i, ring_out.index(v)) for i, v in enumerate(p.ring) if v not in assignment]
+    moved = [(i, v) for i, v in enumerate(p.ring) if v in assignment]
+    # Collect p by the exponents of the substituted variables, so each
+    # distinct pattern of them costs one product.
+    groups = {}
+    for m, c in p.terms.items():
+        rest = [0] * len(ring_out)
+        for i, j in kept:
+            rest[j] = m[i]
+        groups.setdefault(tuple(m[i] for i, _ in moved), {})[tuple(rest)] = c
     power_cache = {}
-    for mono, coeff in p.terms.items():
-        acc = Polynomial.constant(coeff, ring_out)
-        for var, e in mono.exps:
-            if var in assignment:
-                key = (var, e)
-                if key not in power_cache:
-                    value = assignment[var]
-                    base = value if isinstance(value, Polynomial) else Polynomial.constant(value, ring_out)
-                    power_cache[key] = base ** e
-                acc = acc * power_cache[key]
-            else:
-                acc = acc * Polynomial(ring_out, {Monomial.variable(var, e): Fraction(1)})
-        result = result + acc
-    return result
+    acc = {}
+    for pattern, part in groups.items():
+        piece = _poly(ring_out, part)
+        for (_, var), e in zip(moved, pattern):
+            if not e:
+                continue
+            if (var, e) not in power_cache:
+                value = assignment[var]
+                if isinstance(value, Polynomial):
+                    base = value.with_ring(ring_out)
+                else:
+                    base = _constant(_coeff(value), ring_out)
+                power_cache[var, e] = base**e
+            piece = piece * power_cache[var, e]
+        _add_into(acc, piece.terms)
+    return _poly(ring_out, acc)
 
 
 def jacobian(polys, variables) -> list:
@@ -492,39 +513,35 @@ def determinant(matrix) -> Polynomial:
 
     Expansion over column subsets (Laplace with memoization), which avoids
     the exact-division bookkeeping of fraction-free elimination and is fast
-    for the small matrices that arise here.
+    for the small matrices that arise here. Entries are re-ringed to the
+    union of their rings, in row-major order of first appearance.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    ring = matrix[0][0].ring
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
     if n == 1:
         return matrix[0][0]
-    prev = {0: Polynomial.one(ring)}
+    ring = tuple(dict.fromkeys(v for row in matrix for entry in row for v in entry.ring))
+    rows = [[entry.with_ring(ring).terms for entry in row] for row in matrix]
+    prev = {0: {(0,) * len(ring): Fraction(1)}}
     for r in range(n):
         cur = {}
-        for mask, val in prev.items():
-            if val.is_zero:
-                continue
+        for mask, acc in prev.items():
+            # products that cancelled are still in acc, as zeros
+            val = {m: k for m, k in acc.items() if k}
             for c in range(n):
                 bit = 1 << c
-                if mask & bit:
+                if mask & bit or not val or not rows[r][c]:
                     continue
-                entry = matrix[r][c]
-                if entry.is_zero:
-                    continue
-                piece = val * entry
                 # parity of inversions added: used columns to the right of c
-                if (mask >> (c + 1)).bit_count() & 1:
-                    piece = -piece
-                key = mask | bit
-                cur[key] = cur.get(key, Polynomial.zero(ring)) + piece
+                negate = (mask >> (c + 1)).bit_count() & 1
+                _mul_into(cur.setdefault(mask | bit, {}), val, rows[r][c], negate)
         prev = cur
-    full = (1 << n) - 1
-    return prev.get(full, Polynomial.zero(ring))
+    full = prev.get((1 << n) - 1, {})
+    return _poly(ring, {m: k for m, k in full.items() if k})
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
@@ -537,10 +554,10 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     n = q.degree_in(var)
     if m <= 0 or n <= 0:
         raise ZeroDegreeError(f"both polynomials must have positive degree in {var!r}")
-    ring = p._merged_ring(q)
-    pc = {e: c.with_ring(ring) for e, c in p.coefficients_in(var).items()}
-    qc = {e: c.with_ring(ring) for e, c in q.coefficients_in(var).items()}
-    zero = Polynomial.zero(ring)
+    p, q = p._align(q)
+    pc = p.coefficients_in(var)
+    qc = q.coefficients_in(var)
+    zero = _poly(p.ring, {})
     size = m + n
     rows = []
     for shift in range(n):
@@ -607,7 +624,8 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
         if a in g.ring:
             raise ValueError(f"argument {a!r} collides with a ring variable")
 
-    params = tuple(v for v in g.ring if v != var)
+    i = g.ring.index(var)
+    params = g.ring[:i] + g.ring[i + 1 :]
     nodes = tuple(dict.fromkeys(args))
     multiplicities = [args.count(a) for a in nodes]
     shift = len(args) - 1
@@ -615,13 +633,13 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
     terms = {}
     # Parameter parts and node parts share no variable, and h_d has node
     # degree d, so every product below is a distinct monomial.
-    for mono, coeff in g.terms.items():
-        d = mono.exponent(var) - shift
+    for m, coeff in g.terms.items():
+        d = m[i] - shift
         if d < 0:
             continue
         if d not in h:
-            h[d] = [(tuple(zip(nodes, e)), w) for e, w in _node_powers(d, multiplicities)]
-        rest = tuple(pair for pair in mono.exps if pair[0] != var)
+            h[d] = _node_powers(d, multiplicities)
+        rest = m[:i] + m[i + 1 :]
         for node_exps, weight in h[d]:
-            terms[Monomial(rest + node_exps)] = coeff * weight
-    return Polynomial(params + nodes, terms)
+            terms[rest + node_exps] = coeff * weight
+    return _poly(params + nodes, terms)

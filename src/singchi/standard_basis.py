@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrimeError, ResourceLimitError
-from .poly import Monomial, Polynomial, parse_poly, substitute
+from .poly import Polynomial, parse_poly, substitute
 
 NEGDEGREVLEX = "negdegrevlex"
 NEGDEGLEX = "negdeglex"
@@ -221,6 +221,15 @@ class _Engine:
         self.steps = 0
         self._keys = {}
 
+    def convert(self, p: Polynomial):
+        """p's terms keyed in the ordering's variable order, over the field."""
+        terms = p.with_ring(self.ordering.variables).terms
+        if self.field is RATIONAL:
+            return terms
+        convert = self.field.convert
+        # coefficients can vanish under reduction mod p
+        return {e: x for e, c in terms.items() if (x := convert(c))}
+
     def key(self, exp):
         k = self._keys.get(exp)
         if k is None:
@@ -366,31 +375,18 @@ class _Engine:
         return kept
 
 
-def _resolve(I: IdealPresentation, ordering):
+def _mora(I: IdealPresentation, ordering, field, max_steps):
+    """(engine, basis): Mora's standard basis of I under ordering (None, or
+    one without variables, means I's ring), keyed in the ordering's
+    variable order."""
     if ordering is None:
         ordering = LocalOrdering(NEGDEGREVLEX, I.ring)
     elif not ordering.variables:
         ordering = LocalOrdering(ordering.kind, I.ring)
     if sorted(ordering.variables) != sorted(I.ring):
         raise ValueError("ordering variables must match the ideal's ring")
-    return ordering
-
-
-def _to_exp_dict(p: Polynomial, variables, field):
-    d = {}
-    for mono, coeff in p.terms.items():
-        c = field.convert(coeff)
-        if c:  # coefficients can vanish under reduction mod p
-            d[tuple(mono.exponent(v) for v in variables)] = c
-    return d
-
-
-def _from_exp_dict(d, variables, ring):
-    terms = {}
-    for exp, coeff in d.items():
-        mono = Monomial({v: e for v, e in zip(variables, exp)})
-        terms[mono] = coeff if isinstance(coeff, Fraction) else Fraction(coeff.v)
-    return Polynomial(ring, terms)
+    engine = _Engine(ordering, field, max_steps)
+    return engine, engine.basis([engine.convert(g) for g in I.gens])
 
 
 def standard_basis(
@@ -400,24 +396,25 @@ def standard_basis(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> IdealPresentation:
     """Minimal standard basis of I, monic and deterministically sorted."""
-    ordering = _resolve(I, ordering)
-    engine = _Engine(ordering, field, max_steps)
-    dicts = [_to_exp_dict(g, ordering.variables, field) for g in I.gens]
-    basis = engine.basis(dicts)
-    polys = tuple(_from_exp_dict(g.d, ordering.variables, I.ring) for g in basis)
-    return IdealPresentation(I.ring, polys)
+    engine, basis = _mora(I, ordering, field, max_steps)
+    variables = engine.ordering.variables
+    polys = []
+    for g in basis:
+        terms = g.d if field is RATIONAL else {e: c.v for e, c in g.d.items()}
+        polys.append(Polynomial(variables, terms).with_ring(I.ring))
+    return IdealPresentation(I.ring, tuple(polys))
 
 
 def _leading_exps(I, ordering, field, max_steps):
-    ordering = _resolve(I, ordering)
-    engine = _Engine(ordering, field, max_steps)
-    dicts = [_to_exp_dict(g, ordering.variables, field) for g in I.gens]
-    return [g.lm for g in engine.basis(dicts)], ordering
+    engine, basis = _mora(I, ordering, field, max_steps)
+    return [g.lm for g in basis], engine.ordering
 
 
 def leading_monomials(I, ordering=None, field=RATIONAL, max_steps=DEFAULT_MAX_STEPS):
+    """Exponent tuples, in I.ring order, of the standard basis's leading terms."""
     lms, ordering = _leading_exps(I, ordering, field, max_steps)
-    return tuple(Monomial({v: e for v, e in zip(ordering.variables, exp)}) for exp in lms)
+    picks = [ordering.variables.index(v) for v in I.ring]
+    return tuple(tuple(exp[i] for i in picks) for exp in lms)
 
 
 def _staircase(lms, nvars):
@@ -554,10 +551,10 @@ def _seal_degree(counts, nv):
     return None
 
 
-#: Monomial count above which a rational elimination is not attempted.
+#: Number of monomials above which a rational elimination is not attempted.
 _CELL_LIMIT = 20000
 
-#: Monomial budget that sets the modular ladder's top degree (_ladder_top).
+#: Budget of monomials that sets the modular ladder's top degree (_ladder_top).
 _PROBE_CELLS = 1500
 
 _GUIDE_PRIMES = (2147483647, 2147483629, 2147483587)
@@ -675,14 +672,14 @@ def colength(
     same modular ladder and Mora run give the answer directly; a prime
     that divides a coefficient's denominator raises BadPrimeError.
     """
-    if any(g.constant_term() for g in I.gens):
+    if is_unit_ideal(I):
         return 0
     J, _ = eliminate_linear_generators(I)
     nvars = len(J.ring)
     if ordering is not None and len(ordering.variables or ()) != nvars:
         kept = tuple(v for v in (ordering.variables or I.ring) if v in J.ring)
         ordering = LocalOrdering(ordering.kind, kept)
-    gens = [d for d in (_to_exp_dict(g, J.ring, RATIONAL) for g in J.gens) if d]
+    gens = [g.terms for g in J.gens if g.terms]
     if not gens:
         return INFINITE if nvars else 1
     if field is not RATIONAL:
@@ -708,12 +705,8 @@ def in_ideal(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> bool:
     """Local ideal membership, decided by Mora normal form against a standard basis."""
-    ordering = _resolve(I, ordering)
-    engine = _Engine(ordering, field, max_steps)
-    dicts = [_to_exp_dict(g, ordering.variables, field) for g in I.gens]
-    basis = engine.basis(dicts)
-    h = engine.make(_to_exp_dict(p.with_ring(I.ring), ordering.variables, field))
-    return engine.normal_form(h, basis) is None
+    engine, basis = _mora(I, ordering, field, max_steps)
+    return engine.normal_form(engine.make(engine.convert(p)), basis) is None
 
 
 def _fraction_det(rows):

@@ -9,7 +9,7 @@ oracles comfortable: big colengths only appear in two variables.
 import random
 from fractions import Fraction
 
-from singchi.poly import Monomial, Polynomial
+from singchi.poly import Polynomial
 from singchi.standard_basis import IdealPresentation
 
 
@@ -28,7 +28,7 @@ def random_poly(rng, ring, max_deg=3, max_terms=3, min_deg=1):
             exps = {}
             for v in rng.choices(ring, k=d):
                 exps[v] = exps.get(v, 0) + 1
-            mono = Monomial(exps)
+            mono = tuple(exps.get(v, 0) for v in ring)
             terms[mono] = terms.get(mono, Fraction(0)) + random_coeff(rng)
         p = Polynomial(ring, terms)
         if not p.is_zero:
@@ -50,7 +50,7 @@ def random_zero_dim_ideal(rng, nvars=None):
     for v in ring:
         e = rng.randint(1, cap)
         bound *= e
-        p = Polynomial(ring, {Monomial.variable(v, e): Fraction(1)})
+        p = Polynomial(ring, {tuple(e if w == v else 0 for w in ring): Fraction(1)})
         if rng.random() < 0.5:
             # perturb strictly above degree e so the pure power survives as
             # the lowest-order term and finiteness stays guaranteed
@@ -72,5 +72,5 @@ def random_monomial_ideal(rng, nvars=None):
         exps = {}
         for v in rng.choices(ring, k=d):
             exps[v] = exps.get(v, 0) + 1
-        gens.append(Polynomial(ring, {Monomial(exps): Fraction(1)}))
+        gens.append(Polynomial(ring, {tuple(exps.get(v, 0) for v in ring): Fraction(1)}))
     return IdealPresentation(ring, tuple(gens))

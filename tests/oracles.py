@@ -28,20 +28,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from singchi.errors import EmptyArgsError, UnknownVariableError
-from singchi.poly import Monomial, Polynomial, substitute
+from singchi.poly import Polynomial, substitute
 
 
 def monomials_up_to(ring, degree):
-    """All monomials of total degree <= degree, low degrees first."""
-    out = [Monomial.one()]
+    """All monomials of total degree <= degree, low degrees first, as
+    exponent tuples in ring order."""
+    out = [(0,) * len(ring)]
     for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(ring, d):
-            exps = {}
-            for v in combo:
-                exps[v] = exps.get(v, 0) + 1
-            out.append(Monomial(exps))
+        for combo in combinations_with_replacement(range(len(ring)), d):
+            exps = [0] * len(ring)
+            for i in combo:
+                exps[i] += 1
+            out.append(tuple(exps))
     return out
 
 
@@ -81,9 +83,9 @@ def truncated_quotient_dim(gens, ring, degree):
             return 0
         for m in monos:
             row = {}
-            for mono, coeff in g.terms.items():
-                prod = m.mul(mono)
-                if prod.degree() <= degree:
+            for mono, coeff in g.with_ring(ring).terms.items():
+                prod = tuple(map(add, m, mono))
+                if sum(prod) <= degree:
                     row[index[prod]] = row.get(index[prod], Fraction(0)) + coeff
             row = {c: v for c, v in row.items() if v}
             if row:
@@ -110,11 +112,13 @@ def brute_colength(gens, ring, cap=40):
 def staircase_count_bfs(leading, ring, cap=100000):
     """Count monomials outside a monomial ideal by breadth-first walk.
 
+    leading holds the ideal's generators as exponent tuples in ring order.
+
     Independent of the recursive counter in the package. Returns the
     count, or ("at least", cap) if the walk exceeds the cap (infinite or
     just huge staircases).
     """
-    lead = [m.as_dict() for m in leading]
+    lead = [dict(zip(ring, m)) for m in leading]
 
     def inside(exps):
         for lm in lead:
@@ -157,17 +161,17 @@ def brute_membership(p, gens, ring, colength):
     for g in gens:
         for m in monos:
             row = {}
-            for mono, coeff in g.terms.items():
-                prod = m.mul(mono)
-                if prod.degree() <= degree:
+            for mono, coeff in g.with_ring(ring).terms.items():
+                prod = tuple(map(add, m, mono))
+                if sum(prod) <= degree:
                     row[index[prod]] = row.get(index[prod], Fraction(0)) + coeff
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
     base = _sparse_rank(rows)
     target = {}
-    for mono, coeff in p.terms.items():
-        if mono.degree() <= degree:
+    for mono, coeff in p.with_ring(ring).terms.items():
+        if sum(mono) <= degree:
             target[index[mono]] = coeff
         else:
             # deep terms are absorbed by m^colength, which is inside I

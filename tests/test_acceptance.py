@@ -142,8 +142,8 @@ def test_criterion_4_fold_cusp_routes(capsys):
                 {
                     v
                     for mono in disc.terms
-                    for v in mono.as_dict()
-                    if v not in ring
+                    for v, e in zip(disc.ring, mono)
+                    if e and v not in ring
                 }
             )
             assert len(extra) == 1, text

@@ -3,6 +3,8 @@ exit code 0 for answers, 1 for computational failures, 2 for usage."""
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +273,14 @@ GOLDEN_STDOUT_SHA256 = {
         "95b35924b8d5f671e8e56ea6cdd9557b1b837a04d50d103a2636397e9ff4a832"
     ),
     ("mps", "VIII", "--k", "4"): "a0a68c3ce840a8bc7f6e8af67ace9806c6956b9aebb56bb959129b387a77f5c3",
+    # Rings out of alphabetical order: terms print in descending (degree,
+    # ring-vector) order, variables inside a monomial sorted by name.
+    ("milnor", "z*a^2 + z^3 + a^4*b + b^2", "--vars", "z,b,a"): (
+        "21395ef5ce3988524e5113bb91806c25b7cba0d6522adaa2df9d8e04a419e915"
+    ),
+    ("equidim", "--phi", "b^2 + a^3 + a*b^2", "--n", "3", "--vars", "b,a"): (
+        "d998ae7464569eb6c0386430a68889aa038154134bf6b698c572bacfff598a09"
+    ),
 }
 
 
@@ -287,6 +297,8 @@ def test_pretty_changes_layout_not_payload(capsys):
     assert json.loads(compact[1]) == json.loads(pretty[1])
     assert "\n  " in pretty[1]
     assert "\n" not in compact[1].rstrip("\n")
+    # compact output is the default; there is no --json flag
+    assert invoke(capsys, "image-chi", "B_2", "--json")[0] == 2
 
 
 def test_prime_field_prints_a_banner(capsys):
@@ -321,3 +333,32 @@ def test_parser_builds_every_command():
         "catalog",
     ):
         assert name in text
+
+
+def _readme_commands():
+    """(argv, printed output or None) for each `$ singchi` line in the
+    README's "Command line" section, with its indented continuation lines."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ singchi "):
+            continue
+        j = i + 1
+        while j < len(lines) and lines[j][:1].isspace():
+            j += 1
+        argv = shlex.split("\n".join([line[len("$ singchi ") :]] + lines[i + 1 : j]))
+        printed = lines[j] if j < len(lines) and not lines[j].startswith(("$", "`")) else None
+        commands.append((argv, printed))
+    return commands
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv, printed in commands:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[0] == "milnor":
+            assert out == printed + "\n"

@@ -27,7 +27,7 @@ from singchi.euler import (
     zariski_chi,
 )
 from singchi.multiple_points import InvariantTuple, invariant_tuple, map_germ
-from singchi.poly import Monomial, parse_poly
+from singchi.poly import parse_poly
 
 
 def tup(a, b, c, d, b2, b3, b4, q):
@@ -265,8 +265,9 @@ def test_equidim_quadric_phi():
 def test_equidim_discriminant_shape():
     phi = parse_poly("x", ("x",))
     rep = equidim_chi_check(phi, 2)
-    lead = rep.discriminant.coefficient(Monomial.variable("w", 2))
-    cube = rep.discriminant.coefficient(Monomial.variable("x", 3))
+    ring = rep.discriminant.ring
+    lead = rep.discriminant.coefficient(tuple(2 * (v == "w") for v in ring))
+    cube = rep.discriminant.coefficient(tuple(3 * (v == "x") for v in ring))
     assert lead != 0
     assert cube * 27 == lead * 4
     assert len(rep.discriminant.terms) == 2
