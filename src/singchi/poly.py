@@ -511,10 +511,12 @@ def jacobian(polys, variables) -> list:
 def determinant(matrix) -> Polynomial:
     """Determinant of a square matrix of polynomials.
 
-    Expansion over column subsets (Laplace with memoization), which avoids
-    the exact-division bookkeeping of fraction-free elimination and is fast
-    for the small matrices that arise here. Entries are re-ringed to the
-    union of their rings, in row-major order of first appearance.
+    Expansion over column subsets (Laplace with memoization), which is
+    fast for the small matrices that arise here. Each row is first scaled
+    by the lcm L_i of its denominators, so the expansion runs on plain
+    ints, and the result is divided by the product of the L_i once, at
+    the end. Entries are re-ringed to the union of their rings, in
+    row-major order of first appearance.
     """
     n = len(matrix)
     if n == 0:
@@ -525,8 +527,16 @@ def determinant(matrix) -> Polynomial:
     if n == 1:
         return matrix[0][0]
     ring = tuple(dict.fromkeys(v for row in matrix for entry in row for v in entry.ring))
-    rows = [[entry.with_ring(ring).terms for entry in row] for row in matrix]
-    prev = {0: {(0,) * len(ring): Fraction(1)}}
+    rows = []
+    scale = 1
+    for row in matrix:
+        terms = [entry.with_ring(ring).terms for entry in row]
+        den = math.lcm(*(c.denominator for t in terms for c in t.values()))
+        scale *= den
+        rows.append(
+            [{m: c.numerator * (den // c.denominator) for m, c in t.items()} for t in terms]
+        )
+    prev = {0: {(0,) * len(ring): 1}}
     for r in range(n):
         cur = {}
         for mask, acc in prev.items():
@@ -541,7 +551,7 @@ def determinant(matrix) -> Polynomial:
                 _mul_into(cur.setdefault(mask | bit, {}), val, rows[r][c], negate)
         prev = cur
     full = prev.get((1 << n) - 1, {})
-    return _poly(ring, {m: k for m, k in full.items() if k})
+    return _poly(ring, {m: Fraction(k, scale) for m, k in full.items() if k})
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:

@@ -7,9 +7,10 @@ results when every reducer would raise the ecart. The orderings are local
 and quotient dimensions are counted at the origin.
 
 Colengths of zero-dimensional ideals come from row reduction in a
-truncated quotient O/m^(D+1) instead: plain integers modulo a prime find
-the colength and the degree where it is reached, and one rational
-elimination at that degree certifies it over Q.
+truncated quotient O/m^(D+1) instead, on plain integers throughout:
+rows reduced modulo a prime find the colength and the degree where it is
+reached, and one fraction-free integer elimination at that degree
+certifies it over Q.
 
 Everything here is exact. The default coefficient field is the rationals.
 A prime field Z/p can be requested instead; results are then exact over
@@ -194,6 +195,14 @@ class _EPoly:
         return self.maxdeg - sum(self.lm)
 
 
+def _content(coeffs):
+    """(den, num) for nonzero rationals: den is the lcm of their
+    denominators and num the gcd of the integers den * c, so the values
+    c * den / num are coprime integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, math.gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
+
+
 def _divides(a: tuple, b: tuple) -> bool:
     for ai, bi in zip(a, b):
         if ai > bi:
@@ -253,13 +262,8 @@ class _Engine:
         """Rescale to integer coefficients with content 1 (rationals only)."""
         if self.field is not RATIONAL or not d:
             return d
-        den = 1
-        for c in d.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        num = 0
-        for c in d.values():
-            num = math.gcd(num, c.numerator * (den // c.denominator))
-        if num in (0, 1) and den == 1:
+        den, num = _content(d.values())
+        if num == 1 and den == 1:
             return d
         scale = Fraction(den, num)
         return {e: c * scale for e, c in d.items()}
@@ -473,10 +477,18 @@ def _pivot_profile(gens, nv, bound, p=None):
     When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
     pushes it into J, and d_D is the colength of J: the quotient seals.
 
-    Over Q, row reduction in a fixed finite-dimensional space keeps
-    heights polynomial (entries are quotients of minors of the input),
-    unlike iterated Mora normal forms, whose heights can compound.
+    Rows hold plain ints over both fields. Over Q each generator is first
+    scaled to a primitive integer dict, which leaves J unchanged, and the
+    elimination is fraction-free: a row with entry f at the column of a
+    pivot with lead a becomes (a/g)*row - (f/g)*pivot, g = gcd(a, f), and
+    a row is stripped of its content when it is stored as a pivot. Mod p
+    pivots are stored with lead 1, so the same update runs with a/g = 1,
+    reduced mod p. Row reduction in a fixed finite-dimensional space
+    keeps heights polynomial (entries are multiples of minors of the
+    input), unlike iterated Mora normal forms, whose heights can compound.
     """
+    if p is None:
+        gens = [_scaled(g) for g in gens]
     # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
     # in base bound + 1, so columns order by degree and then exponent, and
     # the column of a product of monomials is the sum of their columns.
@@ -487,10 +499,11 @@ def _pivot_profile(gens, nv, bound, p=None):
     for w in weights[1:]:
         shifts = [k + j * (base + w) for k in shifts for j in range(bound - k // base + 1)]
     shifts.sort()
+    # lead column -> (lead entry, the row's other entries)
     pivots = {}
-    for g in gens:
+    for gen in gens:
         terms = []
-        for e, c in g.items():
+        for e, c in gen.items():
             deg = sum(e)
             terms.append((deg, sum(a * w for a, w in zip((deg,) + e, weights)), c))
         mindeg = min(deg for deg, _, _ in terms)
@@ -506,7 +519,14 @@ def _pivot_profile(gens, nv, bound, p=None):
                 f = row.pop(lead, 0)
                 if not f:
                     continue
-                for col, v in pivots[lead].items():
+                a, pivot = pivots[lead]
+                g = math.gcd(a, f)
+                if a != g:
+                    s = a // g
+                    for col in row:
+                        row[col] *= s
+                f //= g
+                for col, v in pivot.items():
                     x = row.get(col)
                     if x is None:
                         x = -f * v
@@ -522,16 +542,30 @@ def _pivot_profile(gens, nv, bound, p=None):
                         del row[col]
             if row:
                 lead = min(row)
+                a = row.pop(lead)
                 if p is None:
-                    inv = 1 / row.pop(lead)
-                    pivots[lead] = {col: v * inv for col, v in row.items()}
+                    content = math.gcd(a, *row.values())
+                    # a positive lead: a lead of -1 would rescale every row
+                    if a < 0:
+                        content = -content
+                    if content != 1:
+                        a //= content
+                        row = {col: v // content for col, v in row.items()}
                 else:
-                    inv = pow(row.pop(lead), -1, p)
-                    pivots[lead] = {col: v * inv % p for col, v in row.items()}
+                    inv = pow(a, -1, p)
+                    a = 1
+                    row = {col: v * inv % p for col, v in row.items()}
+                pivots[lead] = (a, row)
     counts = [0] * (bound + 1)
     for lead in pivots:
         counts[lead // base] += 1
     return counts
+
+
+def _scaled(d):
+    """The exponent dict d over Q scaled to coprime integer coefficients."""
+    den, num = _content(d.values())
+    return {e: c.numerator * (den // c.denominator) // num for e, c in d.items()}
 
 
 def _truncated_dims(counts, nv):

@@ -19,12 +19,16 @@ Two facts make this a rigorous oracle:
 So scanning D upward either certifies an exact finite answer or proves a
 lower bound. No standard basis, no monomial ordering.
 
-The module also keeps the recursive divided difference, the reference
-the package's closed form is checked against.
+The module also keeps references the package's faster code is checked
+against: the pivot profile by elimination over Fraction rows, the
+recursive divided difference, and the cofactor expansion of a
+determinant.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -181,6 +185,67 @@ def brute_membership(p, gens, ring, colength):
     return _sparse_rank(rows + [target]) == base
 
 
+def fraction_pivot_profile(gens, nv, bound):
+    """Pivots per degree of the image of J in O/m^(bound+1), over Q.
+
+    The same rows, columns and reduction order as
+    standard_basis._pivot_profile, in Fraction arithmetic, with every
+    stored pivot normalised to lead 1 by division: the reference its
+    fraction-free integer rows are checked against. gens are exponent
+    dicts with Fraction coefficients; counts[D] is the number of pivots
+    in degree D.
+    """
+    # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
+    # in base bound + 1, so columns order by degree and then exponent, and
+    # the column of a product of monomials is the sum of their columns.
+    radix = bound + 1
+    weights = [radix ** (nv - i) for i in range(nv + 1)]
+    base = weights[0]
+    shifts = [0]
+    for w in weights[1:]:
+        shifts = [k + j * (base + w) for k in shifts for j in range(bound - k // base + 1)]
+    shifts.sort()
+    pivots = {}
+    for g in gens:
+        terms = []
+        for e, c in g.items():
+            deg = sum(e)
+            terms.append((deg, sum(a * w for a, w in zip((deg,) + e, weights)), c))
+        mindeg = min(deg for deg, _, _ in terms)
+        for shift in shifts[: bisect.bisect_left(shifts, (bound - mindeg + 1) * base)]:
+            room = bound - shift // base
+            row = {col + shift: c for deg, col, c in terms if deg <= room}
+            # Reducing at a column only brings in columns above it, so a
+            # column the heap has handed out never comes back.
+            todo = [col for col in row if col in pivots]
+            heapq.heapify(todo)
+            while todo:
+                lead = heapq.heappop(todo)
+                f = row.pop(lead, 0)
+                if not f:
+                    continue
+                for col, v in pivots[lead].items():
+                    x = row.get(col)
+                    if x is None:
+                        x = -f * v
+                        if col in pivots:
+                            heapq.heappush(todo, col)
+                    else:
+                        x -= f * v
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
+            if row:
+                lead = min(row)
+                inv = 1 / row.pop(lead)
+                pivots[lead] = {col: v * inv for col, v in row.items()}
+    counts = [0] * (bound + 1)
+    for lead in pivots:
+        counts[lead // base] += 1
+    return counts
+
+
 def _divide_by_linear(numerator, va, vb):
     """Exact quotient numerator / (va - vb); raises if a remainder is left."""
     coeffs = numerator.coefficients_in(va)
@@ -252,3 +317,19 @@ def recursive_divided_difference(g, var, args):
         return result
 
     return rec(tuple(sorted(args)))
+
+
+def cofactor_determinant(matrix):
+    """Determinant of a square matrix of polynomials by cofactor expansion
+    along the first row, in Fraction arithmetic throughout."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = None
+    for c in range(n):
+        minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
+        term = matrix[0][c] * cofactor_determinant(minor)
+        if c % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total

@@ -12,7 +12,7 @@ from singchi.errors import (
     UnknownVariableError,
     ZeroDegreeError,
 )
-from oracles import recursive_divided_difference
+from oracles import cofactor_determinant, recursive_divided_difference
 from singchi.poly import (
     Polynomial,
     determinant,
@@ -158,7 +158,7 @@ small_coeffs = st.fractions(
 
 
 @st.composite
-def polys(draw, ring=XYZ, max_terms=5, max_exp=3):
+def polys(draw, ring=XYZ, max_terms=5, max_exp=3, coeffs=small_coeffs):
     n = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(n):
@@ -166,7 +166,7 @@ def polys(draw, ring=XYZ, max_terms=5, max_exp=3):
             v: draw(st.integers(min_value=0, max_value=max_exp))
             for v in draw(st.sets(st.sampled_from(ring)))
         }
-        terms[tuple(exps.get(v, 0) for v in ring)] = draw(small_coeffs)
+        terms[tuple(exps.get(v, 0) for v in ring)] = draw(coeffs)
     return Polynomial(ring, terms)
 
 
@@ -218,6 +218,22 @@ def test_jacobian_shape_and_entries():
 def test_determinant_matches_cofactor_expansion():
     m = [[P("x"), P("y"), P("1")], [P("z"), P("x"), P("0")], [P("1"), P("0"), P("x")]]
     assert determinant(m) == P("x^3 - x*y*z - x")
+
+
+rational_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = polys(XY, max_terms=3, max_exp=2, coeffs=rational_coeffs)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_determinant_with_denominators_matches_cofactor_expansion(matrix):
+    assert determinant(matrix) == cofactor_determinant(matrix)
 
 
 def test_resultant_linear_pair():

@@ -1,9 +1,11 @@
 """Local standard bases: Mora normal form, colength, membership."""
 
+import functools
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 import singchi.standard_basis as sb
 from singchi.errors import ResourceLimitError
@@ -29,6 +31,7 @@ from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
 from oracles import (
     brute_colength,
     brute_membership,
+    fraction_pivot_profile,
     staircase_count_bfs,
     truncated_quotient_dim,
 )
@@ -222,17 +225,28 @@ def _exp_dicts(I):
     return [g.with_ring(I.ring).terms for g in I.gens if not g.is_zero]
 
 
-def test_pivot_profile_matches_truncation_oracle():
-    # one elimination at bound B gives every d_D with D <= B, over Q and
-    # mod p, and seals exactly where d_D stops growing
+#: The highest truncation bound the pivot profile tests use, per number
+#: of variables.
+_PROFILE_BOUND = {1: 9, 2: 7, 3: 4}
+
+
+@functools.cache
+def _profile_corpus():
+    """60 ideals: random zero-dimensional, monomial, and linearly changed."""
     rng = random.Random(53)
     cases = [random_zero_dim_ideal(rng)[0] for _ in range(25)]
     cases += [random_monomial_ideal(rng) for _ in range(25)]
     # a generic linear change makes the rows dense, so reductions cascade
     cases += [generic_linear_change(I, 1 + i) for i, I in enumerate(cases[:20:2])]
-    for I in cases:
+    return tuple(cases)
+
+
+def test_pivot_profile_matches_truncation_oracle():
+    # one elimination at bound B gives every d_D with D <= B, over Q and
+    # mod p, and seals exactly where d_D stops growing
+    for I in _profile_corpus():
         nv = len(I.ring)
-        bound = {1: 9, 2: 7, 3: 4}[nv]
+        bound = _PROFILE_BOUND[nv]
         gens = _exp_dicts(I)
         counts = sb._pivot_profile(gens, nv, bound)
         dims = sb._truncated_dims(counts, nv)
@@ -244,6 +258,25 @@ def test_pivot_profile_matches_truncation_oracle():
             counts_p = sb._pivot_profile(sb._residues(gens, p), nv, bound, p)
             dims_p = sb._truncated_dims(counts_p, nv)
             assert all(a >= b for a, b in zip(dims_p, dims)), (p, str(I.gens))
+
+
+scales = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(scales, min_size=1, max_size=5))
+def test_fraction_free_profile_matches_fraction_elimination(multipliers):
+    # the integer rows give the same pivots per degree as Fraction rows, at
+    # every bound, whatever nonzero constants the generators carry
+    for I in _profile_corpus():
+        nv = len(I.ring)
+        gens = [
+            {e: c * multipliers[i % len(multipliers)] for e, c in g.items()}
+            for i, g in enumerate(_exp_dicts(I))
+        ]
+        for bound in range(1, _PROFILE_BOUND[nv] + 1):
+            want = fraction_pivot_profile(gens, nv, bound)
+            assert sb._pivot_profile(gens, nv, bound) == want, (bound, str(I.gens))
 
 
 def test_bad_guide_prime_is_rejected(monkeypatch):
