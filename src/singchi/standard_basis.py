@@ -10,12 +10,15 @@ Colengths of zero-dimensional ideals come from row reduction in a
 truncated quotient O/m^(D+1) instead, on plain integers throughout:
 rows reduced modulo a prime find the colength and the degree where it is
 reached, and one fraction-free integer elimination at that degree
-certifies it over Q.
+certifies it over Q. An infinite colength is certified first by a
+witness, a coordinate axis on which every generator vanishes, read off
+the exponents; Mora over Q certifies only the infinite colengths that no
+witness finds.
 
 Everything here is exact. The default coefficient field is the rationals.
-A prime field Z/p can be requested instead; results are then exact over
-Z/p, which agrees with Q except for the finitely many primes where some
-rank drops.
+A prime field Z/p can be requested instead, with coefficients kept as
+plain ints reduced mod p; results are then exact over Z/p, which agrees
+with Q except for the finitely many primes where some rank drops.
 """
 
 from __future__ import annotations
@@ -131,47 +134,17 @@ def _residue(c: Fraction, p: int) -> int:
 
 
 def prime_field(p: int):
-    """Coefficient field Z/p for a word-sized prime p."""
+    """Coefficient field Z/p for a word-sized prime p, on plain ints in [0, p)."""
     if not _is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-
-    class Element:
-        __slots__ = ("v",)
-
-        def __init__(self, v):
-            self.v = v % p
-
-        def __add__(self, other):
-            return Element(self.v + other.v)
-
-        def __sub__(self, other):
-            return Element(self.v - other.v)
-
-        def __mul__(self, other):
-            return Element(self.v * other.v)
-
-        def __truediv__(self, other):
-            return Element(self.v * pow(other.v, p - 2, p))
-
-        def __neg__(self):
-            return Element(-self.v)
-
-        def __bool__(self):
-            return self.v != 0
-
-        def __eq__(self, other):
-            return isinstance(other, Element) and self.v == other.v
-
-        def __repr__(self):
-            return f"{self.v} (mod {p})"
 
     class Field:
         name = f"fp:{p}"
         modulus = p
 
         @staticmethod
-        def convert(c: Fraction):
-            return Element(_residue(c, p))
+        def convert(c: Fraction) -> int:
+            return _residue(c, p)
 
     return Field()
 
@@ -211,7 +184,11 @@ def _divides(a: tuple, b: tuple) -> bool:
 
 
 class _Engine:
-    """Mora's tangent cone algorithm over an abstract coefficient field.
+    """Mora's tangent cone algorithm over Q or over Z/p.
+
+    Coefficients are Fractions over Q and plain ints in [0, p) over Z/p,
+    where p is the field's modulus and every sum and product is reduced
+    mod p, as in _pivot_profile.
 
     Every reduction step counts against max_steps. Over Q, reductions
     against earlier partial remainders can add the heights of both
@@ -219,13 +196,14 @@ class _Engine:
     content stripping does not help because the swollen coefficients are
     typically coprime. The height guard in make() turns such runs into a
     resource error instead of an unbounded grind. colength runs Mora over
-    Q only for infinite answers and for quotients its eliminations cannot
-    certify.
+    Q only for infinite answers that no axis witness certifies and for
+    quotients its eliminations cannot certify.
     """
 
     def __init__(self, ordering: LocalOrdering, field, max_steps: int):
         self.ordering = ordering
         self.field = field
+        self.p = None if field is RATIONAL else field.modulus
         self.max_steps = max_steps
         self.steps = 0
         self._keys = {}
@@ -233,7 +211,7 @@ class _Engine:
     def convert(self, p: Polynomial):
         """p's terms keyed in the ordering's variable order, over the field."""
         terms = p.with_ring(self.ordering.variables).terms
-        if self.field is RATIONAL:
+        if self.p is None:
             return terms
         convert = self.field.convert
         # coefficients can vanish under reduction mod p
@@ -248,7 +226,7 @@ class _Engine:
     def make(self, d):
         if not d:
             return None
-        if self.field is RATIONAL:
+        if self.p is None:
             for c in d.values():
                 if c.numerator.bit_length() + c.denominator.bit_length() > _HEIGHT_CAP:
                     raise ResourceLimitError(
@@ -260,7 +238,7 @@ class _Engine:
 
     def primitive(self, d):
         """Rescale to integer coefficients with content 1 (rationals only)."""
-        if self.field is not RATIONAL or not d:
+        if self.p is not None or not d:
             return d
         den, num = _content(d.values())
         if num == 1 and den == 1:
@@ -268,18 +246,27 @@ class _Engine:
         scale = Fraction(den, num)
         return {e: c * scale for e, c in d.items()}
 
-    def reduce_step(self, h: _EPoly, g: _EPoly):
-        factor = h.lc / g.lc
-        shift = tuple(a - b for a, b in zip(h.lm, g.lm))
-        d = dict(h.d)
-        for exp, c in g.d.items():
+    def inverse(self, c):
+        return 1 / c if self.p is None else pow(c, -1, self.p)
+
+    def add_multiple(self, d, factor, g, shift):
+        """d + factor * x^shift * g for exponent dicts d and g; updates d."""
+        p = self.p
+        for exp, c in g.items():
             e2 = tuple(a + b for a, b in zip(exp, shift))
             nc = d.get(e2)
-            nc = -factor * c if nc is None else nc - factor * c
+            nc = factor * c if nc is None else nc + factor * c
+            if p is not None:
+                nc %= p
             if nc:
                 d[e2] = nc
             else:
                 d.pop(e2, None)
+        return d
+
+    def reduce_step(self, h: _EPoly, g: _EPoly):
+        shift = tuple(a - b for a, b in zip(h.lm, g.lm))
+        d = self.add_multiple(dict(h.d), -h.lc * self.inverse(g.lc), g.d, shift)
         self.steps += 1
         if self.steps > self.max_steps:
             raise ResourceLimitError(f"reduction budget of {self.max_steps} steps exhausted")
@@ -312,30 +299,12 @@ class _Engine:
         u = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
         sf = tuple(a - b for a, b in zip(u, f.lm))
         sg = tuple(a - b for a, b in zip(u, g.lm))
-        d = {}
-        inv_f = f.lc
-        for exp, c in f.d.items():
-            d[tuple(a + b for a, b in zip(exp, sf))] = c / inv_f
-        inv_g = g.lc
-        for exp, c in g.d.items():
-            e2 = tuple(a + b for a, b in zip(exp, sg))
-            nc = d.get(e2)
-            nc = -c / inv_g if nc is None else nc - c / inv_g
-            if nc:
-                d[e2] = nc
-            else:
-                d.pop(e2, None)
-        return self.make(d)
+        d = self.add_multiple({}, self.inverse(f.lc), f.d, sf)
+        return self.make(self.add_multiple(d, -self.inverse(g.lc), g.d, sg))
 
     def basis(self, gens_dicts):
-        zero_exp = None
-        B = []
-        for d in gens_dicts:
-            p = self.make(self.primitive(d))
-            if p is not None:
-                if zero_exp is None:
-                    zero_exp = (0,) * len(p.lm)
-                B.append(p)
+        zero_exp = (0,) * len(self.ordering.variables)
+        B = [p for d in gens_dicts if (p := self.make(self.primitive(d))) is not None]
         if not B:
             return []
         if any(g.lm == zero_exp for g in B):
@@ -347,10 +316,10 @@ class _Engine:
             for j in range(i):
                 u = tuple(max(a, b) for a, b in zip(B[i].lm, B[j].lm))
                 pairs.append((sum(u), u, j, i))
-        pairs.sort()
+        heapq.heapify(pairs)
 
         while pairs:
-            _, _, i, j = pairs.pop(0)
+            _, _, i, j = heapq.heappop(pairs)
             h = self.normal_form(self.spoly(B[i], B[j]), B)
             if h is None:
                 continue
@@ -362,8 +331,7 @@ class _Engine:
             k = len(B) - 1
             for i in range(k):
                 u = tuple(max(a, b) for a, b in zip(B[i].lm, B[k].lm))
-                pairs.append((sum(u), u, i, k))
-            pairs.sort()
+                heapq.heappush(pairs, (sum(u), u, i, k))
 
         # minimal basis: drop elements whose leading monomial is divisible
         # by another kept leading monomial, preferring low degree
@@ -373,8 +341,7 @@ class _Engine:
             if not any(_divides(other.lm, g.lm) for other in kept):
                 kept.append(g)
         for g in kept:
-            inv = g.lc
-            g.d = {e: c / inv for e, c in g.d.items()}
+            g.d = self.add_multiple({}, self.inverse(g.lc), g.d, zero_exp)
             g.lc = g.d[g.lm]
         return kept
 
@@ -402,11 +369,8 @@ def standard_basis(
     """Minimal standard basis of I, monic and deterministically sorted."""
     engine, basis = _mora(I, ordering, field, max_steps)
     variables = engine.ordering.variables
-    polys = []
-    for g in basis:
-        terms = g.d if field is RATIONAL else {e: c.v for e, c in g.d.items()}
-        polys.append(Polynomial(variables, terms).with_ring(I.ring))
-    return IdealPresentation(I.ring, tuple(polys))
+    polys = tuple(Polynomial(variables, g.d).with_ring(I.ring) for g in basis)
+    return IdealPresentation(I.ring, polys)
 
 
 def _leading_exps(I, ordering, field, max_steps):
@@ -421,6 +385,25 @@ def leading_monomials(I, ordering=None, field=RATIONAL, max_steps=DEFAULT_MAX_ST
     return tuple(tuple(exp[i] for i in picks) for exp in lms)
 
 
+def _axis_witness(exps, nvars):
+    """The first i such that no exponent in exps is a power of x_i alone
+    (1 included), or None.
+
+    For the terms of J's generators this certifies an infinite colength:
+    every generator vanishes on the x_i-axis, so O/J maps onto C{x_i}. For
+    the leading monomials of a standard basis it is exact: the staircase
+    is infinite just when it contains a whole axis.
+    """
+    on_axis = set()
+    for e in exps:
+        support = [i for i, a in enumerate(e) if a]
+        if not support:
+            return None
+        if len(support) == 1:
+            on_axis.add(support[0])
+    return next((i for i in range(nvars) if i not in on_axis), None)
+
+
 def _staircase(lms, nvars):
     """(count, top) for the monomials outside the monomial ideal (lms).
 
@@ -429,9 +412,8 @@ def _staircase(lms, nvars):
     """
     if any(not any(lm) for lm in lms):
         return 0, None
-    for i in range(nvars):
-        if not any(all(e == 0 for j, e in enumerate(lm) if j != i) for lm in lms):
-            return INFINITE, None
+    if _axis_witness(lms, nvars) is not None:
+        return INFINITE, None
     exp = [0] * nvars
     count = 0
     top = -1
@@ -629,7 +611,8 @@ def _modular_colength(J, gens, ordering, field, max_steps):
     """(u, D): the colength u of J over the prime field, and a degree D
     with d_D = u over that field, or None when u is INFINITE.
 
-    gens are J's generators as exponent dicts over Q. Plain-int
+    gens are J's generators as exponent dicts over Q. When their residues
+    mod p have an axis witness, u is INFINITE at once. Otherwise plain-int
     eliminations mod p step up one degree at a time until one seals, which
     makes D the first degree where d_D reaches u. Past the ladder's top
     degree one Mora run over the field gives u, and D is the top degree of
@@ -640,6 +623,8 @@ def _modular_colength(J, gens, ordering, field, max_steps):
     p = field.modulus
     nv = len(J.ring)
     modular = _residues(gens, p)
+    if _axis_witness((e for d in modular for e in d), nv) is not None:
+        return INFINITE, None
     for bound in range(1, _ladder_top(nv) + 1):
         counts = _pivot_profile(modular, nv, bound, p)
         if _seal_degree(counts, nv) is not None:
@@ -659,8 +644,8 @@ def _rational_colength(J, gens, ordering, max_steps):
     from both sides. A rational seal at or below D certifies as well. A
     bad prime makes u too large, and the next prime is tried. An infinite
     u, an exhausted step budget or a degree past _CELL_LIMIT leaves Mora
-    over Q, whose staircase is the only certificate of an infinite
-    colength.
+    over Q, whose staircase certifies the infinite colengths that have
+    no axis witness.
     """
     nv = len(J.ring)
     for p in _GUIDE_PRIMES:
@@ -696,15 +681,19 @@ def colength(
     the quotient unchanged.
 
     Everything returned is exact for the requested field, and every
-    answer over Q carries one of three certificates:
+    answer over Q carries one of four certificates:
       * seal: an elimination over Q shows m^D inside J by Nakayama;
       * two-sided: a rational elimination reaches d_D(Q) = u, where u is
         a colength over Z/p, which bounds the rational one from above;
-      * staircase: a completed Mora standard basis over Q, the only
-        certificate of an infinite colength.
+      * witness: a variable x_i of which no term of any generator is a
+        pure power, so J vanishes on the x_i-axis and the colength is
+        infinite; it reads exponents only and runs before any prime;
+      * staircase: a completed Mora standard basis over Q, which
+        certifies the infinite colengths no witness finds.
     A bad prime costs time, never correctness. Over a prime field the
-    same modular ladder and Mora run give the answer directly; a prime
-    that divides a coefficient's denominator raises BadPrimeError.
+    witness on the residues mod p, the same modular ladder and Mora run
+    give the answer directly; a prime that divides a coefficient's
+    denominator raises BadPrimeError first.
     """
     if is_unit_ideal(I):
         return 0
@@ -718,6 +707,8 @@ def colength(
         return INFINITE if nvars else 1
     if field is not RATIONAL:
         return _modular_colength(J, gens, ordering, field, max_steps)[0]
+    if _axis_witness((e for d in gens for e in d), nvars) is not None:
+        return INFINITE
     return _rational_colength(J, gens, ordering, max_steps)
 
 

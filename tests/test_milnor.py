@@ -9,14 +9,17 @@ from singchi.errors import (
     NotAtOriginError,
     NotICISError,
     NotZeroDimensionalError,
+    ResourceLimitError,
 )
 from singchi.milnor import hypersurface_milnor, icis_milnor, point_count
 from singchi.poly import parse_poly
-from singchi.standard_basis import IdealPresentation, colength, ideal
+import singchi.standard_basis as sb
+from singchi.standard_basis import IdealPresentation, colength, generic_linear_change, ideal
 
 from corpus import random_poly
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def P(text, ring=XY):
@@ -50,6 +53,32 @@ def test_hypersurface_one_variable_powers():
 def test_hypersurface_rejects_nonisolated():
     with pytest.raises(NonIsolatedError):
         hypersurface_milnor(P("x^2*y"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-3*y^2*z - x*y*z^4 + 2*x^2*y^3 - x^4*z^3",
+        "y^5 + x*z^3 + 2*x*y^2 + 2*x^2*z^4",
+    ],
+)
+def test_nonisolated_along_an_axis_needs_no_standard_basis(text):
+    # singular along the x-axis, so the axis witness settles them; Mora
+    # runs out of steps or coefficient height on both
+    with pytest.raises(NonIsolatedError):
+        hypersurface_milnor(P(text, XYZ), max_steps=20000)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("text", ["y^3 + z^3", "y^2*z + z^3", "(x*y - z^2)^2", "x*y*z"])
+def test_nonisolated_off_the_axes_is_never_finite(text, seed):
+    # after a linear change the singular locus is no coordinate axis, so
+    # the axis witness is silent and the answer rests on Mora
+    g = generic_linear_change(ideal(XYZ, text), seed).gens[0]
+    jacobian_terms = [e for v in XYZ for e in g.partial(v).terms]
+    assert sb._axis_witness(jacobian_terms, len(XYZ)) is None
+    with pytest.raises((NonIsolatedError, ResourceLimitError)):
+        hypersurface_milnor(g, max_steps=20000)
 
 
 def test_hypersurface_rejects_nonvanishing():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import singchi.standard_basis as sb
 from singchi.errors import ResourceLimitError
-from singchi.poly import parse_poly
+from singchi.poly import Polynomial, parse_poly, substitute
 from singchi.standard_basis import (
     DEFAULT_MAX_STEPS,
     INFINITE,
@@ -279,6 +279,47 @@ def test_fraction_free_profile_matches_fraction_elimination(multipliers):
             assert sb._pivot_profile(gens, nv, bound) == want, (bound, str(I.gens))
 
 
+def _assert_witness_sound(I):
+    """When the axis witness names x_i, every generator vanishes on the
+    x_i-axis and rational Mora agrees that the colength is infinite.
+    Returns whether a witness was found."""
+    gens = _exp_dicts(I)
+    i = sb._axis_witness([e for g in gens for e in g], len(I.ring))
+    if i is None:
+        return False
+    off_axis = {v: Polynomial.zero(I.ring) for j, v in enumerate(I.ring) if j != i}
+    assert all(substitute(g, off_axis).is_zero for g in I.gens), (i, str(I.gens))
+    try:
+        lms, _ = sb._leading_exps(I, None, sb.RATIONAL, 500)
+    except ResourceLimitError:
+        # rational Mora can swell even on three small generators; then
+        # the truncated dimensions, which must never settle, stand in
+        assert isinstance(brute_colength(I.gens, I.ring, cap=6), tuple), str(I.gens)
+    else:
+        assert sb._staircase(lms, len(I.ring))[0] is INFINITE, str(I.gens)
+    assert colength(I) is INFINITE
+    return True
+
+
+def test_axis_witness_is_sound_on_the_profile_corpus():
+    found = [_assert_witness_sound(I) for I in _profile_corpus()]
+    assert 5 <= sum(found) < len(found)
+
+
+@st.composite
+def sparse_ideals(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ring = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    count = draw(st.integers(1, 3))
+    return IdealPresentation(ring, tuple(random_poly(rng, ring, 4, 3) for _ in range(count)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_ideals())
+def test_axis_witness_is_sound_on_random_ideals(I):
+    _assert_witness_sound(I)
+
+
 def test_bad_guide_prime_is_rejected(monkeypatch):
     # over F_3 the quadratic part degenerates to x^2 and the colength grows
     # to 5; the rational check at the modular degree refuses that answer
@@ -427,19 +468,30 @@ def test_step_budget_raises():
     I = ideal(("x", "y", "z"), "x^4 + y^4 + z^4", "x*y*z + z^5", "x^3*y - z^4")
     with pytest.raises(ResourceLimitError):
         standard_basis(I, max_steps=5)
-    # colength settles most finite quotients by elimination without any
-    # reduction steps, so the budget is only reachable through an input
-    # that needs a genuine standard basis, such as an infinite quotient
+    # colength settles most finite quotients by elimination and most
+    # infinite ones by an axis witness without any reduction steps: J
+    # vanishes on the x-axis. After a linear change no axis is left, and
+    # the budget is reached through a genuine standard basis.
     J = ideal(("x", "y", "z"), "x^2*y + y^4 + z^5", "x*y^3 - z^4")
     assert colength(J) is INFINITE
+    assert colength(J, max_steps=5) is INFINITE
+    assert colength(J, field=prime_field(32003), max_steps=5) is INFINITE
     with pytest.raises(ResourceLimitError):
-        colength(J, max_steps=5)
+        colength(generic_linear_change(J, 1), max_steps=5)
 
 
 def test_prime_field_agrees_on_good_prime():
     F = prime_field(32003)
     I = ideal(XY, "x^3", "y^2 + x^2*y")
     assert colength(I, field=F) == colength(I) == 6
+
+
+def test_prime_field_standard_basis_is_the_rational_one_mod_p():
+    I = ideal(XY, "3*y^2 - x^3", "5*x*y")
+    rational = standard_basis(I)
+    for p in (7, 32003):
+        reduced = [{e: sb._residue(c, p) for e, c in g.terms.items()} for g in rational.gens]
+        assert [g.terms for g in standard_basis(I, field=prime_field(p)).gens] == reduced
 
 
 def test_prime_field_rejects_composites():
