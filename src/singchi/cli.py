@@ -65,9 +65,9 @@ def _parse_field(text: str, out=None):
     if text.startswith("fp:"):
         try:
             p = int(text[3:], 10)
+            field = prime_field(p)
         except ValueError:
-            raise UsageError(f"malformed prime in --field {text!r}")
-        field = prime_field(p)
+            raise UsageError(f"--field {text!r} does not name a prime")
         print(
             f"warning: computing over the prime field with {p} elements; "
             "results are probabilistic, not certified",
@@ -93,10 +93,18 @@ def _load_json_arg(text: str):
         raise UsageError(f"invalid JSON: {exc}")
 
 
+def _poly_texts(data, key) -> tuple:
+    """data[key] as a tuple of polynomial strings."""
+    texts = data[key]
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise UsageError(f'"{key}" must be a list of polynomial strings')
+    return tuple(texts)
+
+
 def _germ_from_json(data) -> MapGerm:
     if not isinstance(data, dict) or "vars" not in data or "components" not in data:
         raise UsageError('germ JSON needs "vars" and "components" lists')
-    return map_germ(tuple(data["vars"]), tuple(data["components"]))
+    return map_germ(tuple(data["vars"]), _poly_texts(data, "components"))
 
 
 def _germ_arg(text: str, params, moduli):
@@ -211,7 +219,7 @@ def _cmd_icis(args) -> dict:
     if not isinstance(data, dict) or "vars" not in data or "gens" not in data:
         raise UsageError('ideal JSON needs "vars" and "gens" lists')
     ring = tuple(data["vars"])
-    gens = tuple(parse_poly(g, ring) for g in data["gens"])
+    gens = tuple(parse_poly(g, ring) for g in _poly_texts(data, "gens"))
     result = icis_milnor(
         IdealPresentation(ring, gens),
         seed=args.seed,
@@ -236,7 +244,10 @@ def _cmd_mps(args) -> dict:
         ideal = multiple_point_ideal(germ, args.k)
         partition = None
     else:
-        partition = tuple(int(v, 10) for v in args.partition.split(","))
+        try:
+            partition = tuple(int(v, 10) for v in args.partition.split(","))
+        except ValueError:
+            raise UsageError(f"--partition expects integers, got {args.partition!r}")
         ideal = partition_restricted_ideal(germ, args.k, partition)
     nonempty = not is_unit_ideal(ideal)
     mu = route = error = None
@@ -365,7 +376,7 @@ def _cmd_family(args) -> dict:
     all_vars = tuple(data["vars"])
     if len(all_vars) < 3:
         raise UsageError("unfolding needs source variables plus a parameter")
-    F = unfolding(all_vars[:-1], all_vars[-1], tuple(data["components"]))
+    F = unfolding(all_vars[:-1], all_vars[-1], _poly_texts(data, "components"))
     t_values = None if args.t is None else _parse_rationals(args.t)
     verdict = family_check(
         F, t_values=t_values, seed=args.seed, field=args.field_obj, max_steps=args.max_steps
@@ -392,7 +403,7 @@ def _cmd_strat_euler(args) -> dict:
                     chi_tmf_reduced=int(item["chi_tmf_reduced"]),
                 )
             )
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise UsageError(f"stratum objects need name/chi_pair/chi_tmf_reduced: {exc}")
     return {
         "schema": SCHEMA,
@@ -508,10 +519,7 @@ def run(argv=None) -> int:
     try:
         args.field_obj = _parse_field(args.field)
         report = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownEntryError, BadParamsError) as exc:
+    except (UsageError, UnknownEntryError, BadParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingchiError as exc:

@@ -6,14 +6,13 @@ results when every reducer would raise the ecart. The orderings are local
 (1 is the largest monomial), so leading terms pick out lowest-order parts
 and quotient dimensions are counted at the origin.
 
-Colengths of zero-dimensional ideals come from row reduction in a
-truncated quotient O/m^(D+1) instead, on plain integers throughout:
-rows reduced modulo a prime find the colength and the degree where it is
-reached, and one fraction-free integer elimination at that degree
-certifies it over Q. An infinite colength is certified first by a
-witness, a coordinate axis on which every generator vanishes, read off
-the exponents; Mora over Q certifies only the infinite colengths that no
-witness finds.
+Colengths take one route over every field. An infinite colength is
+certified first by a witness, a coordinate axis on which every generator
+vanishes, read off the exponents. A finite one comes from row reduction
+in a truncated quotient O/m^(D+1) instead, on plain integers:
+fraction-free over Q and reduced mod p over Z/p. D climbs until
+Nakayama seals the quotient, and Mora certifies only what neither
+settles.
 
 Everything here is exact. The default coefficient field is the rationals.
 A prime field Z/p can be requested instead, with coefficients kept as
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrimeError, ResourceLimitError
-from .poly import Polynomial, parse_poly, substitute
+from .poly import Polynomial, determinant, parse_poly, substitute
 
 NEGDEGREVLEX = "negdegrevlex"
 NEGDEGLEX = "negdeglex"
@@ -195,9 +194,9 @@ class _Engine:
     operands, which compounds exponentially down a reduction chain, and
     content stripping does not help because the swollen coefficients are
     typically coprime. The height guard in make() turns such runs into a
-    resource error instead of an unbounded grind. colength runs Mora over
-    Q only for infinite answers that no axis witness certifies and for
-    quotients its eliminations cannot certify.
+    resource error instead of an unbounded grind. colength runs Mora only
+    for infinite answers that no axis witness certifies and for finite
+    ones that do not seal below the ladder's top degree.
     """
 
     def __init__(self, ordering: LocalOrdering, field, max_steps: int):
@@ -405,24 +404,19 @@ def _axis_witness(exps, nvars):
 
 
 def _staircase(lms, nvars):
-    """(count, top) for the monomials outside the monomial ideal (lms).
-
-    top is the highest degree of such a monomial, None when there is no
-    highest: for the unit ideal and for an infinite staircase.
-    """
+    """The number of monomials outside the monomial ideal (lms): 0 for
+    the unit ideal, INFINITE when those monomials include a whole axis."""
     if any(not any(lm) for lm in lms):
-        return 0, None
+        return 0
     if _axis_witness(lms, nvars) is not None:
-        return INFINITE, None
+        return INFINITE
     exp = [0] * nvars
     count = 0
-    top = -1
 
-    def walk(i, used):
-        nonlocal count, top
+    def walk(i):
+        nonlocal count
         if i == nvars:
             count += 1
-            top = max(top, used)
             return
         e = 0
         while True:
@@ -430,12 +424,12 @@ def _staircase(lms, nvars):
             t = tuple(exp)
             if any(_divides(lm, t) for lm in lms):
                 break
-            walk(i + 1, used + e)
+            walk(i + 1)
             e += 1
         exp[i] = 0
 
-    walk(0, 0)
-    return count, top
+    walk(0)
+    return count
 
 
 def _pivot_profile(gens, nv, bound, p=None):
@@ -567,20 +561,8 @@ def _seal_degree(counts, nv):
     return None
 
 
-#: Number of monomials above which a rational elimination is not attempted.
-_CELL_LIMIT = 20000
-
-#: Budget of monomials that sets the modular ladder's top degree (_ladder_top).
+#: Budget of monomials that sets the ladder's top degree (_ladder_top).
 _PROBE_CELLS = 1500
-
-_GUIDE_PRIMES = (2147483647, 2147483629, 2147483587)
-_FIELDS = {}
-
-
-def _guide_field(p):
-    if p not in _FIELDS:
-        _FIELDS[p] = prime_field(p)
-    return _FIELDS[p]
 
 
 def _ladder_top(nv):
@@ -607,65 +589,20 @@ def _residues(gens, p):
     return out
 
 
-def _modular_colength(J, gens, ordering, field, max_steps):
-    """(u, D): the colength u of J over the prime field, and a degree D
-    with d_D = u over that field, or None when u is INFINITE.
+def _sealed_colength(gens, nv, p=None):
+    """The colength of the ideal generated by gens, or None when no
+    truncation bound up to _ladder_top(nv) seals.
 
-    gens are J's generators as exponent dicts over Q. When their residues
-    mod p have an axis witness, u is INFINITE at once. Otherwise plain-int
-    eliminations mod p step up one degree at a time until one seals, which
-    makes D the first degree where d_D reaches u. Past the ladder's top
-    degree one Mora run over the field gives u, and D is the top degree of
-    its staircase: for a local degree ordering d_D counts the standard
-    monomials of degree <= D. Raises BadPrimeError when p divides a
-    denominator and ResourceLimitError when Mora runs out of steps.
+    gens are exponent dicts as _pivot_profile takes them. The bound steps
+    up one degree at a time, and the first that seals gives the colength
+    at its seal degree, certified by Nakayama.
     """
-    p = field.modulus
-    nv = len(J.ring)
-    modular = _residues(gens, p)
-    if _axis_witness((e for d in modular for e in d), nv) is not None:
-        return INFINITE, None
     for bound in range(1, _ladder_top(nv) + 1):
-        counts = _pivot_profile(modular, nv, bound, p)
-        if _seal_degree(counts, nv) is not None:
-            dims = _truncated_dims(counts, nv)
-            return dims[-1], dims.index(dims[-1])
-    lms, _ = _leading_exps(J, ordering, field, max_steps)
-    return _staircase(lms, nv)
-
-
-def _rational_colength(J, gens, ordering, max_steps):
-    """Colength of J over Q, certified.
-
-    For each guide prime p, u = colength over Z/p comes with a degree D
-    where d_D(Z/p) = u. Ranks can only drop mod p, so
-        d_D(Q) <= colength over Q <= u,
-    and one rational elimination at D that reaches d_D(Q) = u certifies u
-    from both sides. A rational seal at or below D certifies as well. A
-    bad prime makes u too large, and the next prime is tried. An infinite
-    u, an exhausted step budget or a degree past _CELL_LIMIT leaves Mora
-    over Q, whose staircase certifies the infinite colengths that have
-    no axis witness.
-    """
-    nv = len(J.ring)
-    for p in _GUIDE_PRIMES:
-        try:
-            u, D = _modular_colength(J, gens, ordering, _guide_field(p), max_steps)
-        except BadPrimeError:
-            continue
-        except ResourceLimitError:
-            break
-        if D is None or math.comb(D + nv, nv) > _CELL_LIMIT:
-            break
-        counts = _pivot_profile(gens, nv, D)
-        dims = _truncated_dims(counts, nv)
-        if dims[D] == u:
-            return u
+        counts = _pivot_profile(gens, nv, bound, p)
         seal = _seal_degree(counts, nv)
         if seal is not None:
-            return dims[seal]
-    lms, _ = _leading_exps(J, ordering, RATIONAL, max_steps)
-    return _staircase(lms, nv)[0]
+            return _truncated_dims(counts, nv)[seal]
+    return None
 
 
 def colength(
@@ -681,19 +618,18 @@ def colength(
     the quotient unchanged.
 
     Everything returned is exact for the requested field, and every
-    answer over Q carries one of four certificates:
-      * seal: an elimination over Q shows m^D inside J by Nakayama;
-      * two-sided: a rational elimination reaches d_D(Q) = u, where u is
-        a colength over Z/p, which bounds the rational one from above;
+    answer carries one of three certificates:
       * witness: a variable x_i of which no term of any generator is a
         pure power, so J vanishes on the x_i-axis and the colength is
-        infinite; it reads exponents only and runs before any prime;
-      * staircase: a completed Mora standard basis over Q, which
-        certifies the infinite colengths no witness finds.
-    A bad prime costs time, never correctness. Over a prime field the
-    witness on the residues mod p, the same modular ladder and Mora run
-    give the answer directly; a prime that divides a coefficient's
-    denominator raises BadPrimeError first.
+        infinite; it reads exponents only;
+      * seal: an elimination in O/m^(D+1), for some D up to the ladder's
+        top degree, shows m^D inside J by Nakayama;
+      * staircase: a completed Mora standard basis, which certifies what
+        neither finds: finite colengths past the ladder's top and the
+        infinite ones no witness sees.
+    Both fields take this one route; over a prime field Z/p it runs on
+    the generators' residues mod p, and a prime that divides a
+    coefficient's denominator raises BadPrimeError first.
     """
     if is_unit_ideal(I):
         return 0
@@ -705,11 +641,16 @@ def colength(
     gens = [g.terms for g in J.gens if g.terms]
     if not gens:
         return INFINITE if nvars else 1
-    if field is not RATIONAL:
-        return _modular_colength(J, gens, ordering, field, max_steps)[0]
+    p = None if field is RATIONAL else field.modulus
+    if p is not None:
+        gens = _residues(gens, p)
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
-    return _rational_colength(J, gens, ordering, max_steps)
+    u = _sealed_colength(gens, nvars, p)
+    if u is not None:
+        return u
+    lms, _ = _leading_exps(J, ordering, field, max_steps)
+    return _staircase(lms, nvars)
 
 
 def is_unit_ideal(I: IdealPresentation) -> bool:
@@ -734,26 +675,6 @@ def in_ideal(
     return engine.normal_form(engine.make(engine.convert(p)), basis) is None
 
 
-def _fraction_det(rows):
-    n = len(rows)
-    m = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def random_invertible_matrix(size: int, rng: random.Random):
     """Invertible matrix with small random rational entries."""
     while True:
@@ -761,7 +682,8 @@ def random_invertible_matrix(size: int, rng: random.Random):
             [Fraction(rng.randint(-9, 9), rng.randint(1, 2)) for _ in range(size)]
             for _ in range(size)
         ]
-        if _fraction_det(rows):
+        constants = [[Polynomial.constant(c, ()) for c in row] for row in rows]
+        if not determinant(constants).is_zero:
             return rows
 
 

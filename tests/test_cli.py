@@ -254,6 +254,28 @@ def test_malformed_field_is_usage(capsys):
     assert invoke(capsys, "milnor", "x^2", "--vars", "x", "--field", "fp:abc")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("milnor", "x^2", "--vars", "x", "--field", "fp:4"),
+        # 41 * 43 passes trial division and falls to Miller-Rabin
+        ("milnor", "x^2", "--vars", "x", "--field", "fp:1763"),
+        ("milnor", "x^2", "--vars", "x", "--field", "fp:-7"),
+        ("mps", "A_1", "--k", "3", "--partition", "1,x"),
+        ("icis", '{"vars": ["x"], "gens": [1]}'),
+        ("image-chi", '{"vars": ["x", "y", "z"], "components": ["x", "y", 3, "z^3"]}'),
+        ("family", '{"vars": ["x", "y", "z", "t"], "components": ["x", "y", 3, "z^3"]}'),
+        ("strat-euler", '[{"name": "s", "chi_pair": "q", "chi_tmf_reduced": 1}]'),
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_is_usage(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # -------------------------------------------------------------- determinism
 
 

@@ -8,10 +8,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import singchi.standard_basis as sb
-from singchi.errors import ResourceLimitError
+from singchi.errors import BadPrimeError, ResourceLimitError
 from singchi.poly import Polynomial, parse_poly, substitute
 from singchi.standard_basis import (
-    DEFAULT_MAX_STEPS,
     INFINITE,
     IdealPresentation,
     LocalOrdering,
@@ -37,6 +36,7 @@ from oracles import (
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def P(text, ring=XY):
@@ -296,7 +296,7 @@ def _assert_witness_sound(I):
         # the truncated dimensions, which must never settle, stand in
         assert isinstance(brute_colength(I.gens, I.ring, cap=6), tuple), str(I.gens)
     else:
-        assert sb._staircase(lms, len(I.ring))[0] is INFINITE, str(I.gens)
+        assert sb._staircase(lms, len(I.ring)) is INFINITE, str(I.gens)
     assert colength(I) is INFINITE
     return True
 
@@ -320,26 +320,26 @@ def test_axis_witness_is_sound_on_random_ideals(I):
     _assert_witness_sound(I)
 
 
-def test_bad_guide_prime_is_rejected(monkeypatch):
+def test_bad_prime_changes_only_the_prime_field_answer():
     # over F_3 the quadratic part degenerates to x^2 and the colength grows
-    # to 5; the rational check at the modular degree refuses that answer
+    # to 5; over Q no prime is consulted, so no prime can be bad there
     I = ideal(XY, "x^2 + 3*y^2 + y^3", "x*y")
-    gens = _exp_dicts(I)
-    F3 = prime_field(3)
-    assert sb._modular_colength(I, gens, None, F3, DEFAULT_MAX_STEPS) == (5, 3)
-    assert colength(I, field=F3) == 5
+    assert colength(I, field=prime_field(3)) == 5
     assert colength(I) == 4
-    monkeypatch.setattr(sb, "_GUIDE_PRIMES", (3, 2147483647))
-    assert sb._rational_colength(I, gens, None, DEFAULT_MAX_STEPS) == 4
-    # a guide prime dividing a denominator moves on to the next prime
-    J = ideal(XY, "x^2", "1/3*y^3")
-    assert sb._rational_colength(J, _exp_dicts(J), None, DEFAULT_MAX_STEPS) == 6
+    p = 2147483647
+    J = ideal(XY, f"x^2 + {p}*y^2 + y^3", "x*y")
+    assert colength(J) == 4
+    assert colength(J, field=prime_field(p)) == 5
+    # a prime dividing a denominator is an error only over its own field
+    K = ideal(XY, "x^2", "1/3*y^3")
+    assert colength(K) == 6
+    with pytest.raises(BadPrimeError):
+        colength(K, field=prime_field(3))
 
 
-def test_colength_past_the_modular_ladder(monkeypatch):
+def test_colength_past_the_ladder(monkeypatch):
     # (x^45, y^2) seals at degree 46, above the ladder's top degree in two
-    # variables, so one Mora run mod p finds the staircase and a rational
-    # elimination at its top degree certifies it
+    # variables, so one Mora run over the field finds the staircase
     assert sb._ladder_top(2) == 42
     fields = []
     leading_exps = sb._leading_exps
@@ -349,8 +349,38 @@ def test_colength_past_the_modular_ladder(monkeypatch):
         return leading_exps(I, ordering, field, max_steps)
 
     monkeypatch.setattr(sb, "_leading_exps", recording)
-    assert colength(ideal(XY, "x^45", "y^2")) == 90
-    assert fields == [f"fp:{sb._GUIDE_PRIMES[0]}"]
+    I = ideal(XY, "x^45", "y^2")
+    assert colength(I) == 90
+    assert fields == ["rational"]
+    assert colength(I, field=prime_field(32003)) == 90
+
+
+def _witness_corpus():
+    """Sparse random ideals drawn like sparse_ideals, many with a witness."""
+    rng = random.Random(59)
+    cases = []
+    for _ in range(30):
+        ring = XYZ[: rng.randint(1, 3)]
+        gens = tuple(random_poly(rng, ring, 4, 3) for _ in range(rng.randint(1, 3)))
+        cases.append(IdealPresentation(ring, gens))
+    return cases
+
+
+def test_rational_colength_consults_no_prime(monkeypatch):
+    # seal, witness and staircase all run without reducing anything mod p;
+    # the last two cases need Mora: one seals past the ladder's top, the
+    # other is infinite along a line that is no coordinate axis
+    g = generic_linear_change(ideal(XYZ, "y^3 + z^3"), 1).gens[0]
+    jacobian = IdealPresentation(XYZ, tuple(g.partial(v) for v in XYZ))
+    cases = list(_profile_corpus()) + _witness_corpus() + [ideal(XY, "x^45", "y^2"), jacobian]
+    want = [colength(I) for I in cases]
+    assert want[-2:] == [90, INFINITE]
+
+    def no_prime(c, p):
+        raise AssertionError(f"rational colength reduced {c} mod {p}")
+
+    monkeypatch.setattr(sb, "_residue", no_prime)
+    assert [colength(I) for I in cases] == want
 
 
 # -- invariance properties ---------------------------------------------------
