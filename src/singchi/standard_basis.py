@@ -435,14 +435,14 @@ def _staircase(lms, nvars):
 def _pivot_profile(gens, nv, bound, p=None):
     """Pivots per degree of the image of J in O/m^(bound+1).
 
-    gens are J's nonzero generators as exponent dicts, with Fraction
-    coefficients, or with plain ints reduced mod p when p is given. The
-    rows are the truncated monomial multiples of the generators, which
-    span exactly the image of J, because every unit of the truncated ring
-    is itself a polynomial image. A row is reduced by the pivot of every
-    pivot column it meets, lowest column first, and what is left becomes
-    the pivot of its lowest column, so every stored row lives on columns
-    at or above its pivot.
+    gens are J's nonzero generators as exponent dicts with plain int
+    coefficients: primitive integer dicts over Q (_scaled), or residues
+    mod p when p is given (_residues). The rows are the truncated
+    monomial multiples of the generators, which span exactly the image of
+    J, because every unit of the truncated ring is itself a polynomial
+    image. A row is reduced by the pivot of every pivot column it meets,
+    lowest column first, and what is left becomes the pivot of its lowest
+    column, so every stored row lives on columns at or above its pivot.
 
     Returns counts, where counts[D] is the number of pivots in degree D.
     Columns are ordered by degree first, so pivots up to degree D stay
@@ -453,18 +453,24 @@ def _pivot_profile(gens, nv, bound, p=None):
     When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
     pushes it into J, and d_D is the colength of J: the quotient seals.
 
-    Rows hold plain ints over both fields. Over Q each generator is first
-    scaled to a primitive integer dict, which leaves J unchanged, and the
-    elimination is fraction-free: a row with entry f at the column of a
-    pivot with lead a becomes (a/g)*row - (f/g)*pivot, g = gcd(a, f), and
-    a row is stripped of its content when it is stored as a pivot. Mod p
-    pivots are stored with lead 1, so the same update runs with a/g = 1,
-    reduced mod p. Row reduction in a fixed finite-dimensional space
-    keeps heights polynomial (entries are multiples of minors of the
-    input), unlike iterated Mora normal forms, whose heights can compound.
+    No row x^a*g_i is built when x^a already leads the image of the
+    earlier generators' ideal J' = (g_1, ..., g_{i-1}) (the F5 criterion:
+    Faugere, ISSAC 2002). If q in that image has lowest term c*x^a, then
+        c*x^a*g_i = q*g_i - (q - c*x^a)*g_i,
+    where q*g_i lies in the image of J' and the second term is a
+    combination of rows x^b*g_i with columns above x^a, or of zero rows.
+    So the span, and with it every count, is unchanged. The leads of J'
+    are read before g_i adds its own rows.
+
+    Over Q the elimination is fraction-free: a row with entry f at the
+    column of a pivot with lead a becomes (a/g)*row - (f/g)*pivot,
+    g = gcd(a, f), and a row is stripped of its content when it is stored
+    as a pivot. Mod p pivots are stored with lead 1, so the same update
+    runs with a/g = 1, reduced mod p. Row reduction in a fixed
+    finite-dimensional space keeps heights polynomial (entries are
+    multiples of minors of the input), unlike iterated Mora normal forms,
+    whose heights can compound.
     """
-    if p is None:
-        gens = [_scaled(g) for g in gens]
     # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
     # in base bound + 1, so columns order by degree and then exponent, and
     # the column of a product of monomials is the sum of their columns.
@@ -483,7 +489,10 @@ def _pivot_profile(gens, nv, bound, p=None):
             deg = sum(e)
             terms.append((deg, sum(a * w for a, w in zip((deg,) + e, weights)), c))
         mindeg = min(deg for deg, _, _ in terms)
+        known = set(pivots)
         for shift in shifts[: bisect.bisect_left(shifts, (bound - mindeg + 1) * base)]:
+            if shift in known:
+                continue
             room = bound - shift // base
             row = {col + shift: c for deg, col, c in terms if deg <= room}
             # Reducing at a column only brings in columns above it, so a
@@ -627,9 +636,10 @@ def colength(
       * staircase: a completed Mora standard basis, which certifies what
         neither finds: finite colengths past the ladder's top and the
         infinite ones no witness sees.
-    Both fields take this one route; over a prime field Z/p it runs on
-    the generators' residues mod p, and a prime that divides a
-    coefficient's denominator raises BadPrimeError first.
+    Both fields take this one route. Over Q it runs on the generators
+    scaled to primitive integer dicts; over a prime field Z/p on their
+    residues mod p, and a prime that divides a coefficient's denominator
+    raises BadPrimeError first.
     """
     if is_unit_ideal(I):
         return 0
@@ -642,8 +652,7 @@ def colength(
     if not gens:
         return INFINITE if nvars else 1
     p = None if field is RATIONAL else field.modulus
-    if p is not None:
-        gens = _residues(gens, p)
+    gens = [_scaled(g) for g in gens] if p is None else _residues(gens, p)
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
     u = _sealed_colength(gens, nvars, p)

@@ -51,23 +51,28 @@ def monomials_up_to(ring, degree):
     return out
 
 
-def _sparse_rank(rows):
-    """Rank of a sparse rational matrix given as dicts {column: value}."""
+def _sparse_rank(rows, p=None):
+    """Rank of a sparse matrix given as dicts {column: value}: rational,
+    or int entries over Z/p when p is given."""
+
+    def normal(v):
+        return v if p is None else v % p
+
     pivots = {}
     rank = 0
     for row in rows:
-        row = dict(row)
+        row = {c: normal(v) for c, v in row.items() if normal(v)}
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = Fraction(1) / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
+                inv = Fraction(1) / row[col] if p is None else pow(row[col], -1, p)
+                pivots[col] = {c: normal(v * inv) for c, v in row.items()}
                 rank += 1
                 break
             factor = row[col]
             for c, v in pivot.items():
-                nv = row.get(c, Fraction(0)) - factor * v
+                nv = normal(row.get(c, 0) - factor * v)
                 if nv:
                     row[c] = nv
                 else:
@@ -75,26 +80,31 @@ def _sparse_rank(rows):
     return rank
 
 
-def truncated_quotient_dim(gens, ring, degree):
-    """dim O/(I + m^(degree+1)) by sparse row reduction."""
+def truncated_quotient_dim(gens, ring, degree, p=None):
+    """dim O/(I + m^(degree+1)) by sparse row reduction, over Q, or over
+    Z/p on the generators' residues when p is given."""
     monos = monomials_up_to(ring, degree)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for g in gens:
-        if g.is_zero:
+        terms = g.with_ring(ring).terms
+        if p is not None:
+            terms = {m: c.numerator * pow(c.denominator, -1, p) % p for m, c in terms.items()}
+            terms = {m: c for m, c in terms.items() if c}
+        if not terms:
             continue
-        if g.constant_term():
+        if terms.get((0,) * len(ring)):
             return 0
         for m in monos:
             row = {}
-            for mono, coeff in g.with_ring(ring).terms.items():
+            for mono, coeff in terms.items():
                 prod = tuple(map(add, m, mono))
                 if sum(prod) <= degree:
-                    row[index[prod]] = row.get(index[prod], Fraction(0)) + coeff
+                    row[index[prod]] = row.get(index[prod], 0) + coeff
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-    return len(monos) - _sparse_rank(rows)
+    return len(monos) - _sparse_rank(rows, p)
 
 
 def brute_colength(gens, ring, cap=40):

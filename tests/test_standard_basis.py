@@ -248,7 +248,7 @@ def test_pivot_profile_matches_truncation_oracle():
         nv = len(I.ring)
         bound = _PROFILE_BOUND[nv]
         gens = _exp_dicts(I)
-        counts = sb._pivot_profile(gens, nv, bound)
+        counts = sb._pivot_profile([sb._scaled(g) for g in gens], nv, bound)
         dims = sb._truncated_dims(counts, nv)
         want = [truncated_quotient_dim(I.gens, I.ring, D) for D in range(bound + 1)]
         assert dims == want, str(I.gens)
@@ -276,7 +276,42 @@ def test_fraction_free_profile_matches_fraction_elimination(multipliers):
         ]
         for bound in range(1, _PROFILE_BOUND[nv] + 1):
             want = fraction_pivot_profile(gens, nv, bound)
-            assert sb._pivot_profile(gens, nv, bound) == want, (bound, str(I.gens))
+            got = sb._pivot_profile([sb._scaled(g) for g in gens], nv, bound)
+            assert got == want, (bound, str(I.gens))
+
+
+def _redundant_presentations(I):
+    """I's generators with later ones that already lie in the ideal of
+    earlier ones: a duplicate, g next to x*g, g1 + g2 appended, one
+    combination per variable (more generators than variables), and I's
+    generators in reverse order."""
+    gens = [g for g in I.gens if not g.is_zero]
+    xs = [Polynomial.variable(v, I.ring) for v in I.ring]
+    first, last = gens[0], gens[-1]
+    yield gens + [first]
+    yield [first, xs[0] * first] + gens[1:]
+    yield gens + [first + last]
+    yield gens + [x * gens[i % len(gens)] + gens[(i + 1) % len(gens)] for i, x in enumerate(xs)]
+    yield gens[::-1]
+
+
+def test_profile_of_redundant_generators_matches_all_rows():
+    # rows x^a*g_i whose x^a leads the earlier generators' image are
+    # never built; where later generators lie in the ideal of earlier
+    # ones, the profile still matches elimination over all rows
+    for I in _profile_corpus():
+        nv = len(I.ring)
+        top = _PROFILE_BOUND[nv]
+        for gens in _redundant_presentations(I):
+            dicts = [g.with_ring(I.ring).terms for g in gens]
+            for p in (None, 5, 2147483647):
+                rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
+                want = [truncated_quotient_dim(gens, I.ring, D, p) for D in range(top + 1)]
+                for bound in range(1, top + 1):
+                    counts = sb._pivot_profile(rows, nv, bound, p)
+                    assert sb._truncated_dims(counts, nv) == want[: bound + 1], (p, bound, gens)
+                    if p is None:
+                        assert counts == fraction_pivot_profile(dicts, nv, bound), (bound, gens)
 
 
 def _assert_witness_sound(I):
