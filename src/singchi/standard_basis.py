@@ -12,7 +12,9 @@ vanishes, read off the exponents. A finite one comes from row reduction
 in a truncated quotient O/m^(D+1) instead, on plain integers:
 fraction-free over Q and reduced mod p over Z/p. D climbs until
 Nakayama seals the quotient, and Mora certifies only what neither
-settles.
+settles. Mora runs on the same integer rows: the generators are scaled
+to primitive integers over Q, or reduced mod p, once, and both the
+ladder and the tangent cone algorithm take them as they are.
 
 Everything here is exact. The default coefficient field is the rationals.
 A prime field Z/p can be requested instead, with coefficients kept as
@@ -28,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import BadPrimeError, ResourceLimitError
 from .poly import Polynomial, determinant, parse_poly, substitute
@@ -93,10 +96,6 @@ def ideal(ring, *gens) -> IdealPresentation:
 class RationalField:
     name = "rational"
 
-    @staticmethod
-    def convert(c: Fraction):
-        return c
-
 
 RATIONAL = RationalField()
 
@@ -141,11 +140,34 @@ def prime_field(p: int):
         name = f"fp:{p}"
         modulus = p
 
-        @staticmethod
-        def convert(c: Fraction) -> int:
-            return _residue(c, p)
-
     return Field()
+
+
+def _scaled(d):
+    """The exponent dict d over Q scaled to coprime integer coefficients."""
+    den = math.lcm(*(c.denominator for c in d.values()))
+    num = math.gcd(*(c.numerator * (den // c.denominator) for c in d.values()))
+    return {e: c.numerator * (den // c.denominator) // num for e, c in d.items()}
+
+
+def _residues(gens, p):
+    """The exponent dicts gens reduced mod p, dropping what vanishes."""
+    out = []
+    for d in gens:
+        m = {}
+        for e, c in d.items():
+            r = _residue(c, p)
+            if r:
+                m[e] = r
+        if m:
+            out.append(m)
+    return out
+
+
+def _int_rows(gens, p):
+    """Nonzero exponent dicts over Q on plain ints: scaled to primitive
+    integers when p is None, reduced mod p otherwise."""
+    return [_scaled(d) for d in gens if d] if p is None else _residues(gens, p)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +189,6 @@ class _EPoly:
         return self.maxdeg - sum(self.lm)
 
 
-def _content(coeffs):
-    """(den, num) for nonzero rationals: den is the lcm of their
-    denominators and num the gcd of the integers den * c, so the values
-    c * den / num are coprime integers."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, math.gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
-
-
 def _divides(a: tuple, b: tuple) -> bool:
     for ai, bi in zip(a, b):
         if ai > bi:
@@ -183,11 +197,16 @@ def _divides(a: tuple, b: tuple) -> bool:
 
 
 class _Engine:
-    """Mora's tangent cone algorithm over Q or over Z/p.
+    """Mora's tangent cone algorithm on plain-int rows, over Q or Z/p.
 
-    Coefficients are Fractions over Q and plain ints in [0, p) over Z/p,
-    where p is the field's modulus and every sum and product is reduced
-    mod p, as in _pivot_profile.
+    p is None over Q and the modulus over Z/p. The engine takes the rows
+    colength prepares (_int_rows): primitive integer dicts over Q, residues
+    in [0, p) over Z/p. Every stored polynomial is normalised: over Q its
+    content is stripped, over Z/p it is made monic. Reductions and
+    s-polynomials are one fraction-free update (combine), as in
+    _pivot_profile, reduced mod p over Z/p. Scaling changes no leading
+    monomial and no ecart, so the reducers picked, and the leads of the
+    minimal basis, are those of the textbook algorithm over the field.
 
     Every reduction step counts against max_steps. Over Q, reductions
     against earlier partial remainders can add the heights of both
@@ -199,22 +218,12 @@ class _Engine:
     ones that do not seal below the ladder's top degree.
     """
 
-    def __init__(self, ordering: LocalOrdering, field, max_steps: int):
+    def __init__(self, ordering: LocalOrdering, p, max_steps: int):
         self.ordering = ordering
-        self.field = field
-        self.p = None if field is RATIONAL else field.modulus
+        self.p = p
         self.max_steps = max_steps
         self.steps = 0
         self._keys = {}
-
-    def convert(self, p: Polynomial):
-        """p's terms keyed in the ordering's variable order, over the field."""
-        terms = p.with_ring(self.ordering.variables).terms
-        if self.p is None:
-            return terms
-        convert = self.field.convert
-        # coefficients can vanish under reduction mod p
-        return {e: x for e, c in terms.items() if (x := convert(c))}
 
     def key(self, exp):
         k = self._keys.get(exp)
@@ -223,56 +232,55 @@ class _Engine:
         return k
 
     def make(self, d):
+        """d normalised in place: content 1 over Q, monic over Z/p."""
         if not d:
             return None
+        lm = max(d, key=self.key)
         if self.p is None:
+            content = math.gcd(*d.values())
+            if content != 1:
+                for e in d:
+                    d[e] //= content
             for c in d.values():
-                if c.numerator.bit_length() + c.denominator.bit_length() > _HEIGHT_CAP:
+                if c.bit_length() >= _HEIGHT_CAP:
                     raise ResourceLimitError(
                         f"rational coefficient height exceeded {_HEIGHT_CAP} bits"
                     )
-        lm = max(d, key=self.key)
-        maxdeg = max(sum(e) for e in d)
-        return _EPoly(d, lm, d[lm], maxdeg)
+        elif d[lm] != 1:
+            inv = pow(d[lm], -1, self.p)
+            for e in d:
+                d[e] = d[e] * inv % self.p
+        return _EPoly(d, lm, d[lm], max(sum(e) for e in d))
 
-    def primitive(self, d):
-        """Rescale to integer coefficients with content 1 (rationals only)."""
-        if self.p is not None or not d:
-            return d
-        den, num = _content(d.values())
-        if num == 1 and den == 1:
-            return d
-        scale = Fraction(den, num)
-        return {e: c * scale for e, c in d.items()}
-
-    def inverse(self, c):
-        return 1 / c if self.p is None else pow(c, -1, self.p)
-
-    def add_multiple(self, d, factor, g, shift):
-        """d + factor * x^shift * g for exponent dicts d and g; updates d."""
+    def combine(self, h: _EPoly, sh, g: _EPoly, sg):
+        """(b/c)*x^sh*h - (a/c)*x^sg*g, where a and b are the leads of h
+        and g and c = gcd(a, b), as an exponent dict; reduced mod p over
+        Z/p. The leading terms cancel."""
         p = self.p
-        for exp, c in g.items():
-            e2 = tuple(a + b for a, b in zip(exp, shift))
-            nc = d.get(e2)
-            nc = factor * c if nc is None else nc + factor * c
+        c = math.gcd(h.lc, g.lc)
+        fh, fg = g.lc // c, h.lc // c
+        d = {tuple(map(add, e, sh)): fh * v for e, v in h.d.items()}
+        for e, v in g.d.items():
+            e2 = tuple(map(add, e, sg))
+            x = d.get(e2, 0) - fg * v
             if p is not None:
-                nc %= p
-            if nc:
-                d[e2] = nc
+                x %= p
+            if x:
+                d[e2] = x
             else:
                 d.pop(e2, None)
         return d
 
     def reduce_step(self, h: _EPoly, g: _EPoly):
-        shift = tuple(a - b for a, b in zip(h.lm, g.lm))
-        d = self.add_multiple(dict(h.d), -h.lc * self.inverse(g.lc), g.d, shift)
+        sh = (0,) * len(h.lm)
+        d = self.combine(h, sh, g, tuple(a - b for a, b in zip(h.lm, g.lm)))
         self.steps += 1
         if self.steps > self.max_steps:
             raise ResourceLimitError(f"reduction budget of {self.max_steps} steps exhausted")
         # Strip content every step: letting numerators grow across steps
         # makes single reductions arbitrarily expensive, and the step
         # budget only bounds time if each step has bounded cost.
-        return self.make(self.primitive(d))
+        return self.make(d)
 
     def normal_form(self, h, basis):
         """Mora weak normal form of h against basis; None means reduced to 0."""
@@ -298,17 +306,18 @@ class _Engine:
         u = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
         sf = tuple(a - b for a, b in zip(u, f.lm))
         sg = tuple(a - b for a, b in zip(u, g.lm))
-        d = self.add_multiple({}, self.inverse(f.lc), f.d, sf)
-        return self.make(self.add_multiple(d, -self.inverse(g.lc), g.d, sg))
+        return self.make(self.combine(f, sf, g, sg))
 
-    def basis(self, gens_dicts):
+    def basis(self, rows):
+        """Minimal standard basis of the ideal of rows, plain-int exponent
+        dicts keyed in the ordering's variable order (_int_rows)."""
         zero_exp = (0,) * len(self.ordering.variables)
-        B = [p for d in gens_dicts if (p := self.make(self.primitive(d))) is not None]
+        unit = [_EPoly({zero_exp: 1}, zero_exp, 1, 0)]
+        B = [p for d in rows if (p := self.make(dict(d))) is not None]
         if not B:
             return []
         if any(g.lm == zero_exp for g in B):
-            one = self.field.convert(Fraction(1))
-            return [_EPoly({zero_exp: one}, zero_exp, one, 0)]
+            return unit
 
         pairs = []
         for i in range(len(B)):
@@ -322,10 +331,8 @@ class _Engine:
             h = self.normal_form(self.spoly(B[i], B[j]), B)
             if h is None:
                 continue
-            h = self.make(self.primitive(h.d))
             if h.lm == zero_exp:
-                one = self.field.convert(Fraction(1))
-                return [_EPoly({zero_exp: one}, zero_exp, one, 0)]
+                return unit
             B.append(h)
             k = len(B) - 1
             for i in range(k):
@@ -339,9 +346,6 @@ class _Engine:
         for g in B:
             if not any(_divides(other.lm, g.lm) for other in kept):
                 kept.append(g)
-        for g in kept:
-            g.d = self.add_multiple({}, self.inverse(g.lc), g.d, zero_exp)
-            g.lc = g.d[g.lm]
         return kept
 
 
@@ -355,8 +359,9 @@ def _mora(I: IdealPresentation, ordering, field, max_steps):
         ordering = LocalOrdering(ordering.kind, I.ring)
     if sorted(ordering.variables) != sorted(I.ring):
         raise ValueError("ordering variables must match the ideal's ring")
-    engine = _Engine(ordering, field, max_steps)
-    return engine, engine.basis([engine.convert(g) for g in I.gens])
+    engine = _Engine(ordering, None if field is RATIONAL else field.modulus, max_steps)
+    rows = _int_rows([g.with_ring(ordering.variables).terms for g in I.gens], engine.p)
+    return engine, engine.basis(rows)
 
 
 def standard_basis(
@@ -368,20 +373,18 @@ def standard_basis(
     """Minimal standard basis of I, monic and deterministically sorted."""
     engine, basis = _mora(I, ordering, field, max_steps)
     variables = engine.ordering.variables
-    polys = tuple(Polynomial(variables, g.d).with_ring(I.ring) for g in basis)
+    polys = tuple(
+        Polynomial(variables, {e: Fraction(c, g.lc) for e, c in g.d.items()}).with_ring(I.ring)
+        for g in basis
+    )
     return IdealPresentation(I.ring, polys)
-
-
-def _leading_exps(I, ordering, field, max_steps):
-    engine, basis = _mora(I, ordering, field, max_steps)
-    return [g.lm for g in basis], engine.ordering
 
 
 def leading_monomials(I, ordering=None, field=RATIONAL, max_steps=DEFAULT_MAX_STEPS):
     """Exponent tuples, in I.ring order, of the standard basis's leading terms."""
-    lms, ordering = _leading_exps(I, ordering, field, max_steps)
-    picks = [ordering.variables.index(v) for v in I.ring]
-    return tuple(tuple(exp[i] for i in picks) for exp in lms)
+    engine, basis = _mora(I, ordering, field, max_steps)
+    picks = [engine.ordering.variables.index(v) for v in I.ring]
+    return tuple(tuple(g.lm[i] for i in picks) for g in basis)
 
 
 def _axis_witness(exps, nvars):
@@ -436,8 +439,8 @@ def _pivot_profile(gens, nv, bound, p=None):
     """Pivots per degree of the image of J in O/m^(bound+1).
 
     gens are J's nonzero generators as exponent dicts with plain int
-    coefficients: primitive integer dicts over Q (_scaled), or residues
-    mod p when p is given (_residues). The rows are the truncated
+    coefficients (_int_rows): primitive integer dicts over Q, or residues
+    mod p when p is given. The rows are the truncated
     monomial multiples of the generators, which span exactly the image of
     J, because every unit of the truncated ring is itself a polynomial
     image. A row is reduced by the pivot of every pivot column it meets,
@@ -547,29 +550,6 @@ def _pivot_profile(gens, nv, bound, p=None):
     return counts
 
 
-def _scaled(d):
-    """The exponent dict d over Q scaled to coprime integer coefficients."""
-    den, num = _content(d.values())
-    return {e: c.numerator * (den // c.denominator) // num for e, c in d.items()}
-
-
-def _truncated_dims(counts, nv):
-    """[d_0, ..., d_bound] from the pivot counts of _pivot_profile."""
-    dims, rank = [], 0
-    for D, filled in enumerate(counts):
-        rank += filled
-        dims.append(math.comb(D + nv, nv) - rank)
-    return dims
-
-
-def _seal_degree(counts, nv):
-    """The first degree D >= 1 whose monomials the pivots fill, or None."""
-    for D in range(1, len(counts)):
-        if counts[D] == math.comb(D + nv - 1, nv - 1):
-            return D
-    return None
-
-
 #: Budget of monomials that sets the ladder's top degree (_ladder_top).
 _PROBE_CELLS = 1500
 
@@ -584,39 +564,25 @@ def _ladder_top(nv):
     return top
 
 
-def _residues(gens, p):
-    """The exponent dicts gens reduced mod p, dropping what vanishes."""
-    out = []
-    for d in gens:
-        m = {}
-        for e, c in d.items():
-            r = _residue(c, p)
-            if r:
-                m[e] = r
-        if m:
-            out.append(m)
-    return out
-
-
 def _sealed_colength(gens, nv, p=None):
     """The colength of the ideal generated by gens, or None when no
     truncation bound up to _ladder_top(nv) seals.
 
-    gens are exponent dicts as _pivot_profile takes them. The bound steps
-    up one degree at a time, and the first that seals gives the colength
-    at its seal degree, certified by Nakayama.
+    gens are exponent dicts as _pivot_profile takes them. The bound B
+    steps up one degree at a time. The pivots of degree D < B are those
+    at bound D, since the leads of degree <= D are intrinsic to
+    O/m^(D+1), so only degree B can newly fill. When it does, B is the
+    first seal, and d_B is the colength, certified by Nakayama.
     """
     for bound in range(1, _ladder_top(nv) + 1):
         counts = _pivot_profile(gens, nv, bound, p)
-        seal = _seal_degree(counts, nv)
-        if seal is not None:
-            return _truncated_dims(counts, nv)[seal]
+        if counts[bound] == math.comb(bound + nv - 1, nv - 1):
+            return math.comb(bound + nv, nv) - sum(counts)
     return None
 
 
 def colength(
     I: IdealPresentation,
-    ordering: LocalOrdering | None = None,
     field=RATIONAL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ):
@@ -633,33 +599,32 @@ def colength(
         infinite; it reads exponents only;
       * seal: an elimination in O/m^(D+1), for some D up to the ladder's
         top degree, shows m^D inside J by Nakayama;
-      * staircase: a completed Mora standard basis, which certifies what
-        neither finds: finite colengths past the ladder's top and the
-        infinite ones no witness sees.
-    Both fields take this one route. Over Q it runs on the generators
-    scaled to primitive integer dicts; over a prime field Z/p on their
-    residues mod p, and a prime that divides a coefficient's denominator
-    raises BadPrimeError first.
+      * staircase: a completed Mora standard basis under negdegrevlex,
+        which certifies what neither finds: finite colengths past the
+        ladder's top and the infinite ones no witness sees.
+    Both fields take this one route, on integer rows prepared once: over
+    Q the generators scaled to primitive integer dicts, over a prime field
+    Z/p their residues mod p, where a prime that divides a coefficient's
+    denominator raises BadPrimeError first. The ladder and Mora both take
+    these rows. The colength does not depend on the local ordering, so
+    none is taken.
     """
     if is_unit_ideal(I):
         return 0
     J, _ = eliminate_linear_generators(I)
     nvars = len(J.ring)
-    if ordering is not None and len(ordering.variables or ()) != nvars:
-        kept = tuple(v for v in (ordering.variables or I.ring) if v in J.ring)
-        ordering = LocalOrdering(ordering.kind, kept)
     gens = [g.terms for g in J.gens if g.terms]
     if not gens:
         return INFINITE if nvars else 1
     p = None if field is RATIONAL else field.modulus
-    gens = [_scaled(g) for g in gens] if p is None else _residues(gens, p)
+    gens = _int_rows(gens, p)
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
     u = _sealed_colength(gens, nvars, p)
     if u is not None:
         return u
-    lms, _ = _leading_exps(J, ordering, field, max_steps)
-    return _staircase(lms, nvars)
+    basis = _Engine(LocalOrdering(NEGDEGREVLEX, J.ring), p, max_steps).basis(gens)
+    return _staircase([g.lm for g in basis], nvars)
 
 
 def is_unit_ideal(I: IdealPresentation) -> bool:
@@ -681,7 +646,8 @@ def in_ideal(
 ) -> bool:
     """Local ideal membership, decided by Mora normal form against a standard basis."""
     engine, basis = _mora(I, ordering, field, max_steps)
-    return engine.normal_form(engine.make(engine.convert(p)), basis) is None
+    rows = _int_rows([p.with_ring(engine.ordering.variables).terms], engine.p)
+    return not rows or engine.normal_form(engine.make(rows[0]), basis) is None
 
 
 def random_invertible_matrix(size: int, rng: random.Random):
@@ -722,7 +688,8 @@ def eliminate_linear_generators(I: IdealPresentation):
     and v absent from r, the germ is isomorphic to the one presented by the
     remaining generators with v replaced by -r/c. Colengths, unit-ness and
     Milnor numbers are all preserved. Returns the reduced presentation and
-    an audit list. Generators must vanish at the origin.
+    the names of the eliminated variables, in order. Generators must
+    vanish at the origin.
     """
     ring = list(I.ring)
     gens = [g.with_ring(tuple(ring)) for g in I.gens]
@@ -751,7 +718,7 @@ def eliminate_linear_generators(I: IdealPresentation):
             value = Polynomial.zero(new_ring)
         else:
             value = (rest * (Fraction(-1) / c)).with_ring(new_ring)
-        audit.append({"variable": var, "generator": str(gens[gi])})
+        audit.append(var)
         gens = [
             substitute(h, {var: value}).with_ring(new_ring)
             for hi, h in enumerate(gens)

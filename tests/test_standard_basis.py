@@ -1,6 +1,8 @@
 """Local standard bases: Mora normal form, colength, membership."""
 
 import functools
+import hashlib
+import math
 import random
 
 import pytest
@@ -241,6 +243,15 @@ def _profile_corpus():
     return tuple(cases)
 
 
+def _truncated_dims(counts, nv):
+    """[d_0, ..., d_bound] from the pivot counts of _pivot_profile."""
+    dims, rank = [], 0
+    for D, filled in enumerate(counts):
+        rank += filled
+        dims.append(math.comb(D + nv, nv) - rank)
+    return dims
+
+
 def test_pivot_profile_matches_truncation_oracle():
     # one elimination at bound B gives every d_D with D <= B, over Q and
     # mod p, and seals exactly where d_D stops growing
@@ -248,15 +259,16 @@ def test_pivot_profile_matches_truncation_oracle():
         nv = len(I.ring)
         bound = _PROFILE_BOUND[nv]
         gens = _exp_dicts(I)
-        counts = sb._pivot_profile([sb._scaled(g) for g in gens], nv, bound)
-        dims = sb._truncated_dims(counts, nv)
+        rows = [sb._scaled(g) for g in gens]
+        dims = _truncated_dims(sb._pivot_profile(rows, nv, bound), nv)
         want = [truncated_quotient_dim(I.gens, I.ring, D) for D in range(bound + 1)]
         assert dims == want, str(I.gens)
         stops = [D for D in range(1, bound + 1) if want[D] == want[D - 1]]
-        assert sb._seal_degree(counts, nv) == (stops[0] if stops else None)
+        if stops:
+            assert sb._sealed_colength(rows, nv) == want[stops[0]], str(I.gens)
         for p in (5, 2147483647):
             counts_p = sb._pivot_profile(sb._residues(gens, p), nv, bound, p)
-            dims_p = sb._truncated_dims(counts_p, nv)
+            dims_p = _truncated_dims(counts_p, nv)
             assert all(a >= b for a, b in zip(dims_p, dims)), (p, str(I.gens))
 
 
@@ -309,7 +321,7 @@ def test_profile_of_redundant_generators_matches_all_rows():
                 want = [truncated_quotient_dim(gens, I.ring, D, p) for D in range(top + 1)]
                 for bound in range(1, top + 1):
                     counts = sb._pivot_profile(rows, nv, bound, p)
-                    assert sb._truncated_dims(counts, nv) == want[: bound + 1], (p, bound, gens)
+                    assert _truncated_dims(counts, nv) == want[: bound + 1], (p, bound, gens)
                     if p is None:
                         assert counts == fraction_pivot_profile(dicts, nv, bound), (bound, gens)
 
@@ -325,7 +337,7 @@ def _assert_witness_sound(I):
     off_axis = {v: Polynomial.zero(I.ring) for j, v in enumerate(I.ring) if j != i}
     assert all(substitute(g, off_axis).is_zero for g in I.gens), (i, str(I.gens))
     try:
-        lms, _ = sb._leading_exps(I, None, sb.RATIONAL, 500)
+        lms = leading_monomials(I, max_steps=500)
     except ResourceLimitError:
         # rational Mora can swell even on three small generators; then
         # the truncated dimensions, which must never settle, stand in
@@ -376,17 +388,17 @@ def test_colength_past_the_ladder(monkeypatch):
     # (x^45, y^2) seals at degree 46, above the ladder's top degree in two
     # variables, so one Mora run over the field finds the staircase
     assert sb._ladder_top(2) == 42
-    fields = []
-    leading_exps = sb._leading_exps
+    moduli = []
+    engine = sb._Engine
 
-    def recording(I, ordering, field, max_steps):
-        fields.append(field.name)
-        return leading_exps(I, ordering, field, max_steps)
+    def recording(ordering, p, max_steps):
+        moduli.append(p)
+        return engine(ordering, p, max_steps)
 
-    monkeypatch.setattr(sb, "_leading_exps", recording)
+    monkeypatch.setattr(sb, "_Engine", recording)
     I = ideal(XY, "x^45", "y^2")
     assert colength(I) == 90
-    assert fields == ["rational"]
+    assert moduli == [None]
     assert colength(I, field=prime_field(32003)) == 90
 
 
@@ -435,9 +447,8 @@ def test_colength_invariant_under_ordering_choice():
     rng = random.Random(37)
     for _ in range(60):
         I, _ = random_zero_dim_ideal(rng)
-        a = colength(I)
-        b = colength(I, ordering=LocalOrdering(NEGDEGLEX, I.ring))
-        assert a == b
+        lms = leading_monomials(I, LocalOrdering(NEGDEGLEX, I.ring))
+        assert sb._staircase(lms, len(I.ring)) == colength(I)
 
 
 def test_colength_invariant_under_linear_change():
@@ -465,7 +476,7 @@ def test_eliminate_single_linear_generator():
     I = ideal(XY, "x + y^2", "y^3")
     J, audit = eliminate_linear_generators(I)
     assert J.ring == ("y",)
-    assert [a["variable"] for a in audit] == ["x"]
+    assert audit == ["x"]
     assert colength(I) == colength(J) == 3
 
 
@@ -557,6 +568,31 @@ def test_prime_field_standard_basis_is_the_rational_one_mod_p():
     for p in (7, 32003):
         reduced = [{e: sb._residue(c, p) for e, c in g.terms.items()} for g in rational.gens]
         assert [g.terms for g in standard_basis(I, field=prime_field(p)).gens] == reduced
+
+
+#: sha256 of _standard_basis_lines(), recorded before Mora moved from
+#: Fraction coefficients to primitive integer rows.
+STANDARD_BASIS_SHA256 = "a9d833054da1d29747e3fa4d6481651fac01540ecb244351baca55b82103afa6"
+
+
+def _standard_basis_lines():
+    """One line per ideal, field and ordering of the seeded corpora: the
+    terms of every standard basis element, or the error's name."""
+    fields = (sb.RATIONAL, prime_field(32003), prime_field(7))
+    for I in list(_profile_corpus()) + _witness_corpus():
+        for field in fields:
+            for ordering in (None, LocalOrdering(NEGDEGLEX, I.ring)):
+                try:
+                    basis = standard_basis(I, ordering, field, max_steps=400)
+                except (BadPrimeError, ResourceLimitError) as exc:
+                    yield type(exc).__name__
+                    continue
+                yield repr([[(e, str(c)) for e, c in sorted(g.terms.items())] for g in basis.gens])
+
+
+def test_standard_bases_match_pinned_digest():
+    digest = hashlib.sha256("\n".join(_standard_basis_lines()).encode()).hexdigest()
+    assert digest == STANDARD_BASIS_SHA256
 
 
 def test_prime_field_rejects_composites():
