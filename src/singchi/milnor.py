@@ -76,13 +76,7 @@ def _mix_generators(gens, ring, seed):
         return gens
     rng = random.Random(seed)
     rows = random_invertible_matrix(len(gens), rng)
-    mixed = []
-    for row in rows:
-        acc = Polynomial.zero(ring)
-        for a, g in zip(row, gens):
-            acc = acc + g * a
-        mixed.append(acc)
-    return tuple(mixed)
+    return tuple(sum((g * a for a, g in zip(row, gens)), Polynomial.zero(ring)) for row in rows)
 
 
 def _minor_ideal(gens, ring, size):
@@ -95,11 +89,16 @@ def _minor_ideal(gens, ring, size):
     return minors
 
 
-def _chain(gens, ring, field, max_steps):
-    """Stage colengths (c_1, ..., c_m), or None if a stage degenerates."""
+def _chain(mixed, gens, ring, field, max_steps):
+    """Stage colengths (c_1, ..., c_m), or None if a stage degenerates.
+
+    mixed = A*gens, A invertible. The last stage takes its minors from gens:
+    each m x m minor of mixed is det(A) != 0 times the one of gens.
+    """
+    m = len(mixed)
     stages = []
-    for i in range(1, len(gens) + 1):
-        stage_gens = list(gens[: i - 1]) + _minor_ideal(gens[:i], ring, i)
+    for i in range(1, m + 1):
+        stage_gens = list(mixed[: i - 1]) + _minor_ideal(mixed[:i] if i < m else gens, ring, i)
         c = colength(
             IdealPresentation(ring, tuple(stage_gens)),
             field=field,
@@ -140,7 +139,7 @@ def icis_milnor(
     for attempt in range(attempts):
         attempt_seed = seed if attempt == 0 else seed + 1000003 * attempt
         mixed = _mix_generators(gens, J.ring, attempt_seed)
-        stages = _chain(mixed, J.ring, field, max_steps)
+        stages = _chain(mixed, gens, J.ring, field, max_steps)
         if stages is None:
             continue
         mu = 0

@@ -79,6 +79,13 @@ def _add_into(acc: dict, terms: dict) -> None:
                 del acc[m]
 
 
+def _integral(dicts) -> tuple:
+    """(nums, den): Fraction term dicts as int dicts nums[i] / den, den their lcm."""
+    dicts = list(dicts)
+    den = math.lcm(*(c.denominator for t in dicts for c in t.values()))
+    return [{m: c.numerator * (den // c.denominator) for m, c in t.items()} for t in dicts], den
+
+
 def _mul_into(acc: dict, left: dict, right: dict, negate: bool = False) -> None:
     """Add (or subtract) the product of two term dicts over one ring into
     acc in place; cancelled terms stay in acc as zeros."""
@@ -531,12 +538,9 @@ def determinant(matrix) -> Polynomial:
     rows = []
     scale = 1
     for row in matrix:
-        terms = [entry.with_ring(ring).terms for entry in row]
-        den = math.lcm(*(c.denominator for t in terms for c in t.values()))
+        nums, den = _integral(entry.with_ring(ring).terms for entry in row)
         scale *= den
-        rows.append(
-            [{m: c.numerator * (den // c.denominator) for m, c in t.items()} for t in terms]
-        )
+        rows.append(nums)
     prev = {0: {(0,) * len(ring): 1}}
     for r in range(n):
         cur = {}

@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import BadPrimeError, ResourceLimitError
-from .poly import Polynomial, determinant, parse_poly, substitute
+from .poly import Polynomial, _integral, _mul_into, _poly, determinant, parse_poly, substitute
 
 NEGDEGREVLEX = "negdegrevlex"
 NEGDEGLEX = "negdeglex"
@@ -78,7 +78,7 @@ class IdealPresentation:
     def __post_init__(self):
         for g in self.gens:
             for v in g.ring:
-                if g.degree_in(v) > 0 and v not in self.ring:
+                if v not in self.ring and g.degree_in(v) > 0:
                     raise ValueError(f"generator uses {v!r} outside ring {self.ring}")
 
 
@@ -145,9 +145,9 @@ def prime_field(p: int):
 
 def _scaled(d):
     """The exponent dict d over Q scaled to coprime integer coefficients."""
-    den = math.lcm(*(c.denominator for c in d.values()))
-    num = math.gcd(*(c.numerator * (den // c.denominator) for c in d.values()))
-    return {e: c.numerator * (den // c.denominator) // num for e, c in d.items()}
+    [num], _ = _integral([d])
+    g = math.gcd(*num.values())
+    return {e: c // g for e, c in num.items()}
 
 
 def _residues(gens, p):
@@ -690,39 +690,46 @@ def eliminate_linear_generators(I: IdealPresentation):
     Milnor numbers are all preserved. Returns the reduced presentation and
     the names of the eliminated variables, in order. Generators must
     vanish at the origin.
+
+    Generators are int dicts over I.ring, each over a denominator. With
+    value = -r, Horner on the parts h_j of h by the power of v (acc = h_k,
+    then acc*value + c^(k-j)*h_j for j = k-1 down to 0) gives c^k*h(v =
+    value/c); over the denominator times c^k that is exactly h(v = -r/c).
     """
-    ring = list(I.ring)
-    gens = [g.with_ring(tuple(ring)) for g in I.gens]
+    ring = tuple(I.ring)
+    units = [tuple(int(i == j) for j in range(len(ring))) for i in range(len(ring))]
+    gens = [(n, d) for [n], d in (_integral([g.with_ring(ring).terms]) for g in I.gens)]
+    live = list(range(len(ring)))
     audit = []
     while True:
-        found = None
-        for gi, g in enumerate(gens):
-            if g.is_zero:
-                continue
-            for var in ring:
-                if g.degree_in(var) != 1:
-                    continue
-                coeffs = g.coefficients_in(var)
-                c1 = coeffs.get(1)
-                if c1 is None or c1.degree() != 0:
-                    continue
-                found = (gi, var, c1.constant_term(), coeffs.get(0))
-                break
-            if found:
-                break
-        if not found:
+        # x_i is transversal in a generator whose one term involving x_i is x_i
+        hits = ((gi, i) for gi, (num, _) in enumerate(gens) for i in live if units[i] in num)
+        found = next(((gi, i) for gi, i in hits if sum(1 for m in gens[gi][0] if m[i]) == 1), None)
+        if found is None:
             break
-        gi, var, c, rest = found
-        new_ring = tuple(v for v in ring if v != var)
-        if rest is None or rest.is_zero:
-            value = Polynomial.zero(new_ring)
-        else:
-            value = (rest * (Fraction(-1) / c)).with_ring(new_ring)
-        audit.append(var)
-        gens = [
-            substitute(h, {var: value}).with_ring(new_ring)
-            for hi, h in enumerate(gens)
-            if hi != gi
-        ]
-        ring = list(new_ring)
-    return IdealPresentation(tuple(ring), tuple(gens)), audit
+        gi, i = found
+        num, _ = gens.pop(gi)
+        c = num[units[i]]
+        value = {m: -a for m, a in num.items() if m != units[i]}
+        for hi, (h, den) in enumerate(gens):
+            parts = {}
+            for m, a in h.items():
+                parts.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = a
+            k = max(parts, default=0)
+            if not k:
+                continue
+            acc, s = parts[k], 1
+            for j in range(k - 1, -1, -1):
+                s *= c
+                step = {m: s * a for m, a in parts.get(j, {}).items()}
+                _mul_into(step, acc, value)
+                acc = {m: a for m, a in step.items() if a}
+            g = math.gcd(den * s, *acc.values())
+            gens[hi] = ({m: a // g for m, a in acc.items()}, den * s // g)
+        live.remove(i)
+        audit.append(ring[i])
+    if not audit:
+        return IdealPresentation(ring, tuple(g.with_ring(ring) for g in I.gens)), audit
+    out = tuple(ring[i] for i in live)
+    polys = [{tuple(m[i] for i in live): Fraction(a, d) for m, a in h.items()} for h, d in gens]
+    return IdealPresentation(out, tuple(_poly(out, t) for t in polys)), audit

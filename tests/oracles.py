@@ -21,8 +21,8 @@ lower bound. No standard basis, no monomial ordering.
 
 The module also keeps references the package's faster code is checked
 against: the pivot profile by elimination over Fraction rows, the
-recursive divided difference, and the cofactor expansion of a
-determinant.
+transversal elimination by rational substitution, the recursive divided
+difference, and the cofactor expansion of a determinant.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from operator import add
 
 from singchi.errors import EmptyArgsError, UnknownVariableError
 from singchi.poly import Polynomial, substitute
+from singchi.standard_basis import IdealPresentation
 
 
 def monomials_up_to(ring, degree):
@@ -254,6 +255,51 @@ def fraction_pivot_profile(gens, nv, bound):
     for lead in pivots:
         counts[lead // base] += 1
     return counts
+
+
+def substitute_elimination(I):
+    """standard_basis.eliminate_linear_generators by rational substitution.
+
+    The same search, in the same generator and variable order, but each
+    variable is replaced by -r/c through poly.substitute on Fraction
+    polynomials: the reference the integer Horner substitution is checked
+    against, term for term.
+    """
+    ring = list(I.ring)
+    gens = [g.with_ring(tuple(ring)) for g in I.gens]
+    audit = []
+    while True:
+        found = None
+        for gi, g in enumerate(gens):
+            if g.is_zero:
+                continue
+            for var in ring:
+                if g.degree_in(var) != 1:
+                    continue
+                coeffs = g.coefficients_in(var)
+                c1 = coeffs.get(1)
+                if c1 is None or c1.degree() != 0:
+                    continue
+                found = (gi, var, c1.constant_term(), coeffs.get(0))
+                break
+            if found:
+                break
+        if not found:
+            break
+        gi, var, c, rest = found
+        new_ring = tuple(v for v in ring if v != var)
+        if rest is None or rest.is_zero:
+            value = Polynomial.zero(new_ring)
+        else:
+            value = (rest * (Fraction(-1) / c)).with_ring(new_ring)
+        audit.append(var)
+        gens = [
+            substitute(h, {var: value}).with_ring(new_ring)
+            for hi, h in enumerate(gens)
+            if hi != gi
+        ]
+        ring = list(new_ring)
+    return IdealPresentation(tuple(ring), tuple(gens)), audit
 
 
 def _divide_by_linear(numerator, va, vb):

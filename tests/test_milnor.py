@@ -11,12 +11,22 @@ from singchi.errors import (
     NotZeroDimensionalError,
     ResourceLimitError,
 )
-from singchi.milnor import hypersurface_milnor, icis_milnor, point_count
+import singchi.milnor as milnor
+from singchi.catalog import ACCEPTANCE_ROWS, resolve_row
+from singchi.milnor import _minor_ideal, hypersurface_milnor, icis_milnor, point_count
+from singchi.multiple_points import invariant_tuple
 from singchi.poly import parse_poly
 import singchi.standard_basis as sb
-from singchi.standard_basis import IdealPresentation, colength, generic_linear_change, ideal
+from singchi.standard_basis import (
+    INFINITE,
+    IdealPresentation,
+    colength,
+    generic_linear_change,
+    ideal,
+)
 
 from corpus import random_poly
+from test_catalog import FAST_ROWS, QUAD_ROWS
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -121,6 +131,39 @@ def test_chain_stages_stable_across_seeds():
     for seed in (1, 2, 3):
         r = icis_milnor(ideal(XY, "x^3", "y^2"), seed=seed)
         assert r.mu == 5 and r.stages == (2, 7)
+
+
+def _mixed_chain(mixed, ring, field, max_steps):
+    """The chain with every stage's minors taken from the mixed generators."""
+    stages = []
+    for i in range(1, len(mixed) + 1):
+        gens = tuple(mixed[: i - 1]) + tuple(_minor_ideal(mixed[:i], ring, i))
+        c = colength(IdealPresentation(ring, gens), field=field, max_steps=max_steps)
+        if c is INFINITE:
+            return None
+        stages.append(c)
+    return tuple(stages)
+
+
+def test_last_stage_minors_of_unmixed_generators(monkeypatch):
+    # minors(A*g) = det(A)*minors(g): every chain invariant_tuple runs on
+    # the catalog rows gives the stages of the all-mixed chain
+    seen = []
+    chain = milnor._chain
+
+    def spy(mixed, gens, ring, field, max_steps):
+        stages = chain(mixed, gens, ring, field, max_steps)
+        seen.append((mixed, ring, field, max_steps, stages))
+        return stages
+
+    monkeypatch.setattr(milnor, "_chain", spy)
+    for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS:
+        germ = resolve_row(text).germ
+        for seed in (1, 2, 3):
+            invariant_tuple(germ, seed=seed)
+    assert any(len(mixed) > 1 for mixed, *_ in seen)
+    for mixed, ring, field, max_steps, stages in seen:
+        assert stages == _mixed_chain(mixed, ring, field, max_steps), [str(g) for g in mixed]
 
 
 def test_mixing_is_essential():

@@ -28,14 +28,19 @@ from singchi.standard_basis import (
     standard_basis,
 )
 
+from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
+from singchi.multiple_points import _prefix_ideal, _restricted_ideal, multiple_point_ideal
+
 from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
 from oracles import (
     brute_colength,
     brute_membership,
     fraction_pivot_profile,
     staircase_count_bfs,
+    substitute_elimination,
     truncated_quotient_dim,
 )
+from test_catalog import FAST_ROWS, QUAD_ROWS
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -520,6 +525,71 @@ def test_eliminate_preserves_colength_randomised():
         assert direct == colength(J)
         if direct is not INFINITE and direct <= 30:
             assert brute_colength(wide.gens, wide.ring, cap=2 * direct + 4) == direct
+
+
+def _assert_same_elimination(I):
+    """The integer Horner elimination gives the rational substitution's
+    presentation term for term: ring, audit, and every generator."""
+    J, audit = eliminate_linear_generators(I)
+    K, want = substitute_elimination(I)
+    assert (J.ring, audit) == (K.ring, want)
+    assert len(J.gens) == len(K.gens)
+    for g, h in zip(J.gens, K.gens):
+        assert g.ring == h.ring and g.terms == h.terms, (str(g), str(h))
+        assert all(type(c) is Fraction for c in g.terms.values())
+    return J, audit
+
+
+@pytest.mark.parametrize("moduli", [DEFAULT_MODULI, ALTERNATE_MODULI])
+def test_elimination_matches_substitution_on_catalog_spaces(moduli):
+    eliminated = 0
+    for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS:
+        f = resolve_row(text, moduli=moduli).germ
+        d4 = multiple_point_ideal(f, 4)
+        for I in (
+            _prefix_ideal(d4, 2),
+            _prefix_ideal(d4, 3),
+            d4,
+            _restricted_ideal(f, 2, (2,)),
+            _restricted_ideal(f, 3, (1, 2)),
+        ):
+            eliminated += len(_assert_same_elimination(I)[1])
+    assert eliminated
+
+
+def _elimination_corpus(count, seed):
+    """Random rational ideals in four variables, built to reach every
+    branch of the elimination: linear generators c*v + r with c = +-1 and
+    non-unit c of both signs, r in later-eliminated variables (cascades),
+    and constant multiples of earlier generators, so that the partner of
+    an eliminated linear generator becomes zero."""
+    ring = ("x", "y", "z", "w")
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.45:
+                v = rng.choice(ring)
+                rest = tuple(u for u in ring if u != v)
+                c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+                r = random_poly(rng, rest, max_deg=3, max_terms=3).with_ring(ring)
+                gens.append(Polynomial.variable(v, ring) * c + r)
+            elif kind < 0.6 and gens:
+                gens.append(rng.choice(gens) * Fraction(rng.choice([-2, 3]), rng.choice([1, 7])))
+            else:
+                gens.append(random_poly(rng, ring, max_deg=4, max_terms=4))
+        rng.shuffle(gens)
+        yield IdealPresentation(ring, tuple(gens))
+
+
+def test_elimination_matches_substitution_on_random_ideals():
+    cascades = zeros = 0
+    for I in _elimination_corpus(400, seed=20261):
+        J, audit = _assert_same_elimination(I)
+        cascades += len(audit) >= 2
+        zeros += any(g.is_zero for g in J.gens)
+    assert cascades >= 50 and zeros >= 20
 
 
 def test_colength_survives_coefficient_swell():
