@@ -199,7 +199,11 @@ def image_strata_data(t: InvariantTuple) -> tuple:
     characteristic 0, reduced value -1. The top stratum contributes
     nothing and is omitted.
     """
-    s = strata_chi(t)
+    return _strata_data(strata_chi(t))
+
+
+def _strata_data(s: StratumReport) -> tuple:
+    """image_strata_data from the Euler characteristics of the strata."""
     return (
         StratumDatum("pinch points", s.pair_pinch, 1),
         StratumDatum("double crossings", s.pair_double, -1),
@@ -245,7 +249,7 @@ def image_chi_report(t: InvariantTuple) -> ImageChiReport:
     chi_mf = chi_mf_image(t)
     diff = chi_difference_3to4(t)
     strata = strata_chi(t)
-    stratified = chi_dis + stratified_euler_difference(image_strata_data(t))
+    stratified = chi_dis + stratified_euler_difference(_strata_data(strata))
     consistent = chi_mf == chi_dis + diff == stratified
     return ImageChiReport(
         invariants=t,

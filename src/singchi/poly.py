@@ -24,6 +24,7 @@ point schemes for corank 1 maps" (J. London Math. Soc., 1989).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -593,22 +594,24 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _node_powers(degree: int, multiplicities) -> list:
+@functools.lru_cache(maxsize=1024)
+def _node_powers(degree: int, multiplicities: tuple) -> tuple:
     """The terms of h_degree over a multiset of nodes, as (exponents, weight).
 
     multiplicities[i] is how often node i repeats; the weight of the
     monomial with exponents e is prod_i C(e_i + r_i - 1, r_i - 1), the
-    number of ways to spread e_i over the r_i copies of node i.
+    number of ways to spread e_i over the r_i copies of node i. The terms
+    depend on nothing else, so they are cached, as a tuple nobody can
+    change.
     """
     r = multiplicities[0]
     if len(multiplicities) == 1:
-        return [((degree,), math.comb(degree + r - 1, r - 1))]
-    out = []
-    for e in range(degree + 1):
-        weight = math.comb(e + r - 1, r - 1)
-        for rest, w in _node_powers(degree - e, multiplicities[1:]):
-            out.append(((e,) + rest, weight * w))
-    return out
+        return (((degree,), math.comb(degree + r - 1, r - 1)),)
+    return tuple(
+        ((e,) + rest, math.comb(e + r - 1, r - 1) * w)
+        for e in range(degree + 1)
+        for rest, w in _node_powers(degree - e, multiplicities[1:])
+    )
 
 
 def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
@@ -642,9 +645,8 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
     i = g.ring.index(var)
     params = g.ring[:i] + g.ring[i + 1 :]
     nodes = tuple(dict.fromkeys(args))
-    multiplicities = [args.count(a) for a in nodes]
+    multiplicities = tuple(args.count(a) for a in nodes)
     shift = len(args) - 1
-    h = {}
     terms = {}
     # Parameter parts and node parts share no variable, and h_d has node
     # degree d, so every product below is a distinct monomial.
@@ -652,9 +654,7 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
         d = m[i] - shift
         if d < 0:
             continue
-        if d not in h:
-            h[d] = _node_powers(d, multiplicities)
         rest = m[:i] + m[i + 1 :]
-        for node_exps, weight in h[d]:
+        for node_exps, weight in _node_powers(d, multiplicities):
             terms[rest + node_exps] = coeff * weight
     return _poly(params + nodes, terms)

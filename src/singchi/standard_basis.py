@@ -10,11 +10,12 @@ Colengths take one route over every field. An infinite colength is
 certified first by a witness, a coordinate axis on which every generator
 vanishes, read off the exponents. A finite one comes from row reduction
 in a truncated quotient O/m^(D+1) instead, on plain integers:
-fraction-free over Q and reduced mod p over Z/p. D climbs until
-Nakayama seals the quotient, and Mora certifies only what neither
-settles. Mora runs on the same integer rows: the generators are scaled
-to primitive integers over Q, or reduced mod p, once, and both the
-ladder and the tangent cone algorithm take them as they are.
+fraction-free over Q and reduced mod p over Z/p. One elimination runs
+degree by degree and stops at the first D where Nakayama seals the
+quotient; Mora certifies only what neither settles. Mora runs on the
+same integer rows: the generators are scaled to primitive integers over
+Q, or reduced mod p, once, and both the ladder and the tangent cone
+algorithm take them as they are.
 
 Everything here is exact. The default coefficient field is the rationals.
 A prime field Z/p can be requested instead, with coefficients kept as
@@ -30,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import BadPrimeError, ResourceLimitError
 from .poly import Polynomial, _integral, _mul_into, _poly, determinant, parse_poly, substitute
@@ -436,34 +437,38 @@ def _staircase(lms, nvars):
 
 
 def _pivot_profile(gens, nv, bound, p=None):
-    """Pivots per degree of the image of J in O/m^(bound+1).
+    """Pivots per degree of the image of J in O/m^(bound+1): yields
+    counts[D], the number of pivots in degree D, for D = 0, ..., bound.
 
     gens are J's nonzero generators as exponent dicts with plain int
     coefficients (_int_rows): primitive integer dicts over Q, or residues
-    mod p when p is given. The rows are the truncated
-    monomial multiples of the generators, which span exactly the image of
-    J, because every unit of the truncated ring is itself a polynomial
-    image. A row is reduced by the pivot of every pivot column it meets,
-    lowest column first, and what is left becomes the pivot of its lowest
-    column, so every stored row lives on columns at or above its pivot.
-
-    Returns counts, where counts[D] is the number of pivots in degree D.
-    Columns are ordered by degree first, so pivots up to degree D stay
-    independent after truncating to degree D, and pivots above it vanish
-    there. Hence for every D <= bound
+    mod p when p is given. The rows are the truncated monomial multiples
+    of the generators, which span exactly the image of J, because every
+    unit of the truncated ring is itself a polynomial image. Columns are
+    ordered by degree first, and the leads of an echelon basis are those
+    of its span, so counts[D] depends on J and D alone, not on the bound:
         d_D = dim O/(J + m^(D+1)) = #monomials of degree <= D
                                     - counts[0] - ... - counts[D].
     When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
     pushes it into J, and d_D is the colength of J: the quotient seals.
 
-    No row x^a*g_i is built when x^a already leads the image of the
-    earlier generators' ideal J' = (g_1, ..., g_{i-1}) (the F5 criterion:
-    Faugere, ISSAC 2002). If q in that image has lowest term c*x^a, then
+    The elimination is degree-major. At step D each g_i in turn takes its
+    pending rows (earlier rows whose entries below degree D all cancelled)
+    and its new rows x^a*g_i of degree D, and reduces them, lowest column
+    first, by the pivots of degree D. The first column of degree D left
+    without a pivot becomes a row's pivot; a row with none is pending. No
+    row at step D has an entry below D, so counts[D] is final after it.
+
+    No row x^a*g_i is built when x^a already leads the image of J' =
+    (g_1, ..., g_{i-1}) (the F5 criterion: Faugere, ISSAC 2002). If q in
+    that image has lowest term c*x^a, then
         c*x^a*g_i = q*g_i - (q - c*x^a)*g_i,
     where q*g_i lies in the image of J' and the second term is a
     combination of rows x^b*g_i with columns above x^a, or of zero rows.
-    So the span, and with it every count, is unchanged. The leads of J'
-    are read before g_i adds its own rows.
+    So the span, and with it every count, is unchanged. A pivot keeps the
+    index of the generator that made it. Rows of g_i meet only pivots of
+    degree D, made by g_1..g_i, so the pivots of lower index span the
+    image of J' up to degree D, which holds x^a, and lead all of it.
 
     Over Q the elimination is fraction-free: a row with entry f at the
     column of a pivot with lead a becomes (a/g)*row - (f/g)*pivot,
@@ -477,59 +482,68 @@ def _pivot_profile(gens, nv, bound, p=None):
     # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
     # in base bound + 1, so columns order by degree and then exponent, and
     # the column of a product of monomials is the sum of their columns.
-    radix = bound + 1
-    weights = [radix ** (nv - i) for i in range(nv + 1)]
+    weights = [(bound + 1) ** (nv - i) for i in range(nv + 1)]
     base = weights[0]
     shifts = [0]
     for w in weights[1:]:
         shifts = [k + j * (base + w) for k in shifts for j in range(bound - k // base + 1)]
     shifts.sort()
-    # lead column -> (lead entry, the row's other entries)
-    pivots = {}
+    starts = [bisect.bisect_left(shifts, D * base) for D in range(bound + 2)]
+    # per generator: its order, and its terms as (degree, column, entry)
+    rows_of = []
     for gen in gens:
-        terms = []
-        for e, c in gen.items():
-            deg = sum(e)
-            terms.append((deg, sum(a * w for a, w in zip((deg,) + e, weights)), c))
-        mindeg = min(deg for deg, _, _ in terms)
-        known = set(pivots)
-        for shift in shifts[: bisect.bisect_left(shifts, (bound - mindeg + 1) * base)]:
-            if shift in known:
-                continue
-            room = bound - shift // base
-            row = {col + shift: c for deg, col, c in terms if deg <= room}
-            # Reducing at a column only brings in columns above it, so a
-            # column the heap has handed out never comes back.
-            todo = [col for col in row if col in pivots]
-            heapq.heapify(todo)
-            while todo:
-                lead = heapq.heappop(todo)
-                f = row.pop(lead, 0)
-                if not f:
+        terms = [(sum(e), sum(map(mul, (sum(e),) + e, weights)), c) for e, c in gen.items()]
+        rows_of.append((min(t[0] for t in terms), terms))
+    # lead column -> (lead entry, the row's other entries, generator index)
+    pivots = {}
+    # per generator: degree of the lowest entry -> rows waiting for it
+    pending = [{} for _ in gens]
+    for D in range(bound + 1):
+        top, made = (D + 1) * base, len(pivots)
+        for i, (order, terms) in enumerate(rows_of):
+            rows, k = pending[i].pop(D, []), D - order
+            for shift in shifts[starts[k] : starts[k + 1]] if k >= 0 else ():
+                # F5: skip x^a*g_i when x^a leads a pivot of g_1..g_(i-1)
+                if pivots.get(shift, (0, 0, i))[2] >= i:
+                    rows.append({col + shift: c for deg, col, c in terms if deg + k <= bound})
+            for row in rows:
+                # Reducing at a column only brings in columns above it, so a
+                # column the heap has handed out never comes back, and the
+                # first one left without a pivot is the row's lead.
+                todo = [col for col in row if col < top]
+                heapq.heapify(todo)
+                while todo:
+                    lead = heapq.heappop(todo)
+                    if lead in row and lead not in pivots:
+                        break
+                    f = row.pop(lead, 0)
+                    if not f:
+                        continue
+                    a, pivot, _ = pivots[lead]
+                    g = math.gcd(a, f)
+                    if a != g:
+                        s = a // g
+                        for col in row:
+                            row[col] *= s
+                    f //= g
+                    for col, v in pivot.items():
+                        x = row.get(col)
+                        if x is None:
+                            x = -f * v
+                            if col < top:
+                                heapq.heappush(todo, col)
+                        else:
+                            x -= f * v
+                        if p is not None:
+                            x %= p
+                        if x:
+                            row[col] = x
+                        else:
+                            del row[col]
+                else:
+                    if row:
+                        pending[i].setdefault(min(row) // base, []).append(row)
                     continue
-                a, pivot = pivots[lead]
-                g = math.gcd(a, f)
-                if a != g:
-                    s = a // g
-                    for col in row:
-                        row[col] *= s
-                f //= g
-                for col, v in pivot.items():
-                    x = row.get(col)
-                    if x is None:
-                        x = -f * v
-                        if col in pivots:
-                            heapq.heappush(todo, col)
-                    else:
-                        x -= f * v
-                    if p is not None:
-                        x %= p
-                    if x:
-                        row[col] = x
-                    else:
-                        del row[col]
-            if row:
-                lead = min(row)
                 a = row.pop(lead)
                 if p is None:
                     content = math.gcd(a, *row.values())
@@ -540,14 +554,10 @@ def _pivot_profile(gens, nv, bound, p=None):
                         a //= content
                         row = {col: v // content for col, v in row.items()}
                 else:
-                    inv = pow(a, -1, p)
-                    a = 1
+                    inv, a = pow(a, -1, p), 1
                     row = {col: v * inv % p for col, v in row.items()}
-                pivots[lead] = (a, row)
-    counts = [0] * (bound + 1)
-    for lead in pivots:
-        counts[lead // base] += 1
-    return counts
+                pivots[lead] = (a, row, i)
+        yield len(pivots) - made
 
 
 #: Budget of monomials that sets the ladder's top degree (_ladder_top).
@@ -565,19 +575,24 @@ def _ladder_top(nv):
 
 
 def _sealed_colength(gens, nv, p=None):
-    """The colength of the ideal generated by gens, or None when no
-    truncation bound up to _ladder_top(nv) seals.
+    """The colength of the ideal generated by gens (as _pivot_profile
+    takes them), or None when no degree up to _ladder_top(nv) seals.
 
-    gens are exponent dicts as _pivot_profile takes them. The bound B
-    steps up one degree at a time. The pivots of degree D < B are those
-    at bound D, since the leads of degree <= D are intrinsic to
-    O/m^(D+1), so only degree B can newly fill. When it does, B is the
-    first seal, and d_B is the colength, certified by Nakayama.
+    Its counts are read at caps 2, 4, 8, ..., up to the top, until the
+    first degree D that fills: d_D is then the colength, by Nakayama. The
+    counts up to D are intrinsic to O/m^(D+1), so every cap finds the same
+    first seal, where the elimination stops. Rows carry tails up to the
+    cap, so the caps double rather than start at the top.
     """
-    for bound in range(1, _ladder_top(nv) + 1):
-        counts = _pivot_profile(gens, nv, bound, p)
-        if counts[bound] == math.comb(bound + nv - 1, nv - 1):
-            return math.comb(bound + nv, nv) - sum(counts)
+    top, cap = _ladder_top(nv), 1
+    while cap < top:
+        cap = min(2 * cap, top)
+        dim = 0
+        for D, filled in enumerate(_pivot_profile(gens, nv, cap, p)):
+            full = math.comb(D + nv - 1, nv - 1)
+            dim += full - filled
+            if D and filled == full:
+                return dim
     return None
 
 
@@ -588,26 +603,26 @@ def colength(
 ):
     """Dimension of the local quotient ring by I; INFINITE when unbounded.
 
-    Unit ideals have colength 0. The presentation is first simplified by
-    splitting off variables a generator cuts transversally, which leaves
-    the quotient unchanged.
+    Unit ideals have colength 0. Variables a generator cuts transversally
+    are split off first, which leaves the quotient unchanged.
 
     Everything returned is exact for the requested field, and every
     answer carries one of three certificates:
       * witness: a variable x_i of which no term of any generator is a
         pure power, so J vanishes on the x_i-axis and the colength is
         infinite; it reads exponents only;
-      * seal: an elimination in O/m^(D+1), for some D up to the ladder's
-        top degree, shows m^D inside J by Nakayama;
+      * seal: one degree-by-degree elimination in O/m^(D+1) fills degree
+        D, for a D up to the ladder's top, so m^D lies in J by Nakayama;
+        the counts of degree <= D are intrinsic, so the first D found is
+        the same at every truncation, and the elimination stops there;
       * staircase: a completed Mora standard basis under negdegrevlex,
         which certifies what neither finds: finite colengths past the
         ladder's top and the infinite ones no witness sees.
     Both fields take this one route, on integer rows prepared once: over
     Q the generators scaled to primitive integer dicts, over a prime field
     Z/p their residues mod p, where a prime that divides a coefficient's
-    denominator raises BadPrimeError first. The ladder and Mora both take
-    these rows. The colength does not depend on the local ordering, so
-    none is taken.
+    denominator raises BadPrimeError first; the ladder and Mora both take
+    them. The colength does not depend on the local ordering.
     """
     if is_unit_ideal(I):
         return 0

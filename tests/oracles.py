@@ -124,6 +124,19 @@ def brute_colength(gens, ring, cap=40):
     return ("at least", prev)
 
 
+def first_seal(gens, ring, top, p=None):
+    """(D, d_D) for the first D in 1..top with d_D == d_(D-1), stepping
+    one degree at a time with a fresh elimination per degree (over Z/p
+    when p is given), or None when no degree up to top seals."""
+    prev = truncated_quotient_dim(gens, ring, 0, p)
+    for degree in range(1, top + 1):
+        cur = truncated_quotient_dim(gens, ring, degree, p)
+        if cur == prev:
+            return degree, cur
+        prev = cur
+    return None
+
+
 def staircase_count_bfs(leading, ring, cap=100000):
     """Count monomials outside a monomial ideal by breadth-first walk.
 
@@ -199,12 +212,14 @@ def brute_membership(p, gens, ring, colength):
 def fraction_pivot_profile(gens, nv, bound):
     """Pivots per degree of the image of J in O/m^(bound+1), over Q.
 
-    The same rows, columns and reduction order as
-    standard_basis._pivot_profile, in Fraction arithmetic, with every
-    stored pivot normalised to lead 1 by division: the reference its
-    fraction-free integer rows are checked against. gens are exponent
-    dicts with Fraction coefficients; counts[D] is the number of pivots
-    in degree D.
+    The row-major reference for standard_basis._pivot_profile: every
+    truncated monomial multiple of the generators, generator by generator
+    and none skipped, is reduced by the pivot of every pivot column it
+    meets, in Fraction arithmetic, with every stored pivot normalised to
+    lead 1 by division. The counts per degree depend on the span alone,
+    so the degree-major, fraction-free elimination with the F5 criterion
+    must give the same. gens are exponent dicts with Fraction
+    coefficients; counts[D] is the number of pivots in degree D.
     """
     # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
     # in base bound + 1, so columns order by degree and then exponent, and

@@ -9,6 +9,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+import singchi.milnor as milnor
 import singchi.standard_basis as sb
 from singchi.errors import BadPrimeError, ResourceLimitError
 from singchi.poly import Polynomial, parse_poly, substitute
@@ -29,12 +30,18 @@ from singchi.standard_basis import (
 )
 
 from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
-from singchi.multiple_points import _prefix_ideal, _restricted_ideal, multiple_point_ideal
+from singchi.multiple_points import (
+    _prefix_ideal,
+    _restricted_ideal,
+    invariant_tuple,
+    multiple_point_ideal,
+)
 
 from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
 from oracles import (
     brute_colength,
     brute_membership,
+    first_seal,
     fraction_pivot_profile,
     staircase_count_bfs,
     substitute_elimination,
@@ -44,6 +51,7 @@ from test_catalog import FAST_ROWS, QUAD_ROWS
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
 
 
 def P(text, ring=XY):
@@ -293,7 +301,7 @@ def test_fraction_free_profile_matches_fraction_elimination(multipliers):
         ]
         for bound in range(1, _PROFILE_BOUND[nv] + 1):
             want = fraction_pivot_profile(gens, nv, bound)
-            got = sb._pivot_profile([sb._scaled(g) for g in gens], nv, bound)
+            got = list(sb._pivot_profile([sb._scaled(g) for g in gens], nv, bound))
             assert got == want, (bound, str(I.gens))
 
 
@@ -325,10 +333,145 @@ def test_profile_of_redundant_generators_matches_all_rows():
                 rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
                 want = [truncated_quotient_dim(gens, I.ring, D, p) for D in range(top + 1)]
                 for bound in range(1, top + 1):
-                    counts = sb._pivot_profile(rows, nv, bound, p)
+                    counts = list(sb._pivot_profile(rows, nv, bound, p))
                     assert _truncated_dims(counts, nv) == want[: bound + 1], (p, bound, gens)
                     if p is None:
                         assert counts == fraction_pivot_profile(dicts, nv, bound), (bound, gens)
+
+
+def _caps(top):
+    """The truncation bounds of the seal ladder: 2, 4, 8, ..., then top."""
+    caps, cap = [], 1
+    while cap < top:
+        cap = min(2 * cap, top)
+        caps.append(cap)
+    return caps
+
+
+@pytest.fixture
+def profile_runs(monkeypatch):
+    """[bound, last degree read] per _pivot_profile run, as read by its caller."""
+    runs = []
+    profile = sb._pivot_profile
+
+    def recording(gens, nv, bound, p=None):
+        runs.append([bound, None])
+        for D, count in enumerate(profile(gens, nv, bound, p)):
+            runs[-1][1] = D
+            yield count
+
+    monkeypatch.setattr(sb, "_pivot_profile", recording)
+    return runs
+
+
+def _assert_seals_like_stepping(gens, ring, p, runs):
+    """_sealed_colength on the rows of gens, over Q when p is None and
+    over Z/p otherwise, gives the first seal of the oracle that steps one
+    degree at a time, and reads each cap's elimination up to that degree
+    and no further. Returns the oracle's (D, d_D), or None."""
+    nv = len(ring)
+    dicts = [g.with_ring(ring).terms for g in gens if not g.is_zero]
+    rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
+    caps = _caps(sb._ladder_top(nv))
+    seal = first_seal(gens, ring, caps[-1], p)
+    runs.clear()
+    got = sb._sealed_colength(rows, nv, p)
+    where = (p, [str(g) for g in gens])
+    if seal is None:
+        assert got is None, where
+        assert runs == [[cap, cap] for cap in caps], where
+    else:
+        D, dim = seal
+        assert got == dim, where
+        k = next(j for j, cap in enumerate(caps) if cap >= D)
+        assert runs == [[cap, cap] for cap in caps[:k]] + [[caps[k], D]], where
+    return seal
+
+
+#: Ideals by the degree where they seal: on a cap of the ladder (2, 4, 8)
+#: or one past it (3, 5, 9), on the top (42 in two variables, 13 in
+#: three, 9 in four), one past the top, or never (None).
+_SEAL_DEGREES = (
+    (XY, ("x^2", "x*y", "y^2"), 2),
+    (XY, ("x^2", "y^2"), 3),
+    (XY, ("x^2", "y^3"), 4),
+    (XY, ("x^2 + y^3", "x*y"), 4),
+    (XY, ("x^3", "y^3"), 5),
+    (XY, ("x^4", "y^5"), 8),
+    (XY, ("x^5", "y^5"), 9),
+    (XYZ, ("x^2", "y^2", "z^3"), 5),
+    (XYZ, ("x^3", "y^3", "z^4"), 8),
+    (XYZ, ("x^3", "y^4", "z^4"), 9),
+    (XYZW, ("x^2", "y^2", "z^2", "w^2"), 5),
+)
+_SEAL_DEGREES_AT_THE_TOP = (
+    (XY, ("x^21", "y^22"), 42),
+    (XY, ("x^22", "y^22"), None),
+    (XY, ("x^2*y", "x*y^3"), None),
+    (XYZ, ("x^5", "y^5", "z^5"), 13),
+    (XYZ, ("x^5", "y^5", "z^6"), None),
+    (XYZ, ("x*y", "y*z", "z^3 + x^4"), None),
+    (XYZW, ("x^3", "y^3", "z^3", "w^3"), 9),
+    (XYZW, ("x^3", "y^3", "z^3", "w^4"), None),
+)
+
+
+@pytest.mark.parametrize(
+    "ring, gens, degree, dense",
+    [(*case, True) for case in _SEAL_DEGREES] + [(*case, False) for case in _SEAL_DEGREES_AT_THE_TOP],
+)
+def test_seal_ladder_on_and_past_its_caps(ring, gens, degree, dense, profile_runs):
+    # the seal is found in the first cap that reaches it, and nowhere when
+    # it lies past the top. The sum of the generators is appended as a
+    # redundant one, and a generic linear change, which keeps every d_D,
+    # makes the rows dense where the oracle can afford it. In
+    # (x^2 + y^3, x*y) the lead y^4 comes only from a pending row: y*g_1
+    # less x*g_2 cancels in degree 3.
+    I = ideal(ring, *gens, "+".join(gens))
+    if dense:
+        I = generic_linear_change(I, 1)
+    for p in (None, 5, 2147483647):
+        seal = _assert_seals_like_stepping(I.gens, ring, p, profile_runs)
+        assert (seal and seal[0]) == degree, p
+
+
+@functools.cache
+def _catalog_colength_ideals():
+    """The ideals whose colengths invariant_tuple takes on the fast catalog
+    rows (polar-chain stages and point counts), as left by
+    eliminate_linear_generators, where generators and variables are left."""
+    stages = []
+    measure = milnor.colength
+
+    def recording(I, **kwargs):
+        J = eliminate_linear_generators(I)[0]
+        if J.ring and any(not g.is_zero for g in J.gens):
+            stages.append(J)
+        return measure(I, **kwargs)
+
+    milnor.colength = recording
+    try:
+        for text in FAST_ROWS:
+            invariant_tuple(resolve_row(text).germ)
+    finally:
+        milnor.colength = measure
+    return tuple(stages)
+
+
+def test_seal_ladder_matches_stepping_oracle(monkeypatch, profile_runs):
+    # every corpus, redundant presentations included, over three fields,
+    # on a ladder cut at degree 9: caps 2, 4, 8 and 9, one past a cap
+    top = sb._ladder_top
+    monkeypatch.setattr(sb, "_ladder_top", lambda nv: min(top(nv), 9))
+    ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]
+    cases = [(I.gens, I.ring) for I in ideals]
+    cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
+    seals = set()
+    for gens, ring in cases:
+        for p in (None, 5, 2147483647):
+            seal = _assert_seals_like_stepping(gens, ring, p, profile_runs)
+            seals.add(seal and seal[0])
+    assert {1, 2, 3, 4, 5, 8, 9, None} <= seals
 
 
 def _assert_witness_sound(I):
