@@ -428,19 +428,23 @@ def _cmd_catalog(args) -> dict:
 # ------------------------------------------------------------------ wiring
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=1, help="generic-choice seed (default 1)")
-    sub.add_argument(
-        "--max-steps",
-        type=int,
-        default=DEFAULT_MAX_STEPS,
-        help="reduction step budget for standard bases",
-    )
-    sub.add_argument(
-        "--field",
-        default="rational",
-        help="rational (exact, default) or fp:PRIME (fast, probabilistic)",
-    )
+def _add_options(sub, seed: bool, engine: bool) -> None:
+    """--pretty on every command; --seed where a generic choice is made;
+    --max-steps and --field where colengths are computed."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=1, help="generic-choice seed (default 1)")
+    if engine:
+        sub.add_argument(
+            "--max-steps",
+            type=int,
+            default=DEFAULT_MAX_STEPS,
+            help="reduction budget of each colength and standard basis",
+        )
+        sub.add_argument(
+            "--field",
+            default="rational",
+            help="rational (exact, default) or fp:PRIME (fast, probabilistic)",
+        )
     sub.add_argument("--pretty", action="store_true", help="indent the JSON report")
 
 
@@ -454,10 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("milnor", help="Milnor number of a hypersurface germ")
     p.add_argument("poly", help="polynomial, e.g. 'x^3 + y^2'")
     p.add_argument("--vars", required=True, help="comma-separated variables")
+    _add_options(p, seed=False, engine=True)
     p.set_defaults(handler=_cmd_milnor)
 
     p = sub.add_parser("icis", help="Milnor number of an isolated complete intersection")
     p.add_argument("ideal", help='JSON {"vars": [...], "gens": [...]} inline or file')
+    _add_options(p, seed=True, engine=True)
     p.set_defaults(handler=_cmd_icis)
 
     p = sub.add_parser("mps", help="multiple point space of a corank one germ")
@@ -466,18 +472,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="comma-separated parts identifying nodes")
     p.add_argument("--param", action="append", help="catalog parameter NAME=INT")
     p.add_argument("--moduli", help="three comma-separated moduli (default 2,3,5)")
+    _add_options(p, seed=True, engine=True)
     p.set_defaults(handler=_cmd_mps)
 
     p = sub.add_parser("image-chi", help="full Euler characteristic report for a germ")
     p.add_argument("germ", help="germ JSON, file, or catalog name")
     p.add_argument("--param", action="append", help="catalog parameter NAME=INT")
     p.add_argument("--moduli", help="three comma-separated moduli (default 2,3,5)")
+    _add_options(p, seed=True, engine=True)
     p.set_defaults(handler=_cmd_image_chi)
 
     p = sub.add_parser("table1", help="batch image-chi over catalog rows, checked")
     p.add_argument("--rows", help="comma-separated row names (default: acceptance set)")
     p.add_argument("--param", action="append", help="catalog parameter NAME=INT")
     p.add_argument("--moduli", help="three comma-separated moduli (default 2,3,5)")
+    _add_options(p, seed=True, engine=True)
     p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("zariski", help="Euler characteristics of a composed map")
@@ -485,28 +494,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-f", type=int, required=True, help="inner fibre Milnor number")
     p.add_argument("--n", type=int, required=True, help="source dimension")
     p.add_argument("--mu-I-f", type=int, required=True, help="inner image Milnor number")
+    _add_options(p, seed=False, engine=False)
     p.set_defaults(handler=_cmd_zariski)
 
     p = sub.add_parser("equidim", help="dual-route check for the fold-cusp family")
     p.add_argument("--phi", required=True, help="isolated singularity in n-1 variables")
     p.add_argument("--n", type=int, required=True, help="source dimension")
     p.add_argument("--vars", help="comma-separated variables of phi (default x,y,...)")
+    _add_options(p, seed=False, engine=True)
     p.set_defaults(handler=_cmd_equidim)
 
     p = sub.add_parser("family", help="numerical constancy of a one-parameter family")
     p.add_argument("unfolding", help='JSON with "vars" (parameter last) and "components"')
     p.add_argument("--t", help="comma-separated rational samples (default 0,1/3,-1,7/5)")
+    _add_options(p, seed=True, engine=True)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("strat-euler", help="stratified Euler characteristic difference")
     p.add_argument("strata", help="JSON list of {name, chi_pair, chi_tmf_reduced}")
+    _add_options(p, seed=False, engine=False)
     p.set_defaults(handler=_cmd_strat_euler)
 
     p = sub.add_parser("catalog", help="list catalog entry names")
+    _add_options(p, seed=False, engine=False)
     p.set_defaults(handler=_cmd_catalog)
 
-    for sp in sub.choices.values():
-        _add_common(sp)
     return parser
 
 
@@ -517,7 +529,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.field_obj = _parse_field(args.field)
+        if "field" in args:
+            args.field_obj = _parse_field(args.field)
         report = args.handler(args)
     except (UsageError, UnknownEntryError, BadParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

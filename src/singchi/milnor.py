@@ -135,7 +135,8 @@ def icis_milnor(
             f"{len(gens)} generators in {len(J.ring)} variables cannot present "
             "an isolated complete intersection"
         )
-    attempts = 1 if seed == 0 else RETRY_ATTEMPTS
+    # mixing leaves a lone generator as it is, so a retry would repeat the chain
+    attempts = 1 if seed == 0 or len(gens) == 1 else RETRY_ATTEMPTS
     for attempt in range(attempts):
         attempt_seed = seed if attempt == 0 else seed + 1000003 * attempt
         mixed = _mix_generators(gens, J.ring, attempt_seed)

@@ -6,16 +6,18 @@ results when every reducer would raise the ecart. The orderings are local
 (1 is the largest monomial), so leading terms pick out lowest-order parts
 and quotient dimensions are counted at the origin.
 
-Colengths take one route over every field. An infinite colength is
-certified first by a witness, a coordinate axis on which every generator
-vanishes, read off the exponents. A finite one comes from row reduction
-in a truncated quotient O/m^(D+1) instead, on plain integers:
-fraction-free over Q and reduced mod p over Z/p. One elimination runs
-degree by degree and stops at the first D where Nakayama seals the
-quotient; Mora certifies only what neither settles. Mora runs on the
-same integer rows: the generators are scaled to primitive integers over
-Q, or reduced mod p, once, and both the ladder and the tangent cone
-algorithm take them as they are.
+Colengths take one route over every field and run no standard basis. An
+infinite colength is certified first by a witness, a coordinate axis on
+which every generator vanishes, read off the exponents. Everything else
+is decided by row reduction in truncated quotients O/m^(D+1), on plain
+integers: fraction-free over Q and reduced mod p over Z/p. One
+elimination runs degree by degree and stops at the first D where
+Nakayama seals the quotient (the colength is finite), or where the
+truncated dimension passes the Bezout bound d^n that every finite
+colength of generators of degree <= d in n variables obeys (it is
+infinite). Mora's algorithm serves standard_basis, leading_monomials and
+in_ideal, on the same integer rows: the generators are scaled to
+primitive integers over Q, or reduced mod p, once.
 
 Everything here is exact. The default coefficient field is the rationals.
 A prime field Z/p can be requested instead, with coefficients kept as
@@ -214,9 +216,8 @@ class _Engine:
     operands, which compounds exponentially down a reduction chain, and
     content stripping does not help because the swollen coefficients are
     typically coprime. The height guard in make() turns such runs into a
-    resource error instead of an unbounded grind. colength runs Mora only
-    for infinite answers that no axis witness certifies and for finite
-    ones that do not seal below the ladder's top degree.
+    resource error instead of an unbounded grind. colength never runs it:
+    the seal ladder decides every colength (_sealed_colength).
     """
 
     def __init__(self, ordering: LocalOrdering, p, max_steps: int):
@@ -393,9 +394,7 @@ def _axis_witness(exps, nvars):
     (1 included), or None.
 
     For the terms of J's generators this certifies an infinite colength:
-    every generator vanishes on the x_i-axis, so O/J maps onto C{x_i}. For
-    the leading monomials of a standard basis it is exact: the staircase
-    is infinite just when it contains a whole axis.
+    every generator vanishes on the x_i-axis, so O/J maps onto C{x_i}.
     """
     on_axis = set()
     for e in exps:
@@ -407,36 +406,7 @@ def _axis_witness(exps, nvars):
     return next((i for i in range(nvars) if i not in on_axis), None)
 
 
-def _staircase(lms, nvars):
-    """The number of monomials outside the monomial ideal (lms): 0 for
-    the unit ideal, INFINITE when those monomials include a whole axis."""
-    if any(not any(lm) for lm in lms):
-        return 0
-    if _axis_witness(lms, nvars) is not None:
-        return INFINITE
-    exp = [0] * nvars
-    count = 0
-
-    def walk(i):
-        nonlocal count
-        if i == nvars:
-            count += 1
-            return
-        e = 0
-        while True:
-            exp[i] = e
-            t = tuple(exp)
-            if any(_divides(lm, t) for lm in lms):
-                break
-            walk(i + 1)
-            e += 1
-        exp[i] = 0
-
-    walk(0)
-    return count
-
-
-def _pivot_profile(gens, nv, bound, p=None):
+def _pivot_profile(gens, nv, bound, p=None, budget=None):
     """Pivots per degree of the image of J in O/m^(bound+1): yields
     counts[D], the number of pivots in degree D, for D = 0, ..., bound.
 
@@ -478,7 +448,14 @@ def _pivot_profile(gens, nv, bound, p=None):
     finite-dimensional space keeps heights polynomial (entries are
     multiples of minors of the input), unlike iterated Mora normal forms,
     whose heights can compound.
+
+    budget, when given, is a one-item list holding the reductions (a row
+    combined with a pivot) still allowed, shared by every run handed the
+    same list; ResourceLimitError is raised when a reduction would take it
+    below zero.
     """
+    if budget is None:
+        budget = [math.inf]
     # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
     # in base bound + 1, so columns order by degree and then exponent, and
     # the column of a product of monomials is the sum of their columns.
@@ -519,6 +496,9 @@ def _pivot_profile(gens, nv, bound, p=None):
                     f = row.pop(lead, 0)
                     if not f:
                         continue
+                    budget[0] -= 1
+                    if budget[0] < 0:
+                        raise ResourceLimitError("row reduction budget exhausted")
                     a, pivot, _ = pivots[lead]
                     g = math.gcd(a, f)
                     if a != g:
@@ -560,40 +540,46 @@ def _pivot_profile(gens, nv, bound, p=None):
         yield len(pivots) - made
 
 
-#: Budget of monomials that sets the ladder's top degree (_ladder_top).
-_PROBE_CELLS = 1500
+def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
+    """The colength of the ideal J generated by gens (as _pivot_profile
+    takes them): an int, or INFINITE.
 
+    The counts are read at caps 2, 4, 8, ... and the first of two stops
+    decides, with d_D = dim O/(J + m^(D+1)):
+      * seal: the first degree D >= 1 that fills; d_D is then the
+        colength, by Nakayama. The counts up to D are intrinsic to
+        O/m^(D+1), so every cap finds the same first seal, where the
+        elimination stops;
+      * Bezout: the first D with d_D > d^nv, d the largest total degree
+        of a generator; the colength is then infinite.
+    The Bezout stop rests on this. Let J have a finite colength u. Over
+    an infinite field, nv generic combinations of the generators generate
+    a reduction K of J (Northcott-Rees, "Reductions of ideals in local
+    rings", 1954), so K lies in J and is m-primary, and the origin is an
+    isolated point of V(K). By the refined Bezout theorem (Fulton,
+    Intersection Theory, 12.3), u <= colength(K) <= d^nv. The colength
+    does not change when the field is extended, so this holds over Z/p
+    too, and d_D <= u <= d^nv for every D. Before the seal every degree
+    leaves a monomial out, so d_D >= D + 1, and one of the two stops comes
+    by degree d^nv.
 
-def _ladder_top(nv):
-    """Last degree of 2, 3, 4, 6, 9, 13, ... (each half again, rounded
-    down) within _PROBE_CELLS monomials: 42 in two variables, 13 in three.
+    Rows carry tails up to the cap, so the caps double rather than start
+    at the last degree that can be needed. Every cap takes its reductions
+    from one budget of max_steps, and ResourceLimitError ends the ladder
+    when it runs out.
     """
-    top, D = 1, 2
-    while math.comb(D + nv, nv) <= _PROBE_CELLS:
-        top, D = D, D + D // 2
-    return top
-
-
-def _sealed_colength(gens, nv, p=None):
-    """The colength of the ideal generated by gens (as _pivot_profile
-    takes them), or None when no degree up to _ladder_top(nv) seals.
-
-    Its counts are read at caps 2, 4, 8, ..., up to the top, until the
-    first degree D that fills: d_D is then the colength, by Nakayama. The
-    counts up to D are intrinsic to O/m^(D+1), so every cap finds the same
-    first seal, where the elimination stops. Rows carry tails up to the
-    cap, so the caps double rather than start at the top.
-    """
-    top, cap = _ladder_top(nv), 1
-    while cap < top:
-        cap = min(2 * cap, top)
+    bezout = max(sum(e) for d in gens for e in d) ** nv
+    budget, cap = [max_steps], 1
+    while True:
+        cap *= 2
         dim = 0
-        for D, filled in enumerate(_pivot_profile(gens, nv, cap, p)):
+        for D, filled in enumerate(_pivot_profile(gens, nv, cap, p, budget)):
             full = math.comb(D + nv - 1, nv - 1)
             dim += full - filled
             if D and filled == full:
                 return dim
-    return None
+            if dim > bezout:
+                return INFINITE
 
 
 def colength(
@@ -612,17 +598,23 @@ def colength(
         pure power, so J vanishes on the x_i-axis and the colength is
         infinite; it reads exponents only;
       * seal: one degree-by-degree elimination in O/m^(D+1) fills degree
-        D, for a D up to the ladder's top, so m^D lies in J by Nakayama;
-        the counts of degree <= D are intrinsic, so the first D found is
-        the same at every truncation, and the elimination stops there;
-      * staircase: a completed Mora standard basis under negdegrevlex,
-        which certifies what neither finds: finite colengths past the
-        ladder's top and the infinite ones no witness sees.
+        D, so m^D lies in J by Nakayama and the colength is d_D =
+        dim O/(J + m^(D+1)); the counts of degree <= D are intrinsic, so
+        the first D found is the same at every truncation, and the
+        elimination stops there;
+      * Bezout: the same elimination reaches a degree D with d_D > d^n,
+        d the largest total degree of a generator and n the number of
+        variables, and the colength is infinite, since a finite one is
+        at most d^n (reductions of ideals and the refined Bezout theorem;
+        the argument is at _sealed_colength). Before a seal d_D >= D + 1,
+        so one of the two comes by degree d^n.
     Both fields take this one route, on integer rows prepared once: over
     Q the generators scaled to primitive integer dicts, over a prime field
     Z/p their residues mod p, where a prime that divides a coefficient's
-    denominator raises BadPrimeError first; the ladder and Mora both take
-    them. The colength does not depend on the local ordering.
+    denominator raises BadPrimeError first. Every row reduction of the
+    elimination counts against max_steps, and ResourceLimitError is
+    raised when they exceed it. The colength does not depend on the local
+    ordering.
     """
     if is_unit_ideal(I):
         return 0
@@ -635,11 +627,7 @@ def colength(
     gens = _int_rows(gens, p)
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
-    u = _sealed_colength(gens, nvars, p)
-    if u is not None:
-        return u
-    basis = _Engine(LocalOrdering(NEGDEGREVLEX, J.ring), p, max_steps).basis(gens)
-    return _staircase([g.lm for g in basis], nvars)
+    return _sealed_colength(gens, nvars, p, max_steps)
 
 
 def is_unit_ideal(I: IdealPresentation) -> bool:

@@ -21,8 +21,10 @@ lower bound. No standard basis, no monomial ordering.
 
 The module also keeps references the package's faster code is checked
 against: the pivot profile by elimination over Fraction rows, the
-transversal elimination by rational substitution, the recursive divided
-difference, and the cofactor expansion of a determinant.
+degree where the seal ladder stops, the staircase count of a standard
+basis's leading monomials, the transversal elimination by rational
+substitution, the recursive divided difference, and the cofactor
+expansion of a determinant.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from operator import add
 
 from singchi.errors import EmptyArgsError, UnknownVariableError
 from singchi.poly import Polynomial, substitute
-from singchi.standard_basis import IdealPresentation
+from singchi.standard_basis import INFINITE, IdealPresentation
 
 
 def monomials_up_to(ring, degree):
@@ -124,17 +126,52 @@ def brute_colength(gens, ring, cap=40):
     return ("at least", prev)
 
 
-def first_seal(gens, ring, top, p=None):
-    """(D, d_D) for the first D in 1..top with d_D == d_(D-1), stepping
-    one degree at a time with a fresh elimination per degree (over Z/p
-    when p is given), or None when no degree up to top seals."""
-    prev = truncated_quotient_dim(gens, ring, 0, p)
-    for degree in range(1, top + 1):
-        cur = truncated_quotient_dim(gens, ring, degree, p)
-        if cur == prev:
-            return degree, cur
-        prev = cur
-    return None
+def ladder_stop(gens, ring, bezout, p=None, top=None):
+    """Where the seal ladder stops, stepping one degree at a time with a
+    fresh elimination per degree (over Z/p when p is given): the first
+    D >= 1 with d_D == d_(D-1) (a seal, value d_D), or the first D with
+    d_D > bezout (value INFINITE), whichever comes first.
+
+    Returns ([d_0, ..., d_D], value), or ([d_0, ..., d_top], None) when
+    no stop comes by degree top."""
+    dims = [truncated_quotient_dim(gens, ring, 0, p)]
+    while top is None or len(dims) <= top:
+        dims.append(truncated_quotient_dim(gens, ring, len(dims), p))
+        if dims[-1] == dims[-2]:
+            return dims, dims[-1]
+        if dims[-1] > bezout:
+            return dims, INFINITE
+    return dims, None
+
+
+def staircase(lms, nvars):
+    """The number of monomials outside the monomial ideal (lms): 0 for
+    the unit ideal, INFINITE when those monomials include a whole axis,
+    that is when some variable has no pure power among lms."""
+    if any(not any(lm) for lm in lms):
+        return 0
+    powers = {i for lm in lms for i in range(nvars) if lm[i] == sum(lm)}
+    if len(powers) < nvars:
+        return INFINITE
+    exp = [0] * nvars
+    count = 0
+
+    def walk(i):
+        nonlocal count
+        if i == nvars:
+            count += 1
+            return
+        e = 0
+        while True:
+            exp[i] = e
+            if any(all(a <= b for a, b in zip(lm, exp)) for lm in lms):
+                break
+            walk(i + 1)
+            e += 1
+        exp[i] = 0
+
+    walk(0)
+    return count
 
 
 def staircase_count_bfs(leading, ring, cap=100000):

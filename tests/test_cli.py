@@ -249,6 +249,34 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("milnor", "x^2", "--vars", "x", "--seed", "2"),
+        ("equidim", "--phi", "x^2", "--n", "2", "--seed", "2"),
+        ("zariski", "--mu-g", "1", "--mu-f", "1", "--n", "2", "--mu-I-f", "0", "--seed", "2"),
+        ("strat-euler", "[]", "--seed", "2"),
+        ("catalog", "--seed", "2"),
+        ("zariski", "--mu-g", "1", "--mu-f", "1", "--n", "2", "--mu-I-f", "0", "--max-steps", "9"),
+        ("strat-euler", "[]", "--max-steps", "9"),
+        ("catalog", "--max-steps", "9"),
+        ("zariski", "--mu-g", "1", "--mu-f", "1", "--n", "2", "--mu-I-f", "0", "--field", "fp:7"),
+        ("strat-euler", "[]", "--field", "fp:7"),
+        ("catalog", "--field", "fp:7"),
+    ],
+    ids=" ".join,
+)
+def test_options_a_command_ignores_are_usage(capsys, argv):
+    # each command takes only the options it reads: --seed where a
+    # generic choice is made, --max-steps and --field where colengths are
+    # computed; fp:7 prints no prime-field warning where it is refused
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err and "warning" not in err
+    assert invoke(capsys, *argv[:-2])[0] == 0
+
+
 def test_malformed_field_is_usage(capsys):
     assert invoke(capsys, "milnor", "x^2", "--vars", "x", "--field", "real")[0] == 2
     assert invoke(capsys, "milnor", "x^2", "--vars", "x", "--field", "fp:abc")[0] == 2

@@ -83,11 +83,24 @@ def test_nonisolated_along_an_axis_needs_no_standard_basis(text):
 @pytest.mark.parametrize("text", ["y^3 + z^3", "y^2*z + z^3", "(x*y - z^2)^2", "x*y*z"])
 def test_nonisolated_off_the_axes_is_never_finite(text, seed):
     # after a linear change the singular locus is no coordinate axis, so
-    # the axis witness is silent and the answer rests on Mora
+    # the axis witness is silent and the answer rests on the ladder's
+    # Bezout stop
     g = generic_linear_change(ideal(XYZ, text), seed).gens[0]
     jacobian_terms = [e for v in XYZ for e in g.partial(v).terms]
     assert sb._axis_witness(jacobian_terms, len(XYZ)) is None
     with pytest.raises((NonIsolatedError, ResourceLimitError)):
+        hypersurface_milnor(g, max_steps=20000)
+
+
+def test_nonisolated_along_a_parabola():
+    # singular along a parabola: no axis witness, and the Jacobian ideal's
+    # d_D grows by one per degree, so the Bezout stop comes only at
+    # d_27 = 28 > 3^3, after 36,828 row reductions; a budget below that
+    # ends the ladder instead
+    g = generic_linear_change(ideal(XYZ, "(y - x^2)^2 + z^2"), 1).gens[0]
+    with pytest.raises(NonIsolatedError):
+        hypersurface_milnor(g)
+    with pytest.raises(ResourceLimitError):
         hypersurface_milnor(g, max_steps=20000)
 
 
@@ -184,6 +197,25 @@ def test_rejects_overdetermined_presentation():
 def test_rejects_nonisolated_curve():
     with pytest.raises(NotICISError):
         icis_milnor(ideal(XY, "x*y", "x^2"))
+
+
+def test_lone_generator_runs_one_chain(monkeypatch):
+    # mixing cannot change a single generator, so a failed chain is not
+    # retried under fresh seeds; the error and its message stay the same
+    calls = []
+    chain = milnor._chain
+
+    def counting(*args):
+        calls.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(milnor, "_chain", counting)
+    with pytest.raises(NotICISError, match="no generic recombination produced a valid polar chain"):
+        icis_milnor(ideal(XYZ, "x*y^2 + z^2"))
+    assert len(calls) == 1
+    calls.clear()
+    assert icis_milnor(ideal(XY, "x^3 + y^2")).mu == 2
+    assert len(calls) == 1
 
 
 def test_redundant_generators_are_dropped():

@@ -41,8 +41,9 @@ from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
 from oracles import (
     brute_colength,
     brute_membership,
-    first_seal,
+    ladder_stop,
     fraction_pivot_profile,
+    staircase,
     staircase_count_bfs,
     substitute_elimination,
     truncated_quotient_dim,
@@ -339,58 +340,64 @@ def test_profile_of_redundant_generators_matches_all_rows():
                         assert counts == fraction_pivot_profile(dicts, nv, bound), (bound, gens)
 
 
-def _caps(top):
-    """The truncation bounds of the seal ladder: 2, 4, 8, ..., then top."""
-    caps, cap = [], 1
-    while cap < top:
-        cap = min(2 * cap, top)
-        caps.append(cap)
+def _caps(stop):
+    """The truncation bounds of the seal ladder: 2, 4, 8, ..., up to the
+    first that reaches degree stop."""
+    caps = [2]
+    while caps[-1] < stop:
+        caps.append(2 * caps[-1])
     return caps
 
 
 @pytest.fixture
 def profile_runs(monkeypatch):
-    """[bound, last degree read] per _pivot_profile run, as read by its caller."""
+    """[bound, counts read] per _pivot_profile run, as read by its caller."""
     runs = []
     profile = sb._pivot_profile
 
-    def recording(gens, nv, bound, p=None):
-        runs.append([bound, None])
-        for D, count in enumerate(profile(gens, nv, bound, p)):
-            runs[-1][1] = D
+    def recording(gens, nv, bound, p=None, budget=None):
+        runs.append([bound, []])
+        for count in profile(gens, nv, bound, p, budget):
+            runs[-1][1].append(count)
             yield count
 
     monkeypatch.setattr(sb, "_pivot_profile", recording)
     return runs
 
 
-def _assert_seals_like_stepping(gens, ring, p, runs):
+def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     """_sealed_colength on the rows of gens, over Q when p is None and
-    over Z/p otherwise, gives the first seal of the oracle that steps one
-    degree at a time, and reads each cap's elimination up to that degree
-    and no further. Returns the oracle's (D, d_D), or None."""
+    over Z/p otherwise, stops where the oracle that steps one degree at a
+    time stops, with its value, and reads each cap's elimination up to
+    that degree and no further. The oracle steps at most to degree top:
+    where it has not stopped by then, the ladder's d_D up to top must be
+    the oracle's and its stop must come later. Returns the stop degree
+    and the oracle's value (None past top), or None when every generator
+    vanishes over the field: colength's witness settles that ideal."""
     nv = len(ring)
     dicts = [g.with_ring(ring).terms for g in gens if not g.is_zero]
     rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
-    caps = _caps(sb._ladder_top(nv))
-    seal = first_seal(gens, ring, caps[-1], p)
+    if not rows:
+        return None
+    bezout = max(sum(e) for d in rows for e in d) ** nv
+    dims, value = ladder_stop(gens, ring, bezout, p, top)
     runs.clear()
     got = sb._sealed_colength(rows, nv, p)
     where = (p, [str(g) for g in gens])
-    if seal is None:
-        assert got is None, where
-        assert runs == [[cap, cap] for cap in caps], where
+    read = _truncated_dims(runs[-1][1], nv)
+    stop = len(read) - 1
+    caps = _caps(stop)
+    assert [bound for bound, _ in runs] == caps, where
+    assert [len(counts) - 1 for _, counts in runs[:-1]] == caps[:-1], where
+    if value is None:
+        assert stop > top and read[: top + 1] == dims, where
     else:
-        D, dim = seal
-        assert got == dim, where
-        k = next(j for j, cap in enumerate(caps) if cap >= D)
-        assert runs == [[cap, cap] for cap in caps[:k]] + [[caps[k], D]], where
-    return seal
+        assert read == dims and got == value, where
+    return stop, value
 
 
 #: Ideals by the degree where they seal: on a cap of the ladder (2, 4, 8)
-#: or one past it (3, 5, 9), on the top (42 in two variables, 13 in
-#: three, 9 in four), one past the top, or never (None).
+#: or one past it (3, 5, 9).
 _SEAL_DEGREES = (
     (XY, ("x^2", "x*y", "y^2"), 2),
     (XY, ("x^2", "y^2"), 3),
@@ -404,40 +411,57 @@ _SEAL_DEGREES = (
     (XYZ, ("x^3", "y^4", "z^4"), 9),
     (XYZW, ("x^2", "y^2", "z^2", "w^2"), 5),
 )
-_SEAL_DEGREES_AT_THE_TOP = (
+#: Ideals that stop past degree 9, or by Bezout, where the row-major
+#: oracle can afford them only on sparse rows. Some seal with a colength
+#: of exactly d^n, which the Bezout stop must let through: (x^22, y^22)
+#: 484, (x^5, y^5, z^5) 125, (x^3, y^3, z^3, w^3) 81. Two are infinite
+#: and stop by Bezout: (x^2*y, x*y^3) at 7 (d^n = 16) and
+#: (x*y, y*z, z^3 + x^4) at 17, one past the cap 16 (d^n = 64).
+_SPARSE_STOPS = (
     (XY, ("x^21", "y^22"), 42),
-    (XY, ("x^22", "y^22"), None),
-    (XY, ("x^2*y", "x*y^3"), None),
+    (XY, ("x^22", "y^22"), 43),
+    (XY, ("x^2*y", "x*y^3"), 7),
     (XYZ, ("x^5", "y^5", "z^5"), 13),
-    (XYZ, ("x^5", "y^5", "z^6"), None),
-    (XYZ, ("x*y", "y*z", "z^3 + x^4"), None),
+    (XYZ, ("x^5", "y^5", "z^6"), 14),
+    (XYZ, ("x*y", "y*z", "z^3 + x^4"), 17),
     (XYZW, ("x^3", "y^3", "z^3", "w^3"), 9),
-    (XYZW, ("x^3", "y^3", "z^3", "w^4"), None),
+    (XYZW, ("x^3", "y^3", "z^3", "w^4"), 10),
+)
+#: Bezout stops on a cap (2, 4) and one past it (3), and seals on the
+#: cap 16 and one past it, there with a colength of exactly d^n = 81.
+_MORE_STOPS = (
+    (XY, ("x*y",), 2, True),
+    (XYZ, ("x*y", "y*z", "x*z"), 3, True),
+    (XY, ("x^2*y", "x*y^2"), 4, True),
+    (XY, ("x^8", "y^9"), 16, False),
+    (XY, ("x^9", "y^9"), 17, False),
 )
 
 
 @pytest.mark.parametrize(
     "ring, gens, degree, dense",
-    [(*case, True) for case in _SEAL_DEGREES] + [(*case, False) for case in _SEAL_DEGREES_AT_THE_TOP],
+    [(*case, True) for case in _SEAL_DEGREES]
+    + [(*case, False) for case in _SPARSE_STOPS]
+    + list(_MORE_STOPS),
 )
 def test_seal_ladder_on_and_past_its_caps(ring, gens, degree, dense, profile_runs):
-    # the seal is found in the first cap that reaches it, and nowhere when
-    # it lies past the top. The sum of the generators is appended as a
-    # redundant one, and a generic linear change, which keeps every d_D,
-    # makes the rows dense where the oracle can afford it. In
-    # (x^2 + y^3, x*y) the lead y^4 comes only from a pending row: y*g_1
-    # less x*g_2 cancels in degree 3.
+    # the ladder stops in the first cap that reaches its stop, the seal or
+    # the Bezout degree, at the stepping oracle's value. The sum of the
+    # generators is appended as a redundant one, and a generic linear
+    # change, which keeps every d_D, makes the rows dense where the oracle
+    # can afford it. In (x^2 + y^3, x*y) the lead y^4 comes only from a
+    # pending row: y*g_1 less x*g_2 cancels in degree 3.
     I = ideal(ring, *gens, "+".join(gens))
     if dense:
         I = generic_linear_change(I, 1)
     for p in (None, 5, 2147483647):
-        seal = _assert_seals_like_stepping(I.gens, ring, p, profile_runs)
-        assert (seal and seal[0]) == degree, p
+        stop, _ = _assert_stops_like_stepping(I.gens, ring, p, profile_runs)
+        assert stop == degree, p
 
 
 @functools.cache
-def _catalog_colength_ideals():
-    """The ideals whose colengths invariant_tuple takes on the fast catalog
+def _catalog_colength_ideals(rows=FAST_ROWS):
+    """The ideals whose colengths invariant_tuple takes on the catalog
     rows (polar-chain stages and point counts), as left by
     eliminate_linear_generators, where generators and variables are left."""
     stages = []
@@ -451,27 +475,34 @@ def _catalog_colength_ideals():
 
     milnor.colength = recording
     try:
-        for text in FAST_ROWS:
+        for text in rows:
             invariant_tuple(resolve_row(text).germ)
     finally:
         milnor.colength = measure
     return tuple(stages)
 
 
-def test_seal_ladder_matches_stepping_oracle(monkeypatch, profile_runs):
+def test_seal_ladder_matches_stepping_oracle(profile_runs):
     # every corpus, redundant presentations included, over three fields,
-    # on a ladder cut at degree 9: caps 2, 4, 8 and 9, one past a cap
-    top = sb._ladder_top
-    monkeypatch.setattr(sb, "_ladder_top", lambda nv: min(top(nv), 9))
+    # with the oracle stepping to degree 9 at most: caps 2, 4, 8 and 16,
+    # and stops one past a cap; the ladder runs on past 9 alone
     ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]
     cases = [(I.gens, I.ring) for I in ideals]
     cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
-    seals = set()
+    seals, bezout, past = set(), set(), 0
     for gens, ring in cases:
         for p in (None, 5, 2147483647):
-            seal = _assert_seals_like_stepping(gens, ring, p, profile_runs)
-            seals.add(seal and seal[0])
-    assert {1, 2, 3, 4, 5, 8, 9, None} <= seals
+            result = _assert_stops_like_stepping(gens, ring, p, profile_runs, top=9)
+            if result is None:
+                continue
+            stop, value = result
+            if value is None:
+                past += 1
+            else:
+                (bezout if value is INFINITE else seals).add(stop)
+    assert {1, 2, 3, 4, 5, 8, 9} <= seals
+    assert {1, 2, 3, 4, 5, 8, 9} <= bezout
+    assert past
 
 
 def _assert_witness_sound(I):
@@ -491,7 +522,7 @@ def _assert_witness_sound(I):
         # the truncated dimensions, which must never settle, stand in
         assert isinstance(brute_colength(I.gens, I.ring, cap=6), tuple), str(I.gens)
     else:
-        assert sb._staircase(lms, len(I.ring)) is INFINITE, str(I.gens)
+        assert staircase(lms, len(I.ring)) is INFINITE, str(I.gens)
     assert colength(I) is INFINITE
     return True
 
@@ -532,22 +563,20 @@ def test_bad_prime_changes_only_the_prime_field_answer():
         colength(K, field=prime_field(3))
 
 
-def test_colength_past_the_ladder(monkeypatch):
-    # (x^45, y^2) seals at degree 46, above the ladder's top degree in two
-    # variables, so one Mora run over the field finds the staircase
-    assert sb._ladder_top(2) == 42
-    moduli = []
-    engine = sb._Engine
+def _no_mora(*args):
+    raise AssertionError("colength ran a Mora standard basis")
 
-    def recording(ordering, p, max_steps):
-        moduli.append(p)
-        return engine(ordering, p, max_steps)
 
-    monkeypatch.setattr(sb, "_Engine", recording)
+def test_colength_past_the_ladder(monkeypatch, profile_runs):
+    # (x^45, y^2) seals at degree 46, past the caps 2, ..., 32: the cap 64
+    # finds it, read to degree 46, and no Mora basis is run
+    monkeypatch.setattr(sb, "_Engine", _no_mora)
     I = ideal(XY, "x^45", "y^2")
-    assert colength(I) == 90
-    assert moduli == [None]
-    assert colength(I, field=prime_field(32003)) == 90
+    for field in (sb.RATIONAL, prime_field(32003)):
+        profile_runs.clear()
+        assert colength(I, field=field) == 90
+        assert [bound for bound, _ in profile_runs] == [2, 4, 8, 16, 32, 64]
+        assert len(profile_runs[-1][1]) == 47
 
 
 def _witness_corpus():
@@ -578,6 +607,84 @@ def test_rational_colength_consults_no_prime(monkeypatch):
     assert [colength(I) for I in cases] == want
 
 
+def _bezout_bound(I):
+    """d^n for I as colength hands it to the ladder: after
+    eliminate_linear_generators, d the largest total degree of a
+    generator and n the number of variables left."""
+    J = eliminate_linear_generators(I)[0]
+    return max((g.degree() for g in J.gens), default=0) ** len(J.ring)
+
+
+def test_finite_colengths_are_within_bezout():
+    # u <= d^n, the bound the ladder's Bezout stop rests on, for every
+    # finite colength of the corpora and of the acceptance rows' stage
+    # ideals; u is checked against a Mora staircase wherever Mora finishes
+    ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals(ACCEPTANCE_ROWS)]
+    finite = staircases = 0
+    for I in ideals:
+        u = colength(I)
+        if u is INFINITE:
+            continue
+        finite += 1
+        assert u <= _bezout_bound(I), str(I.gens)
+        try:
+            lms = leading_monomials(I, max_steps=2000)
+        except ResourceLimitError:
+            continue
+        staircases += 1
+        assert staircase(lms, len(I.ring)) == u, str(I.gens)
+    assert finite >= 100 and staircases >= 100
+
+
+def _nonisolated_jacobians():
+    """Jacobian ideals of germs singular along a line that is no coordinate
+    axis: the honesty-guard germs, and seeded random germs in (y, z)^2,
+    singular along the x-axis, each after a generic linear change."""
+    texts = ["y^3 + z^3", "y^2*z + z^3", "(x*y - z^2)^2", "x*y*z"]
+    germs = [generic_linear_change(ideal(XYZ, t), seed).gens[0] for t in texts for seed in (1, 2)]
+    rng = random.Random(61)
+    y, z = (Polynomial.variable(v, XYZ) for v in ("y", "z"))
+    for seed in range(1, 13):
+        parts = [random_poly(rng, XYZ, 1, 3) for _ in range(3)]
+        f = y * y * parts[0] + y * z * parts[1] + z * z * parts[2]
+        germs.append(generic_linear_change(IdealPresentation(XYZ, (f,)), seed).gens[0])
+    return [IdealPresentation(XYZ, tuple(g.partial(v) for v in XYZ)) for g in germs]
+
+
+def test_bezout_infinite_agrees_with_mora():
+    # no axis witness is left after elimination, so INFINITE comes from
+    # the ladder's Bezout stop; Mora's staircase agrees wherever it finishes
+    finished = 0
+    for I in _nonisolated_jacobians():
+        J = eliminate_linear_generators(I)[0]
+        exps = [e for g in J.gens for e in g.terms]
+        assert sb._axis_witness(exps, len(J.ring)) is None, str(I.gens)
+        assert colength(I) is INFINITE, str(I.gens)
+        assert colength(I, field=prime_field(32003)) is INFINITE, str(I.gens)
+        try:
+            lms = leading_monomials(I, max_steps=20000)
+        except ResourceLimitError:
+            continue
+        finished += 1
+        assert staircase(lms, len(I.ring)) is INFINITE, str(I.gens)
+    assert finished >= 16
+
+
+def test_former_mora_inputs_need_no_mora(monkeypatch):
+    # the inputs on which colength used to fall back to Mora: infinite
+    # Jacobians without an axis witness, (x^45, y^2) past the old top of
+    # the ladder, and the step-budget ideal
+    monkeypatch.setattr(sb, "_Engine", _no_mora)
+    for I in _nonisolated_jacobians()[:8]:
+        assert colength(I, max_steps=20000) is INFINITE
+    assert colength(ideal(XY, "x^45", "y^2")) == 90
+    assert colength(ideal(XY, "x^45", "y^2"), field=prime_field(32003)) == 90
+    J = generic_linear_change(ideal(XYZ, "x^2*y + y^4 + z^5", "x*y^3 - z^4"), 1)
+    assert colength(J) is INFINITE
+    with pytest.raises(ResourceLimitError):
+        colength(J, max_steps=5)
+
+
 # -- invariance properties ---------------------------------------------------
 
 
@@ -596,7 +703,7 @@ def test_colength_invariant_under_ordering_choice():
     for _ in range(60):
         I, _ = random_zero_dim_ideal(rng)
         lms = leading_monomials(I, LocalOrdering(NEGDEGLEX, I.ring))
-        assert sb._staircase(lms, len(I.ring)) == colength(I)
+        assert staircase(lms, len(I.ring)) == colength(I)
 
 
 def test_colength_invariant_under_linear_change():
@@ -757,16 +864,19 @@ def test_step_budget_raises():
     I = ideal(("x", "y", "z"), "x^4 + y^4 + z^4", "x*y*z + z^5", "x^3*y - z^4")
     with pytest.raises(ResourceLimitError):
         standard_basis(I, max_steps=5)
-    # colength settles most finite quotients by elimination and most
-    # infinite ones by an axis witness without any reduction steps: J
-    # vanishes on the x-axis. After a linear change no axis is left, and
-    # the budget is reached through a genuine standard basis.
+    # an axis witness settles an infinite colength without any row
+    # reduction: J vanishes on the x-axis. After a linear change no axis
+    # is left, and the budget is spent by the ladder's row reductions
+    # (510 of them before its Bezout stop), over Q and over Z/p alike.
     J = ideal(("x", "y", "z"), "x^2*y + y^4 + z^5", "x*y^3 - z^4")
     assert colength(J) is INFINITE
     assert colength(J, max_steps=5) is INFINITE
     assert colength(J, field=prime_field(32003), max_steps=5) is INFINITE
-    with pytest.raises(ResourceLimitError):
-        colength(generic_linear_change(J, 1), max_steps=5)
+    K = generic_linear_change(J, 1)
+    for field in (sb.RATIONAL, prime_field(32003)):
+        assert colength(K, field=field) is INFINITE
+        with pytest.raises(ResourceLimitError):
+            colength(K, field=field, max_steps=5)
 
 
 def test_prime_field_agrees_on_good_prime():
