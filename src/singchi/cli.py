@@ -438,7 +438,7 @@ def _add_options(sub, seed: bool, engine: bool) -> None:
             "--max-steps",
             type=int,
             default=DEFAULT_MAX_STEPS,
-            help="reduction budget of each colength and standard basis",
+            help="budget of the row reductions of each colength",
         )
         sub.add_argument(
             "--field",

@@ -34,7 +34,7 @@ class BadPrimeError(SingchiError):
 
 
 class ResourceLimitError(SingchiError):
-    """The reduction-step budget of the standard basis engine was exhausted."""
+    """The row reductions of a colength exhausted their budget (max_steps)."""
 
 
 class NonIsolatedError(SingchiError):

@@ -14,7 +14,7 @@ Three independent routes to chi of the image Milnor fibre are kept side
 by side on purpose: a direct closed form, the disentanglement value plus
 a correction, and a stratified sum over transverse Milnor fibres. Their
 agreement is a strong end-to-end check of both the formulas and the
-upstream standard basis engine.
+upstream colength engine.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A polynomial is an ordered tuple of variable names (its ring) and a
 dictionary mapping exponent tuples, aligned with the ring, to nonzero
 Fraction coefficients: x^2*y over the ring (x, y, z) is the key (2, 1, 0).
-This is also the representation the standard basis engine works on, so
-nothing is converted between the two. All arithmetic is exact; nothing
+The colength engine reads the same exponent tuples, so no monomial is
+converted between the two. All arithmetic is exact; nothing
 here ever rounds.
 
 Input is checked where it enters: the public Polynomial constructor,

@@ -1,28 +1,24 @@
-"""Standard bases in local polynomial rings.
+"""Colengths of ideals in local polynomial rings.
 
-This implements the tangent cone algorithm: Buchberger's loop driven by a
-Mora weak normal form, which is allowed to reduce with earlier partial
-results when every reducer would raise the ecart. The orderings are local
-(1 is the largest monomial), so leading terms pick out lowest-order parts
-and quotient dimensions are counted at the origin.
+Colengths take one route over every field. An infinite colength is
+certified first by a witness, a coordinate axis on which every generator
+vanishes, read off the exponents. Everything else is decided by row
+reduction in truncated quotients O/m^(D+1), on plain integers:
+fraction-free over Q and reduced mod p over Z/p. One elimination runs
+degree by degree and stops at the first D where Nakayama seals the
+quotient (the colength is finite), or where the truncated dimension
+passes the Bezout bound d^n that every finite colength of generators of
+degree <= d in n variables obeys (it is infinite). Before any of this,
+variables that a generator cuts transversally are split off
+(eliminate_linear_generators). No standard basis is computed: Mora's
+tangent cone algorithm is kept only as an independent oracle in the
+test suite.
 
-Colengths take one route over every field and run no standard basis. An
-infinite colength is certified first by a witness, a coordinate axis on
-which every generator vanishes, read off the exponents. Everything else
-is decided by row reduction in truncated quotients O/m^(D+1), on plain
-integers: fraction-free over Q and reduced mod p over Z/p. One
-elimination runs degree by degree and stops at the first D where
-Nakayama seals the quotient (the colength is finite), or where the
-truncated dimension passes the Bezout bound d^n that every finite
-colength of generators of degree <= d in n variables obeys (it is
-infinite). Mora's algorithm serves standard_basis, leading_monomials and
-in_ideal, on the same integer rows: the generators are scaled to
-primitive integers over Q, or reduced mod p, once.
-
-Everything here is exact. The default coefficient field is the rationals.
-A prime field Z/p can be requested instead, with coefficients kept as
-plain ints reduced mod p; results are then exact over Z/p, which agrees
-with Q except for the finitely many primes where some rank drops.
+Everything here is exact. The default coefficient field is the rationals,
+RATIONAL. A prime field Z/p can be requested instead, as prime_field(p),
+with coefficients kept as plain ints reduced mod p; results are then
+exact over Z/p, which agrees with Q except for the finitely many primes
+where some rank drops.
 """
 
 from __future__ import annotations
@@ -33,42 +29,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import BadPrimeError, ResourceLimitError
 from .poly import Polynomial, _integral, _mul_into, _poly, determinant, parse_poly, substitute
 
-NEGDEGREVLEX = "negdegrevlex"
-NEGDEGLEX = "negdeglex"
-
 DEFAULT_MAX_STEPS = 10**6
-
-#: Bits of numerator plus denominator above which a rational Mora run is
-#: declared swollen. Well-behaved reductions stay orders of magnitude
-#: below this; runs that reach it are compounding heights multiplicatively
-#: and would otherwise grind for hours inside single arithmetic operations.
-_HEIGHT_CAP = 100_000
 
 #: Sentinel for an infinite-dimensional quotient.
 INFINITE = float("inf")
-
-
-@dataclass(frozen=True)
-class LocalOrdering:
-    """A local monomial ordering on a fixed variable sequence."""
-
-    kind: str = NEGDEGREVLEX
-    variables: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in (NEGDEGREVLEX, NEGDEGLEX):
-            raise ValueError(f"unknown ordering kind {self.kind!r}")
-
-    def key(self, exp: tuple):
-        """Sort key: larger key means larger monomial (1 is largest)."""
-        if self.kind == NEGDEGREVLEX:
-            return (-sum(exp), tuple(-e for e in reversed(exp)))
-        return (-sum(exp), exp)
 
 
 @dataclass(frozen=True)
@@ -95,12 +64,9 @@ def ideal(ring, *gens) -> IdealPresentation:
 # Coefficient fields
 # ---------------------------------------------------------------------------
 
-
-class RationalField:
-    name = "rational"
-
-
-RATIONAL = RationalField()
+#: The rational field, the default of every field= parameter. A prime
+#: field is its prime (prime_field).
+RATIONAL = None
 
 
 def _is_probable_prime(p: int) -> bool:
@@ -134,16 +100,12 @@ def _residue(c: Fraction, p: int) -> int:
     return c.numerator * pow(den, -1, p) % p
 
 
-def prime_field(p: int):
-    """Coefficient field Z/p for a word-sized prime p, on plain ints in [0, p)."""
+def prime_field(p: int) -> int:
+    """The coefficient field Z/p for a word-sized prime p: p itself, once
+    checked to be prime (ValueError otherwise)."""
     if not _is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-
-    class Field:
-        name = f"fp:{p}"
-        modulus = p
-
-    return Field()
+    return p
 
 
 def _scaled(d):
@@ -167,226 +129,9 @@ def _residues(gens, p):
     return out
 
 
-def _int_rows(gens, p):
-    """Nonzero exponent dicts over Q on plain ints: scaled to primitive
-    integers when p is None, reduced mod p otherwise."""
-    return [_scaled(d) for d in gens if d] if p is None else _residues(gens, p)
-
-
 # ---------------------------------------------------------------------------
-# Engine
+# Colength
 # ---------------------------------------------------------------------------
-
-
-class _EPoly:
-    __slots__ = ("d", "lm", "lc", "maxdeg")
-
-    def __init__(self, d, lm, lc, maxdeg):
-        self.d = d
-        self.lm = lm
-        self.lc = lc
-        self.maxdeg = maxdeg
-
-    @property
-    def ecart(self):
-        return self.maxdeg - sum(self.lm)
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    for ai, bi in zip(a, b):
-        if ai > bi:
-            return False
-    return True
-
-
-class _Engine:
-    """Mora's tangent cone algorithm on plain-int rows, over Q or Z/p.
-
-    p is None over Q and the modulus over Z/p. The engine takes the rows
-    colength prepares (_int_rows): primitive integer dicts over Q, residues
-    in [0, p) over Z/p. Every stored polynomial is normalised: over Q its
-    content is stripped, over Z/p it is made monic. Reductions and
-    s-polynomials are one fraction-free update (combine), as in
-    _pivot_profile, reduced mod p over Z/p. Scaling changes no leading
-    monomial and no ecart, so the reducers picked, and the leads of the
-    minimal basis, are those of the textbook algorithm over the field.
-
-    Every reduction step counts against max_steps. Over Q, reductions
-    against earlier partial remainders can add the heights of both
-    operands, which compounds exponentially down a reduction chain, and
-    content stripping does not help because the swollen coefficients are
-    typically coprime. The height guard in make() turns such runs into a
-    resource error instead of an unbounded grind. colength never runs it:
-    the seal ladder decides every colength (_sealed_colength).
-    """
-
-    def __init__(self, ordering: LocalOrdering, p, max_steps: int):
-        self.ordering = ordering
-        self.p = p
-        self.max_steps = max_steps
-        self.steps = 0
-        self._keys = {}
-
-    def key(self, exp):
-        k = self._keys.get(exp)
-        if k is None:
-            k = self._keys[exp] = self.ordering.key(exp)
-        return k
-
-    def make(self, d):
-        """d normalised in place: content 1 over Q, monic over Z/p."""
-        if not d:
-            return None
-        lm = max(d, key=self.key)
-        if self.p is None:
-            content = math.gcd(*d.values())
-            if content != 1:
-                for e in d:
-                    d[e] //= content
-            for c in d.values():
-                if c.bit_length() >= _HEIGHT_CAP:
-                    raise ResourceLimitError(
-                        f"rational coefficient height exceeded {_HEIGHT_CAP} bits"
-                    )
-        elif d[lm] != 1:
-            inv = pow(d[lm], -1, self.p)
-            for e in d:
-                d[e] = d[e] * inv % self.p
-        return _EPoly(d, lm, d[lm], max(sum(e) for e in d))
-
-    def combine(self, h: _EPoly, sh, g: _EPoly, sg):
-        """(b/c)*x^sh*h - (a/c)*x^sg*g, where a and b are the leads of h
-        and g and c = gcd(a, b), as an exponent dict; reduced mod p over
-        Z/p. The leading terms cancel."""
-        p = self.p
-        c = math.gcd(h.lc, g.lc)
-        fh, fg = g.lc // c, h.lc // c
-        d = {tuple(map(add, e, sh)): fh * v for e, v in h.d.items()}
-        for e, v in g.d.items():
-            e2 = tuple(map(add, e, sg))
-            x = d.get(e2, 0) - fg * v
-            if p is not None:
-                x %= p
-            if x:
-                d[e2] = x
-            else:
-                d.pop(e2, None)
-        return d
-
-    def reduce_step(self, h: _EPoly, g: _EPoly):
-        sh = (0,) * len(h.lm)
-        d = self.combine(h, sh, g, tuple(a - b for a, b in zip(h.lm, g.lm)))
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise ResourceLimitError(f"reduction budget of {self.max_steps} steps exhausted")
-        # Strip content every step: letting numerators grow across steps
-        # makes single reductions arbitrarily expensive, and the step
-        # budget only bounds time if each step has bounded cost.
-        return self.make(d)
-
-    def normal_form(self, h, basis):
-        """Mora weak normal form of h against basis; None means reduced to 0."""
-        if h is None:
-            return None
-        local = []
-        while h is not None:
-            best = None
-            for g in basis:
-                if _divides(g.lm, h.lm) and (best is None or g.ecart < best.ecart):
-                    best = g
-            for g in local:
-                if _divides(g.lm, h.lm) and (best is None or g.ecart < best.ecart):
-                    best = g
-            if best is None:
-                return h
-            if best.ecart > h.ecart:
-                local.append(h)
-            h = self.reduce_step(h, best)
-        return None
-
-    def spoly(self, f: _EPoly, g: _EPoly):
-        u = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
-        sf = tuple(a - b for a, b in zip(u, f.lm))
-        sg = tuple(a - b for a, b in zip(u, g.lm))
-        return self.make(self.combine(f, sf, g, sg))
-
-    def basis(self, rows):
-        """Minimal standard basis of the ideal of rows, plain-int exponent
-        dicts keyed in the ordering's variable order (_int_rows)."""
-        zero_exp = (0,) * len(self.ordering.variables)
-        unit = [_EPoly({zero_exp: 1}, zero_exp, 1, 0)]
-        B = [p for d in rows if (p := self.make(dict(d))) is not None]
-        if not B:
-            return []
-        if any(g.lm == zero_exp for g in B):
-            return unit
-
-        pairs = []
-        for i in range(len(B)):
-            for j in range(i):
-                u = tuple(max(a, b) for a, b in zip(B[i].lm, B[j].lm))
-                pairs.append((sum(u), u, j, i))
-        heapq.heapify(pairs)
-
-        while pairs:
-            _, _, i, j = heapq.heappop(pairs)
-            h = self.normal_form(self.spoly(B[i], B[j]), B)
-            if h is None:
-                continue
-            if h.lm == zero_exp:
-                return unit
-            B.append(h)
-            k = len(B) - 1
-            for i in range(k):
-                u = tuple(max(a, b) for a, b in zip(B[i].lm, B[k].lm))
-                heapq.heappush(pairs, (sum(u), u, i, k))
-
-        # minimal basis: drop elements whose leading monomial is divisible
-        # by another kept leading monomial, preferring low degree
-        B.sort(key=lambda g: (sum(g.lm), g.lm))
-        kept = []
-        for g in B:
-            if not any(_divides(other.lm, g.lm) for other in kept):
-                kept.append(g)
-        return kept
-
-
-def _mora(I: IdealPresentation, ordering, field, max_steps):
-    """(engine, basis): Mora's standard basis of I under ordering (None, or
-    one without variables, means I's ring), keyed in the ordering's
-    variable order."""
-    if ordering is None:
-        ordering = LocalOrdering(NEGDEGREVLEX, I.ring)
-    elif not ordering.variables:
-        ordering = LocalOrdering(ordering.kind, I.ring)
-    if sorted(ordering.variables) != sorted(I.ring):
-        raise ValueError("ordering variables must match the ideal's ring")
-    engine = _Engine(ordering, None if field is RATIONAL else field.modulus, max_steps)
-    rows = _int_rows([g.with_ring(ordering.variables).terms for g in I.gens], engine.p)
-    return engine, engine.basis(rows)
-
-
-def standard_basis(
-    I: IdealPresentation,
-    ordering: LocalOrdering | None = None,
-    field=RATIONAL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> IdealPresentation:
-    """Minimal standard basis of I, monic and deterministically sorted."""
-    engine, basis = _mora(I, ordering, field, max_steps)
-    variables = engine.ordering.variables
-    polys = tuple(
-        Polynomial(variables, {e: Fraction(c, g.lc) for e, c in g.d.items()}).with_ring(I.ring)
-        for g in basis
-    )
-    return IdealPresentation(I.ring, polys)
-
-
-def leading_monomials(I, ordering=None, field=RATIONAL, max_steps=DEFAULT_MAX_STEPS):
-    """Exponent tuples, in I.ring order, of the standard basis's leading terms."""
-    engine, basis = _mora(I, ordering, field, max_steps)
-    picks = [engine.ordering.variables.index(v) for v in I.ring]
-    return tuple(tuple(g.lm[i] for i in picks) for g in basis)
 
 
 def _axis_witness(exps, nvars):
@@ -411,8 +156,8 @@ def _pivot_profile(gens, nv, bound, p=None, budget=None):
     counts[D], the number of pivots in degree D, for D = 0, ..., bound.
 
     gens are J's nonzero generators as exponent dicts with plain int
-    coefficients (_int_rows): primitive integer dicts over Q, or residues
-    mod p when p is given. The rows are the truncated monomial multiples
+    coefficients: primitive integer dicts over Q (_scaled), or residues
+    mod p when p is given (_residues). The rows are the truncated monomial multiples
     of the generators, which span exactly the image of J, because every
     unit of the truncated ring is itself a polynomial image. Columns are
     ordered by degree first, and the leads of an echelon basis are those
@@ -608,9 +353,10 @@ def colength(
         at most d^n (reductions of ideals and the refined Bezout theorem;
         the argument is at _sealed_colength). Before a seal d_D >= D + 1,
         so one of the two comes by degree d^n.
-    Both fields take this one route, on integer rows prepared once: over
-    Q the generators scaled to primitive integer dicts, over a prime field
-    Z/p their residues mod p, where a prime that divides a coefficient's
+    field is RATIONAL or prime_field(p). Both fields take this one route,
+    on integer rows prepared once: over Q the generators scaled to
+    primitive integer dicts, over Z/p their residues mod p, where a prime
+    that divides a coefficient's
     denominator raises BadPrimeError first. Every row reduction of the
     elimination counts against max_steps, and ResourceLimitError is
     raised when they exceed it. The colength does not depend on the local
@@ -623,11 +369,10 @@ def colength(
     gens = [g.terms for g in J.gens if g.terms]
     if not gens:
         return INFINITE if nvars else 1
-    p = None if field is RATIONAL else field.modulus
-    gens = _int_rows(gens, p)
+    gens = [_scaled(d) for d in gens] if field is RATIONAL else _residues(gens, field)
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
-    return _sealed_colength(gens, nvars, p, max_steps)
+    return _sealed_colength(gens, nvars, field, max_steps)
 
 
 def is_unit_ideal(I: IdealPresentation) -> bool:
@@ -638,19 +383,6 @@ def is_unit_ideal(I: IdealPresentation) -> bool:
     sits inside the maximal ideal. No basis computation is needed.
     """
     return any(g.constant_term() for g in I.gens)
-
-
-def in_ideal(
-    p: Polynomial,
-    I: IdealPresentation,
-    ordering: LocalOrdering | None = None,
-    field=RATIONAL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> bool:
-    """Local ideal membership, decided by Mora normal form against a standard basis."""
-    engine, basis = _mora(I, ordering, field, max_steps)
-    rows = _int_rows([p.with_ring(engine.ordering.variables).terms], engine.p)
-    return not rows or engine.normal_form(engine.make(rows[0]), basis) is None
 
 
 def random_invertible_matrix(size: int, rng: random.Random):

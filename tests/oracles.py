@@ -1,9 +1,8 @@
 """Independent cross-checks used by the test suite.
 
 The point of this module is to recompute quantities the package derives
-via standard bases using nothing but linear algebra over the rationals,
-so the two code paths share no logic. The key device is truncation: for
-an ideal I generated by germs vanishing at the origin,
+by other means, so the two code paths share no logic. The key device is
+truncation: for an ideal I generated by germs vanishing at the origin,
 
     d_D := dim O/(I + m^(D+1))
 
@@ -19,6 +18,12 @@ Two facts make this a rigorous oracle:
 So scanning D upward either certifies an exact finite answer or proves a
 lower bound. No standard basis, no monomial ordering.
 
+The second independent route is Mora's tangent cone algorithm over Q,
+which the package does not run: standard bases, their leading monomials
+and ideal membership under a local ordering, whose staircase count is
+the colength. It takes nothing from the package but Polynomial,
+IdealPresentation and ResourceLimitError.
+
 The module also keeps references the package's faster code is checked
 against: the pivot profile by elimination over Fraction rows, the
 degree where the seal ladder stops, the staircase count of a standard
@@ -30,13 +35,14 @@ expansion of a determinant.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, sub
 
-from singchi.errors import EmptyArgsError, UnknownVariableError
+from singchi.errors import EmptyArgsError, ResourceLimitError, UnknownVariableError
 from singchi.poly import Polynomial, substitute
 from singchi.standard_basis import INFINITE, IdealPresentation
 
@@ -172,6 +178,170 @@ def staircase(lms, nvars):
 
     walk(0)
     return count
+
+
+def negdegrevlex(exp):
+    """Sort key of the local degree reverse lexicographic ordering: a
+    larger key is a larger monomial, and 1 is the largest."""
+    return (-sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def negdeglex(exp):
+    """Sort key of the local degree lexicographic ordering."""
+    return (-sum(exp), exp)
+
+
+#: Bits of an integer coefficient above which a Mora run is declared
+#: swollen. Well-behaved reductions stay orders of magnitude below this;
+#: runs that reach it compound heights multiplicatively and would grind
+#: for hours inside single arithmetic operations.
+HEIGHT_CAP = 100_000
+
+
+class _Element:
+    __slots__ = ("d", "lm", "lc", "ecart")
+
+    def __init__(self, d, lm):
+        self.d, self.lm, self.lc = d, lm, d[lm]
+        self.ecart = max(sum(e) for e in d) - sum(lm)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+class _Mora:
+    """Mora's tangent cone algorithm over Q: Buchberger's loop driven by a
+    weak normal form that may reduce by earlier partial remainders when
+    every reducer would raise the ecart (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, chapter 1).
+
+    Polynomials are exponent dicts on plain ints, stripped of their
+    content. A reduction or s-polynomial is (b/c)*x^sh*h - (a/c)*x^sg*g,
+    a and b the leads of h and g, c = gcd(a, b). Scaling changes no
+    leading monomial and no ecart, so the reducers picked are those of the
+    textbook algorithm. Every reduction counts against max_steps, and a
+    coefficient of HEIGHT_CAP bits raises ResourceLimitError: a step budget
+    alone does not bound the time, since heights can compound down a chain
+    of reductions.
+    """
+
+    def __init__(self, nvars, key, max_steps):
+        zero = (0,) * nvars
+        units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+        if not all(key(u) < key(zero) for u in units):
+            raise ValueError("Mora needs a local ordering: every variable below 1")
+        self.key, self.max_steps, self.steps, self.zero = functools.cache(key), max_steps, 0, zero
+
+    def make(self, d):
+        """d stripped of its content in place, as an element; None for 0."""
+        if not d:
+            return None
+        content = math.gcd(*d.values())
+        for e in d:
+            d[e] //= content
+            if d[e].bit_length() >= HEIGHT_CAP:
+                raise ResourceLimitError(f"coefficient height exceeded {HEIGHT_CAP} bits")
+        return _Element(d, max(d, key=self.key))
+
+    def combine(self, h, sh, g, sg):
+        c = math.gcd(h.lc, g.lc)
+        fh, fg = g.lc // c, h.lc // c
+        d = {tuple(map(add, e, sh)): fh * v for e, v in h.d.items()}
+        for e, v in g.d.items():
+            e = tuple(map(add, e, sg))
+            x = d.get(e, 0) - fg * v
+            if x:
+                d[e] = x
+            else:
+                d.pop(e, None)
+        return self.make(d)
+
+    def normal_form(self, h, basis):
+        """Mora's weak normal form of h; None when it reduces to 0."""
+        local = []
+        while h is not None:
+            best = None
+            for g in basis + local:
+                if _divides(g.lm, h.lm) and (best is None or g.ecart < best.ecart):
+                    best = g
+            if best is None:
+                return h
+            if best.ecart > h.ecart:
+                local.append(h)
+            self.steps += 1
+            if self.steps > self.max_steps:
+                raise ResourceLimitError(f"reduction budget of {self.max_steps} steps exhausted")
+            h = self.combine(h, self.zero, best, tuple(map(sub, h.lm, best.lm)))
+        return None
+
+    def basis(self, rows):
+        """The minimal standard basis of the ideal of rows, sorted by the
+        degree of the leads and then by their exponents."""
+        B = [self.make(dict(d)) for d in rows]
+        if any(g.lm == self.zero for g in B):
+            return [_Element({self.zero: 1}, self.zero)]
+        pairs = [(*_lcm(B[j].lm, B[i].lm), j, i) for i in range(len(B)) for j in range(i)]
+        heapq.heapify(pairs)
+        while pairs:
+            _, u, i, j = heapq.heappop(pairs)
+            sf, sg = tuple(map(sub, u, B[i].lm)), tuple(map(sub, u, B[j].lm))
+            h = self.normal_form(self.combine(B[i], sf, B[j], sg), B)
+            if h is None:
+                continue
+            if h.lm == self.zero:
+                return [_Element({self.zero: 1}, self.zero)]
+            B.append(h)
+            for i in range(len(B) - 1):
+                heapq.heappush(pairs, (*_lcm(B[i].lm, h.lm), i, len(B) - 1))
+        kept = []
+        for g in sorted(B, key=lambda g: (sum(g.lm), g.lm)):
+            if not any(_divides(k.lm, g.lm) for k in kept):
+                kept.append(g)
+        return kept
+
+
+def _lcm(a, b):
+    u = tuple(map(max, a, b))
+    return sum(u), u
+
+
+def _primitive(poly, ring):
+    """The terms of poly in ring order as coprime integers; {} for 0."""
+    terms = poly.with_ring(ring).terms
+    if not terms:
+        return {}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    num = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    content = math.gcd(*num.values())
+    return {e: c // content for e, c in num.items()}
+
+
+def _mora(I, key, max_steps):
+    engine = _Mora(len(I.ring), key, max_steps)
+    rows = [d for g in I.gens if (d := _primitive(g, I.ring))]
+    return engine, engine.basis(rows)
+
+
+def standard_basis(I, key=negdegrevlex, max_steps=10**6):
+    """The minimal standard basis of I over Q under the local ordering
+    key, each element divided by its leading coefficient."""
+    _, basis = _mora(I, key, max_steps)
+    polys = (Polynomial(I.ring, {e: Fraction(c, g.lc) for e, c in g.d.items()}) for g in basis)
+    return IdealPresentation(I.ring, tuple(polys))
+
+
+def leading_monomials(I, key=negdegrevlex, max_steps=10**6):
+    """The exponents, in I.ring order, of the leads of standard_basis(I)."""
+    return tuple(g.lm for g in _mora(I, key, max_steps)[1])
+
+
+def in_ideal(p, I, key=negdegrevlex, max_steps=10**6):
+    """Membership of p in I in the local ring: Mora's normal form of p
+    against a standard basis of I is 0."""
+    engine, basis = _mora(I, key, max_steps)
+    row = _primitive(p, I.ring)
+    return not row or engine.normal_form(engine.make(row), basis) is None
 
 
 def staircase_count_bfs(leading, ring, cap=100000):

@@ -23,7 +23,9 @@ from singchi.multiple_points import (
     validate_corank1,
 )
 from singchi.poly import Polynomial, parse_poly, substitute
-from singchi.standard_basis import in_ideal, is_unit_ideal
+from singchi.standard_basis import is_unit_ideal
+
+from oracles import in_ideal
 
 
 XYZ = ("x", "y", "z")

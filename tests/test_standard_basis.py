@@ -1,4 +1,5 @@
-"""Local standard bases: Mora normal form, colength, membership."""
+"""Colength, its certificates and the transversal elimination, checked
+against independent oracles, Mora's standard bases among them."""
 
 import functools
 import hashlib
@@ -16,17 +17,12 @@ from singchi.poly import Polynomial, parse_poly, substitute
 from singchi.standard_basis import (
     INFINITE,
     IdealPresentation,
-    LocalOrdering,
-    NEGDEGLEX,
     colength,
     eliminate_linear_generators,
     generic_linear_change,
     ideal,
-    in_ideal,
     is_unit_ideal,
-    leading_monomials,
     prime_field,
-    standard_basis,
 )
 
 from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
@@ -41,10 +37,15 @@ from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
 from oracles import (
     brute_colength,
     brute_membership,
+    in_ideal,
     ladder_stop,
+    leading_monomials,
     fraction_pivot_profile,
+    negdeglex,
+    negdegrevlex,
     staircase,
     staircase_count_bfs,
+    standard_basis,
     substitute_elimination,
     truncated_quotient_dim,
 )
@@ -70,24 +71,22 @@ def mono(text, ring=XY):
 
 
 def test_local_orderings_rank_one_highest():
-    for kind in ("negdegrevlex", "negdeglex"):
-        o = LocalOrdering(kind, XY)
-        assert o.key((0, 0)) > o.key((1, 0))
-        assert o.key((1, 0)) > o.key((2, 0))
-        assert o.key((1, 1)) > o.key((3, 0))
+    for key in (negdegrevlex, negdeglex):
+        assert key((0, 0)) > key((1, 0))
+        assert key((1, 0)) > key((2, 0))
+        assert key((1, 1)) > key((3, 0))
 
 
 def test_orderings_differ_within_degree():
-    o1 = LocalOrdering("negdegrevlex", ("x", "y", "z"))
-    o2 = LocalOrdering("negdeglex", ("x", "y", "z"))
     # x*z vs y^2: revlex compares from the last variable
-    assert o1.key((1, 0, 1)) < o1.key((0, 2, 0))
-    assert o2.key((1, 0, 1)) > o2.key((0, 2, 0))
+    assert negdegrevlex((1, 0, 1)) < negdegrevlex((0, 2, 0))
+    assert negdeglex((1, 0, 1)) > negdeglex((0, 2, 0))
 
 
 def test_unknown_ordering_kind_rejected():
+    # deglex is global (x lies above 1), and Mora needs a local ordering
     with pytest.raises(ValueError):
-        LocalOrdering("deglex", XY)
+        standard_basis(ideal(XY, "x"), key=lambda e: (sum(e), e))
 
 
 # -- the classic local phenomena ---------------------------------------------
@@ -563,14 +562,9 @@ def test_bad_prime_changes_only_the_prime_field_answer():
         colength(K, field=prime_field(3))
 
 
-def _no_mora(*args):
-    raise AssertionError("colength ran a Mora standard basis")
-
-
-def test_colength_past_the_ladder(monkeypatch, profile_runs):
+def test_colength_past_the_ladder(profile_runs):
     # (x^45, y^2) seals at degree 46, past the caps 2, ..., 32: the cap 64
-    # finds it, read to degree 46, and no Mora basis is run
-    monkeypatch.setattr(sb, "_Engine", _no_mora)
+    # finds it, read to degree 46
     I = ideal(XY, "x^45", "y^2")
     for field in (sb.RATIONAL, prime_field(32003)):
         profile_runs.clear()
@@ -591,9 +585,9 @@ def _witness_corpus():
 
 
 def test_rational_colength_consults_no_prime(monkeypatch):
-    # seal, witness and staircase all run without reducing anything mod p;
-    # the last two cases need Mora: one seals past the ladder's top, the
-    # other is infinite along a line that is no coordinate axis
+    # seal, witness and Bezout stop all run without reducing anything mod
+    # p; of the last two cases one seals past degree 32, and the other is
+    # infinite along a line that is no coordinate axis
     g = generic_linear_change(ideal(XYZ, "y^3 + z^3"), 1).gens[0]
     jacobian = IdealPresentation(XYZ, tuple(g.partial(v) for v in XYZ))
     cases = list(_profile_corpus()) + _witness_corpus() + [ideal(XY, "x^45", "y^2"), jacobian]
@@ -670,11 +664,10 @@ def test_bezout_infinite_agrees_with_mora():
     assert finished >= 16
 
 
-def test_former_mora_inputs_need_no_mora(monkeypatch):
+def test_former_mora_inputs_need_no_mora():
     # the inputs on which colength used to fall back to Mora: infinite
     # Jacobians without an axis witness, (x^45, y^2) past the old top of
     # the ladder, and the step-budget ideal
-    monkeypatch.setattr(sb, "_Engine", _no_mora)
     for I in _nonisolated_jacobians()[:8]:
         assert colength(I, max_steps=20000) is INFINITE
     assert colength(ideal(XY, "x^45", "y^2")) == 90
@@ -702,7 +695,7 @@ def test_colength_invariant_under_ordering_choice():
     rng = random.Random(37)
     for _ in range(60):
         I, _ = random_zero_dim_ideal(rng)
-        lms = leading_monomials(I, LocalOrdering(NEGDEGLEX, I.ring))
+        lms = leading_monomials(I, negdeglex)
         assert staircase(lms, len(I.ring)) == colength(I)
 
 
@@ -885,32 +878,22 @@ def test_prime_field_agrees_on_good_prime():
     assert colength(I, field=F) == colength(I) == 6
 
 
-def test_prime_field_standard_basis_is_the_rational_one_mod_p():
-    I = ideal(XY, "3*y^2 - x^3", "5*x*y")
-    rational = standard_basis(I)
-    for p in (7, 32003):
-        reduced = [{e: sb._residue(c, p) for e, c in g.terms.items()} for g in rational.gens]
-        assert [g.terms for g in standard_basis(I, field=prime_field(p)).gens] == reduced
-
-
-#: sha256 of _standard_basis_lines(), recorded before Mora moved from
-#: Fraction coefficients to primitive integer rows.
-STANDARD_BASIS_SHA256 = "a9d833054da1d29747e3fa4d6481651fac01540ecb244351baca55b82103afa6"
+#: sha256 of _standard_basis_lines(), recorded from the rational Mora
+#: engine that the package carried before it became this test oracle.
+STANDARD_BASIS_SHA256 = "dcd9596d8773a7d5f4e654269088086e3e72939c390eceb118cbb8ff5ca91e4d"
 
 
 def _standard_basis_lines():
-    """One line per ideal, field and ordering of the seeded corpora: the
-    terms of every standard basis element, or the error's name."""
-    fields = (sb.RATIONAL, prime_field(32003), prime_field(7))
+    """One line per ideal and ordering of the seeded corpora: the terms of
+    every element of Mora's standard basis over Q, or the error's name."""
     for I in list(_profile_corpus()) + _witness_corpus():
-        for field in fields:
-            for ordering in (None, LocalOrdering(NEGDEGLEX, I.ring)):
-                try:
-                    basis = standard_basis(I, ordering, field, max_steps=400)
-                except (BadPrimeError, ResourceLimitError) as exc:
-                    yield type(exc).__name__
-                    continue
-                yield repr([[(e, str(c)) for e, c in sorted(g.terms.items())] for g in basis.gens])
+        for key in (negdegrevlex, negdeglex):
+            try:
+                basis = standard_basis(I, key, max_steps=400)
+            except ResourceLimitError as exc:
+                yield type(exc).__name__
+                continue
+            yield repr([[(e, str(c)) for e, c in sorted(g.terms.items())] for g in basis.gens])
 
 
 def test_standard_bases_match_pinned_digest():
