@@ -656,5 +656,5 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
             continue
         rest = m[:i] + m[i + 1 :]
         for node_exps, weight in _node_powers(d, multiplicities):
-            terms[rest + node_exps] = coeff * weight
+            terms[rest + node_exps] = coeff if weight == 1 else coeff * weight
     return _poly(params + nodes, terms)

@@ -2,14 +2,17 @@
 
 Colengths take one route over every field. An infinite colength is
 certified first by a witness, a coordinate axis on which every generator
-vanishes, read off the exponents. Everything else is decided by row
-reduction in truncated quotients O/m^(D+1), on plain integers:
-fraction-free over Q and reduced mod p over Z/p. One elimination runs
-degree by degree and stops at the first D where Nakayama seals the
-quotient (the colength is finite), or where the truncated dimension
-passes the Bezout bound d^n that every finite colength of generators of
-degree <= d in n variables obeys (it is infinite). Before any of this,
-variables that a generator cuts transversally are split off
+vanishes, read off the exponents. Everything else is decided by the
+dimensions of the truncated quotients O/m^(D+1), from one row reduction
+on plain integers: fraction-free over Q, where a pivot is stripped of the
+content of its lowest degree and its higher degrees carry a denominator,
+and reduced mod p over Z/p. The elimination has no truncation bound: it
+builds each degree's part of its rows only when it reaches that degree,
+and stops at the first D where Nakayama seals the quotient (the colength
+is finite), or where the truncated dimension passes the Bezout bound d^n
+that every finite colength of generators of degree <= d in n variables
+obeys (it is infinite). Nothing past that degree is computed. Before
+any of this, variables that a generator cuts transversally are split off
 (eliminate_linear_generators). No standard basis is computed: Mora's
 tangent cone algorithm is kept only as an independent oracle in the
 test suite.
@@ -23,8 +26,9 @@ where some rank drops.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -151,28 +155,58 @@ def _axis_witness(exps, nvars):
     return next((i for i in range(nvars) if i not in on_axis), None)
 
 
-def _pivot_profile(gens, nv, bound, p=None, budget=None):
-    """Pivots per degree of the image of J in O/m^(bound+1): yields
-    counts[D], the number of pivots in degree D, for D = 0, ..., bound.
+def _exponents(nv, k):
+    """The exponents of the monomials of degree k in nv >= 1 variables, in
+    ascending lexicographic order."""
+    if nv == 1:
+        return [(k,)]
+    return [(j,) + e for j in range(k + 1) for e in _exponents(nv - 1, k - j)]
+
+
+@functools.lru_cache(maxsize=256)
+def _monomials(nv, k):
+    """The exponents of degree k in nv variables, ascending, each with its
+    column at degree k: the exponent read as digits in base k + 1. The
+    cache is shared by every elimination, and bounded: one that climbs
+    far would otherwise keep every degree it reached."""
+    weights = [(k + 1) ** (nv - 1 - j) for j in range(nv)]
+    return tuple((a, sum(map(mul, a, weights))) for a in _exponents(nv, k))
+
+
+def _pivot_profile(gens, nv, p=None, budget=None):
+    """Pivots per degree of the image of J in the truncations O/m^(D+1):
+    yields counts[D], the number of pivots in degree D, for D = 0, 1, 2,
+    ... without end.
 
     gens are J's nonzero generators as exponent dicts with plain int
     coefficients: primitive integer dicts over Q (_scaled), or residues
-    mod p when p is given (_residues). The rows are the truncated monomial multiples
-    of the generators, which span exactly the image of J, because every
-    unit of the truncated ring is itself a polynomial image. Columns are
-    ordered by degree first, and the leads of an echelon basis are those
-    of its span, so counts[D] depends on J and D alone, not on the bound:
+    mod p when p is given (_residues). The rows are the monomial multiples
+    of the generators, which span exactly the image of J in every
+    truncation, because every unit of the truncated ring is itself a
+    polynomial image. Columns are ordered by degree first, and the leads of
+    an echelon basis are those of its span, so counts[D] depends on J and
+    D alone:
         d_D = dim O/(J + m^(D+1)) = #monomials of degree <= D
                                     - counts[0] - ... - counts[D].
     When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
     pushes it into J, and d_D is the colength of J: the quotient seals.
 
-    The elimination is degree-major. At step D each g_i in turn takes its
-    pending rows (earlier rows whose entries below degree D all cancelled)
-    and its new rows x^a*g_i of degree D, and reduces them, lowest column
-    first, by the pivots of degree D. The first column of degree D left
-    without a pivot becomes a row's pivot; a row with none is pending. No
-    row at step D has an entry below D, so counts[D] is final after it.
+    The elimination is degree-major and has no truncation bound. A row is
+    kept as what made it: a generator index i, a shift x^a, and the
+    operations applied to it, each row <- (s*row - f*pivot_k)/c. Step D
+    builds only the D-slices of the rows, the parts of degree D, by
+    replaying those operations on the D-slices of x^a*g_i and of the
+    pivots they name, the pivots first in the order they were made. So no
+    entry above degree D is built before step D, and no step runs twice.
+    At step D each g_i in turn takes its pending rows (earlier rows whose
+    slices so far all cancelled) and its new rows x^a*g_i of degree D, and
+    reduces their D-slices, lowest column first, by the pivots of degree D.
+    The first column left without a pivot becomes a row's pivot; a row with
+    none is pending, until no degree above D is left where x^a*g_i or a
+    pivot it met has a term. No row at step D has an entry below D, so
+    counts[D] is final after it. Within degree D the column of x^e is e
+    read as digits in base D + 1: columns order by exponent, and the column
+    of a product of monomials is the sum of their columns.
 
     No row x^a*g_i is built when x^a already leads the image of J' =
     (g_1, ..., g_{i-1}) (the F5 criterion: Faugere, ISSAC 2002). If q in
@@ -185,103 +219,216 @@ def _pivot_profile(gens, nv, bound, p=None, budget=None):
     degree D, made by g_1..g_i, so the pivots of lower index span the
     image of J' up to degree D, which holds x^a, and lead all of it.
 
-    Over Q the elimination is fraction-free: a row with entry f at the
-    column of a pivot with lead a becomes (a/g)*row - (f/g)*pivot,
-    g = gcd(a, f), and a row is stripped of its content when it is stored
-    as a pivot. Mod p pivots are stored with lead 1, so the same update
-    runs with a/g = 1, reduced mod p. Row reduction in a fixed
-    finite-dimensional space keeps heights polynomial (entries are
-    multiples of minors of the input), unlike iterated Mora normal forms,
-    whose heights can compound.
+    Over Q the elimination is fraction-free: a slice with entry f at the
+    column of a pivot with lead a becomes (a/g)*slice - (f/g)*pivot,
+    g = gcd(a, f). A row that becomes a pivot is divided by the content of
+    its lead slice, made positive at the lead. That content need not divide
+    the row's later slices, so a replayed slice is an int dict over one
+    denominator, and a row scales its slice clear of it at the degree where
+    it is reduced: every reduction runs on plain ints. Mod p a pivot keeps
+    its lead a, a reduction subtracts (f/a)*pivot, and no denominator
+    arises. Row reduction in a fixed finite-dimensional space keeps
+    heights polynomial (entries are multiples of minors of the input),
+    unlike iterated Mora normal forms, whose heights can compound.
 
     budget, when given, is a one-item list holding the reductions (a row
-    combined with a pivot) still allowed, shared by every run handed the
-    same list; ResourceLimitError is raised when a reduction would take it
-    below zero.
+    combined with a pivot) still allowed; ResourceLimitError is raised
+    when a reduction would take it below zero.
     """
     if budget is None:
         budget = [math.inf]
-    # The column of e is the integer with digits (deg(e), e_1, ..., e_nv)
-    # in base bound + 1, so columns order by degree and then exponent, and
-    # the column of a product of monomials is the sum of their columns.
-    weights = [(bound + 1) ** (nv - i) for i in range(nv + 1)]
-    base = weights[0]
-    shifts = [0]
-    for w in weights[1:]:
-        shifts = [k + j * (base + w) for k in shifts for j in range(bound - k // base + 1)]
-    shifts.sort()
-    starts = [bisect.bisect_left(shifts, D * base) for D in range(bound + 2)]
-    # per generator: its order, and its terms as (degree, column, entry)
-    rows_of = []
+    # per generator: its order, its degrees as a bit mask, and its terms by
+    # degree
+    parts = []
     for gen in gens:
-        terms = [(sum(e), sum(map(mul, (sum(e),) + e, weights)), c) for e, c in gen.items()]
-        rows_of.append((min(t[0] for t in terms), terms))
-    # lead column -> (lead entry, the row's other entries, generator index)
-    pivots = {}
-    # per generator: degree of the lowest entry -> rows waiting for it
-    pending = [{} for _ in gens]
-    for D in range(bound + 1):
-        top, made = (D + 1) * base, len(pivots)
-        for i, (order, terms) in enumerate(rows_of):
-            rows, k = pending[i].pop(D, []), D - order
-            for shift in shifts[starts[k] : starts[k + 1]] if k >= 0 else ():
-                # F5: skip x^a*g_i when x^a leads a pivot of g_1..g_(i-1)
-                if pivots.get(shift, (0, 0, i))[2] >= i:
-                    rows.append({col + shift: c for deg, col, c in terms if deg + k <= bound})
-            for row in rows:
+        by_degree = {}
+        for e, c in gen.items():
+            by_degree.setdefault(sum(e), []).append((e, c))
+        parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree))
+    # A pivot: (generator index i, shift exponents a, operations, degrees).
+    # Bit D of degrees is clear where the D-slice is known to be zero: every
+    # degree of x^a*g_i and of the pivots the operations name is set. Kept as
+    # tuples of ints, which the garbage collector stops tracking.
+    pivots = []
+    # per degree k: the lead column of each pivot of degree k -> the index
+    # of the generator that made it
+    leads = []
+    # per generator: (a, operations, degree mask) of the rows whose slices
+    # so far all cancelled
+    pending = [[] for _ in gens]
+
+    # D, weights, terms and slices below are those of the current degree D
+    def terms_of(i, t):
+        """The terms of degree t of g_i, as (column at degree D, entry)."""
+        low = terms.get((i, t))
+        if low is None:
+            low = [(sum(map(mul, e, weights)), c) for e, c in parts[i][2].get(t, ())]
+            terms[i, t] = low
+        return low
+
+    def replay(i, a, ops):
+        """The D-slice of the row x^a*g_i after ops, as an int dict and a
+        positive denominator, and ops as they act above degree D.
+
+        An operation whose pivot has no terms above D only scales the row
+        at every later degree, so it is folded into the next operation that
+        names a pivot with such terms, or into a last scaling."""
+        at = sum(map(mul, a, weights))
+        N = {at + col: c for col, c in terms_of(i, D - sum(a))}
+        den, kept, S, C = 1, [], 1, 1
+        for op in ops:
+            s, f, k, c = op
+            if f and pivots[k][3] >> D > 1:
+                if (S, C) != (1, 1):
+                    op = (s * S, f * C, k, c * C)
+                    S = C = 1
+                kept.append(op)
+            elif p is None:
+                S, C = S * s, C * c
+            else:
+                S = S * s % p
+            P = slices.get(k) if f else None
+            if P is not None:
+                P, pden = P
+                if pden != den:
+                    g = math.gcd(pden, den)
+                    s *= pden // g
+                    f *= den // g
+                    den = den // g * pden
+            if s != 1:
+                N = {col: v * s for col, v in N.items()}
+                if p is not None:
+                    N = {col: v % p for col, v in N.items()}
+            for col, v in P.items() if P is not None else ():
+                x = N.get(col, 0) - f * v
+                if p is not None:
+                    x %= p
+                if x:
+                    N[col] = x
+                else:
+                    del N[col]
+            den *= c
+        if (S, C) != (1, 1):
+            g = math.gcd(S, C)
+            kept.append((S // g, 0, -1, C // g))
+        if den != 1:
+            g = math.gcd(den, *N.values())
+            if g != 1:
+                N = {col: v // g for col, v in N.items()}
+                den //= g
+        return N, den, kept
+
+    for D in itertools.count():
+        # columns at degree D, and (generator index, degree t) -> the terms
+        # of degree t of g_i by column, built as they are asked for
+        weights = [(D + 1) ** (nv - 1 - j) for j in range(nv)]
+        terms, slices = {}, {}
+        if any(pending):
+            # The D-slices of the pivots that the pending rows name, directly
+            # or through other pivots, replayed in the order they were made.
+            live = (ops for rows in pending for _, ops, degrees in rows if degrees >> D & 1)
+            needed = {k for ops in live for _, f, k, _ in ops if f}
+            for k in range(max(needed, default=-1), -1, -1):
+                if k in needed and pivots[k][3] >> D & 1:
+                    needed.update(j for _, f, j, _ in pivots[k][2] if f)
+            for k in sorted(needed):
+                i, a, ops, degrees = pivots[k]
+                if degrees >> D & 1:
+                    N, den, ops = replay(i, a, ops)
+                    pivots[k] = (i, a, tuple(ops), degrees)
+                    if N:
+                        slices[k] = (N, den)
+        # the lead column of each pivot of degree D -> (lead entry, the other
+        # entries of its D-slice, pivot index)
+        here, made = {}, len(pivots)
+        leads.append({})
+        for i, (order, degrees, _) in enumerate(parts):
+            # (a, operations, degrees, D-slice, its denominator) per row
+            rows = []
+            for shift, ops, mask in pending[i]:
+                N, den = {}, 1
+                if mask >> D & 1:
+                    N, den, ops = replay(i, shift, ops)
+                rows.append((shift, ops, N, den, mask))
+            pending[i] = []
+            k = D - order
+            if k >= 0:
+                known, low = leads[k], terms_of(i, order)
+                for shift, col in _monomials(nv, k):
+                    # F5: skip x^a*g_i when x^a leads a pivot of g_1..g_(i-1)
+                    if known.get(col, i) >= i:
+                        at = sum(map(mul, shift, weights))
+                        rows.append((shift, [], {at + t: c for t, c in low}, 1, degrees << k))
+            for shift, ops, N, pre, mask in rows:
+                start = len(ops)
                 # Reducing at a column only brings in columns above it, so a
                 # column the heap has handed out never comes back, and the
                 # first one left without a pivot is the row's lead.
-                todo = [col for col in row if col < top]
+                todo = list(N)
                 heapq.heapify(todo)
                 while todo:
                     lead = heapq.heappop(todo)
-                    if lead in row and lead not in pivots:
+                    if lead in N and lead not in here:
                         break
-                    f = row.pop(lead, 0)
+                    f = N.pop(lead, 0)
                     if not f:
                         continue
                     budget[0] -= 1
                     if budget[0] < 0:
                         raise ResourceLimitError("row reduction budget exhausted")
-                    a, pivot, _ = pivots[lead]
-                    g = math.gcd(a, f)
-                    if a != g:
+                    a, P, k = here[lead]
+                    if p is None:
+                        g = math.gcd(a, f)
                         s = a // g
-                        for col in row:
-                            row[col] *= s
-                    f //= g
-                    for col, v in pivot.items():
-                        x = row.get(col)
+                        if s != 1:
+                            for col in N:
+                                N[col] *= s
+                        f //= g
+                    else:
+                        s, f = 1, f * a % p
+                    for col, v in P.items():
+                        x = N.get(col)
                         if x is None:
                             x = -f * v
-                            if col < top:
-                                heapq.heappush(todo, col)
+                            heapq.heappush(todo, col)
                         else:
                             x -= f * v
                         if p is not None:
                             x %= p
                         if x:
-                            row[col] = x
+                            N[col] = x
                         else:
-                            del row[col]
+                            del N[col]
+                    # pre clears the replayed slice's denominator
+                    ops.append((s * pre, f, k, 1))
+                    pre = 1
+                    mask |= pivots[k][3]
                 else:
-                    if row:
-                        pending[i].setdefault(min(row) // base, []).append(row)
+                    if mask >> D > 1:
+                        pending[i].append((shift, ops, mask))
                     continue
-                a = row.pop(lead)
+                # A new pivot. Over Q it is divided by the content of its lead
+                # slice, with a positive lead, and the division joins the
+                # row's last operation of this degree. Mod p it keeps its lead
+                # a, and here holds 1/a, by which reductions scale f.
+                a = N.pop(lead)
                 if p is None:
-                    content = math.gcd(a, *row.values())
-                    # a positive lead: a lead of -1 would rescale every row
-                    if a < 0:
-                        content = -content
-                    if content != 1:
-                        a //= content
-                        row = {col: v // content for col, v in row.items()}
+                    c = math.gcd(a, *N.values())
+                    sign = -1 if a < 0 else 1
+                    if sign * c != 1:
+                        a //= sign * c
+                        N = {col: v // (sign * c) for col, v in N.items()}
+                    if len(ops) > start:
+                        if sign * c != 1:
+                            t, f, k, _ = ops[-1]
+                            ops[-1] = (t * sign, f * sign, k, c)
+                    elif sign * c * pre != 1:
+                        ops.append((sign * pre, 0, -1, c))
                 else:
-                    inv, a = pow(a, -1, p), 1
-                    row = {col: v * inv % p for col, v in row.items()}
-                pivots[lead] = (a, row, i)
+                    a = pow(a, -1, p)
+                here[lead] = (a, N, len(pivots))
+                leads[D][lead] = i
+                pivots.append((i, shift, tuple(ops), mask))
         yield len(pivots) - made
 
 
@@ -289,12 +436,10 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     """The colength of the ideal J generated by gens (as _pivot_profile
     takes them): an int, or INFINITE.
 
-    The counts are read at caps 2, 4, 8, ... and the first of two stops
-    decides, with d_D = dim O/(J + m^(D+1)):
+    One elimination, _pivot_profile, is read degree by degree, once, and
+    the first of two stops decides, with d_D = dim O/(J + m^(D+1)):
       * seal: the first degree D >= 1 that fills; d_D is then the
-        colength, by Nakayama. The counts up to D are intrinsic to
-        O/m^(D+1), so every cap finds the same first seal, where the
-        elimination stops;
+        colength, by Nakayama;
       * Bezout: the first D with d_D > d^nv, d the largest total degree
         of a generator; the colength is then infinite.
     The Bezout stop rests on this. Let J have a finite colength u. Over
@@ -306,25 +451,19 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     does not change when the field is extended, so this holds over Z/p
     too, and d_D <= u <= d^nv for every D. Before the seal every degree
     leaves a monomial out, so d_D >= D + 1, and one of the two stops comes
-    by degree d^nv.
-
-    Rows carry tails up to the cap, so the caps double rather than start
-    at the last degree that can be needed. Every cap takes its reductions
-    from one budget of max_steps, and ResourceLimitError ends the ladder
-    when it runs out.
+    by degree d^nv. Nothing past the stop degree is computed. The row
+    reductions take from one budget of max_steps, and ResourceLimitError
+    ends the elimination when it runs out.
     """
     bezout = max(sum(e) for d in gens for e in d) ** nv
-    budget, cap = [max_steps], 1
-    while True:
-        cap *= 2
-        dim = 0
-        for D, filled in enumerate(_pivot_profile(gens, nv, cap, p, budget)):
-            full = math.comb(D + nv - 1, nv - 1)
-            dim += full - filled
-            if D and filled == full:
-                return dim
-            if dim > bezout:
-                return INFINITE
+    dim = 0
+    for D, filled in enumerate(_pivot_profile(gens, nv, p, [max_steps])):
+        full = math.comb(D + nv - 1, nv - 1)
+        dim += full - filled
+        if D and filled == full:
+            return dim
+        if dim > bezout:
+            return INFINITE
 
 
 def colength(
@@ -342,11 +481,10 @@ def colength(
       * witness: a variable x_i of which no term of any generator is a
         pure power, so J vanishes on the x_i-axis and the colength is
         infinite; it reads exponents only;
-      * seal: one degree-by-degree elimination in O/m^(D+1) fills degree
-        D, so m^D lies in J by Nakayama and the colength is d_D =
-        dim O/(J + m^(D+1)); the counts of degree <= D are intrinsic, so
-        the first D found is the same at every truncation, and the
-        elimination stops there;
+      * seal: one degree-by-degree elimination, with no truncation
+        bound, fills degree D, so m^D lies in J by Nakayama and the
+        colength is d_D = dim O/(J + m^(D+1)); the elimination stops
+        there, having built no part of a row above degree D;
       * Bezout: the same elimination reaches a degree D with d_D > d^n,
         d the largest total degree of a generator and n the number of
         variables, and the colength is infinite, since a finite one is
@@ -356,8 +494,10 @@ def colength(
     field is RATIONAL or prime_field(p). Both fields take this one route,
     on integer rows prepared once: over Q the generators scaled to
     primitive integer dicts, over Z/p their residues mod p, where a prime
-    that divides a coefficient's
-    denominator raises BadPrimeError first. Every row reduction of the
+    that divides a coefficient's denominator raises BadPrimeError first.
+    Over Q each pivot is divided by the content of its part of lowest
+    degree, and its higher parts are carried over one denominator, which
+    a row clears before it is reduced. Every row reduction of the
     elimination counts against max_steps, and ResourceLimitError is
     raised when they exceed it. The colength does not depend on the local
     ordering.

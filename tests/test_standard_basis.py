@@ -3,8 +3,11 @@ against independent oracles, Mora's standard bases among them."""
 
 import functools
 import hashlib
+import inspect
+import itertools
 import math
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -240,8 +243,8 @@ def _exp_dicts(I):
     return [g.with_ring(I.ring).terms for g in I.gens if not g.is_zero]
 
 
-#: The highest truncation bound the pivot profile tests use, per number
-#: of variables.
+#: The highest degree the pivot profile tests read to, per number of
+#: variables.
 _PROFILE_BOUND = {1: 9, 2: 7, 3: 4}
 
 
@@ -256,8 +259,13 @@ def _profile_corpus():
     return tuple(cases)
 
 
+def _profile(rows, nv, bound, p=None):
+    """The first bound + 1 pivot counts of _pivot_profile."""
+    return list(itertools.islice(sb._pivot_profile(rows, nv, p), bound + 1))
+
+
 def _truncated_dims(counts, nv):
-    """[d_0, ..., d_bound] from the pivot counts of _pivot_profile."""
+    """[d_0, ..., d_D] from the pivot counts counts[0..D] of _pivot_profile."""
     dims, rank = [], 0
     for D, filled in enumerate(counts):
         rank += filled
@@ -266,23 +274,70 @@ def _truncated_dims(counts, nv):
 
 
 def test_pivot_profile_matches_truncation_oracle():
-    # one elimination at bound B gives every d_D with D <= B, over Q and
-    # mod p, and seals exactly where d_D stops growing
+    # the counts of the one elimination give every d_D, over Q and mod p,
+    # and it seals exactly where d_D stops growing
     for I in _profile_corpus():
         nv = len(I.ring)
         bound = _PROFILE_BOUND[nv]
         gens = _exp_dicts(I)
         rows = [sb._scaled(g) for g in gens]
-        dims = _truncated_dims(sb._pivot_profile(rows, nv, bound), nv)
+        dims = _truncated_dims(_profile(rows, nv, bound), nv)
         want = [truncated_quotient_dim(I.gens, I.ring, D) for D in range(bound + 1)]
         assert dims == want, str(I.gens)
         stops = [D for D in range(1, bound + 1) if want[D] == want[D - 1]]
         if stops:
             assert sb._sealed_colength(rows, nv) == want[stops[0]], str(I.gens)
         for p in (5, 2147483647):
-            counts_p = sb._pivot_profile(sb._residues(gens, p), nv, bound, p)
+            counts_p = _profile(sb._residues(gens, p), nv, bound, p)
             dims_p = _truncated_dims(counts_p, nv)
             assert all(a >= b for a, b in zip(dims_p, dims)), (p, str(I.gens))
+
+
+def _reaches(module, text, call):
+    """Whether the one line of module's source that holds text runs in
+    call()."""
+    lines = inspect.getsource(module).splitlines()
+    [target] = [n + 1 for n, line in enumerate(lines) if text in line]
+    hits = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != module.__file__:
+            return None
+        hits.extend([1] if event == "line" and frame.f_lineno == target else [])
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return bool(hits)
+
+
+def test_denominators_of_later_slices_match_truncation_oracle():
+    # A pivot is divided by the content of its lead slice, which need not
+    # divide its later slices: a row that meets such a slice carries a
+    # denominator until it is scaled clear where it is reduced. Some
+    # corpus and catalog ideals take that path over Q, and their counts
+    # are the truncation oracle's, stepped to the seal, to the Bezout stop
+    # or to degree 9, over Q and over Z/p, where no denominator arises.
+    carried = []
+    for I in [*_profile_corpus(), *_catalog_colength_ideals()]:
+        rows = [sb._scaled(g) for g in _exp_dicts(I)]
+        run = functools.partial(sb._sealed_colength, rows, len(I.ring))
+        if _reaches(sb, "s *= pden // g", run):
+            carried.append(I)
+    assert len(carried) >= 5
+    for I in carried:
+        nv = len(I.ring)
+        dicts = _exp_dicts(I)
+        for p in (None, 5, 2147483647):
+            rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
+            bezout = max(sum(e) for d in rows for e in d) ** nv
+            dims, _ = ladder_stop(I.gens, I.ring, bezout, p, top=9)
+            counts = _profile(rows, nv, len(dims) - 1, p)
+            assert _truncated_dims(counts, nv) == dims, (p, str(I.gens))
 
 
 scales = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
@@ -291,18 +346,19 @@ scales = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
 @settings(max_examples=12, deadline=None)
 @given(st.lists(scales, min_size=1, max_size=5))
 def test_fraction_free_profile_matches_fraction_elimination(multipliers):
-    # the integer rows give the same pivots per degree as Fraction rows, at
-    # every bound, whatever nonzero constants the generators carry
+    # the integer rows give the same pivots per degree as Fraction rows
+    # truncated at every bound, whatever nonzero constants the generators
+    # carry
     for I in _profile_corpus():
         nv = len(I.ring)
         gens = [
             {e: c * multipliers[i % len(multipliers)] for e, c in g.items()}
             for i, g in enumerate(_exp_dicts(I))
         ]
+        got = _profile([sb._scaled(g) for g in gens], nv, _PROFILE_BOUND[nv])
         for bound in range(1, _PROFILE_BOUND[nv] + 1):
             want = fraction_pivot_profile(gens, nv, bound)
-            got = list(sb._pivot_profile([sb._scaled(g) for g in gens], nv, bound))
-            assert got == want, (bound, str(I.gens))
+            assert got[: bound + 1] == want, (bound, str(I.gens))
 
 
 def _redundant_presentations(I):
@@ -332,32 +388,24 @@ def test_profile_of_redundant_generators_matches_all_rows():
             for p in (None, 5, 2147483647):
                 rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
                 want = [truncated_quotient_dim(gens, I.ring, D, p) for D in range(top + 1)]
-                for bound in range(1, top + 1):
-                    counts = list(sb._pivot_profile(rows, nv, bound, p))
-                    assert _truncated_dims(counts, nv) == want[: bound + 1], (p, bound, gens)
-                    if p is None:
-                        assert counts == fraction_pivot_profile(dicts, nv, bound), (bound, gens)
-
-
-def _caps(stop):
-    """The truncation bounds of the seal ladder: 2, 4, 8, ..., up to the
-    first that reaches degree stop."""
-    caps = [2]
-    while caps[-1] < stop:
-        caps.append(2 * caps[-1])
-    return caps
+                counts = _profile(rows, nv, top, p)
+                assert _truncated_dims(counts, nv) == want, (p, gens)
+                if p is None:
+                    for bound in range(1, top + 1):
+                        want = fraction_pivot_profile(dicts, nv, bound)
+                        assert counts[: bound + 1] == want, (bound, gens)
 
 
 @pytest.fixture
 def profile_runs(monkeypatch):
-    """[bound, counts read] per _pivot_profile run, as read by its caller."""
+    """The counts read from each _pivot_profile run, one list per run."""
     runs = []
     profile = sb._pivot_profile
 
-    def recording(gens, nv, bound, p=None, budget=None):
-        runs.append([bound, []])
-        for count in profile(gens, nv, bound, p, budget):
-            runs[-1][1].append(count)
+    def recording(gens, nv, p=None, budget=None):
+        runs.append([])
+        for count in profile(gens, nv, p, budget):
+            runs[-1].append(count)
             yield count
 
     monkeypatch.setattr(sb, "_pivot_profile", recording)
@@ -366,13 +414,14 @@ def profile_runs(monkeypatch):
 
 def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     """_sealed_colength on the rows of gens, over Q when p is None and
-    over Z/p otherwise, stops where the oracle that steps one degree at a
-    time stops, with its value, and reads each cap's elimination up to
-    that degree and no further. The oracle steps at most to degree top:
-    where it has not stopped by then, the ladder's d_D up to top must be
-    the oracle's and its stop must come later. Returns the stop degree
-    and the oracle's value (None past top), or None when every generator
-    vanishes over the field: colength's witness settles that ideal."""
+    over Z/p otherwise, runs one elimination, stops where the oracle that
+    steps one degree at a time stops, with its value, and reads the counts
+    up to that degree and no further. The oracle steps at most to degree
+    top: where it has not stopped by then, the elimination's d_D up to top
+    must be the oracle's and its stop must come later. Returns the stop
+    degree and the oracle's value (None past top), or None when every
+    generator vanishes over the field: colength's witness settles that
+    ideal."""
     nv = len(ring)
     dicts = [g.with_ring(ring).terms for g in gens if not g.is_zero]
     rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
@@ -383,11 +432,9 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     runs.clear()
     got = sb._sealed_colength(rows, nv, p)
     where = (p, [str(g) for g in gens])
-    read = _truncated_dims(runs[-1][1], nv)
+    assert len(runs) == 1, where
+    read = _truncated_dims(runs[0], nv)
     stop = len(read) - 1
-    caps = _caps(stop)
-    assert [bound for bound, _ in runs] == caps, where
-    assert [len(counts) - 1 for _, counts in runs[:-1]] == caps[:-1], where
     if value is None:
         assert stop > top and read[: top + 1] == dims, where
     else:
@@ -395,8 +442,7 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     return stop, value
 
 
-#: Ideals by the degree where they seal: on a cap of the ladder (2, 4, 8)
-#: or one past it (3, 5, 9).
+#: Ideals by the degree where they seal, from 2 to 9.
 _SEAL_DEGREES = (
     (XY, ("x^2", "x*y", "y^2"), 2),
     (XY, ("x^2", "y^2"), 3),
@@ -410,12 +456,12 @@ _SEAL_DEGREES = (
     (XYZ, ("x^3", "y^4", "z^4"), 9),
     (XYZW, ("x^2", "y^2", "z^2", "w^2"), 5),
 )
-#: Ideals that stop past degree 9, or by Bezout, where the row-major
+#: Ideals that stop past degree 9, or by Bezout, where the stepping
 #: oracle can afford them only on sparse rows. Some seal with a colength
 #: of exactly d^n, which the Bezout stop must let through: (x^22, y^22)
 #: 484, (x^5, y^5, z^5) 125, (x^3, y^3, z^3, w^3) 81. Two are infinite
 #: and stop by Bezout: (x^2*y, x*y^3) at 7 (d^n = 16) and
-#: (x*y, y*z, z^3 + x^4) at 17, one past the cap 16 (d^n = 64).
+#: (x*y, y*z, z^3 + x^4) at 17 (d^n = 64).
 _SPARSE_STOPS = (
     (XY, ("x^21", "y^22"), 42),
     (XY, ("x^22", "y^22"), 43),
@@ -426,8 +472,8 @@ _SPARSE_STOPS = (
     (XYZW, ("x^3", "y^3", "z^3", "w^3"), 9),
     (XYZW, ("x^3", "y^3", "z^3", "w^4"), 10),
 )
-#: Bezout stops on a cap (2, 4) and one past it (3), and seals on the
-#: cap 16 and one past it, there with a colength of exactly d^n = 81.
+#: Bezout stops at 2, 3 and 4, and seals at 16 and 17, there with a
+#: colength of exactly d^n = 81.
 _MORE_STOPS = (
     (XY, ("x*y",), 2, True),
     (XYZ, ("x*y", "y*z", "x*z"), 3, True),
@@ -444,8 +490,8 @@ _MORE_STOPS = (
     + list(_MORE_STOPS),
 )
 def test_seal_ladder_on_and_past_its_caps(ring, gens, degree, dense, profile_runs):
-    # the ladder stops in the first cap that reaches its stop, the seal or
-    # the Bezout degree, at the stepping oracle's value. The sum of the
+    # one elimination stops at the first seal or Bezout degree, with the
+    # stepping oracle's value, and is read no further. The sum of the
     # generators is appended as a redundant one, and a generic linear
     # change, which keeps every d_D, makes the rows dense where the oracle
     # can afford it. In (x^2 + y^3, x*y) the lead y^4 comes only from a
@@ -483,8 +529,8 @@ def _catalog_colength_ideals(rows=FAST_ROWS):
 
 def test_seal_ladder_matches_stepping_oracle(profile_runs):
     # every corpus, redundant presentations included, over three fields,
-    # with the oracle stepping to degree 9 at most: caps 2, 4, 8 and 16,
-    # and stops one past a cap; the ladder runs on past 9 alone
+    # with the oracle stepping to degree 9 at most; the elimination runs on
+    # past 9 alone
     ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]
     cases = [(I.gens, I.ring) for I in ideals]
     cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
@@ -563,14 +609,12 @@ def test_bad_prime_changes_only_the_prime_field_answer():
 
 
 def test_colength_past_the_ladder(profile_runs):
-    # (x^45, y^2) seals at degree 46, past the caps 2, ..., 32: the cap 64
-    # finds it, read to degree 46
+    # (x^45, y^2) seals at degree 46: one elimination, read to degree 46
     I = ideal(XY, "x^45", "y^2")
     for field in (sb.RATIONAL, prime_field(32003)):
         profile_runs.clear()
         assert colength(I, field=field) == 90
-        assert [bound for bound, _ in profile_runs] == [2, 4, 8, 16, 32, 64]
-        assert len(profile_runs[-1][1]) == 47
+        assert [len(counts) for counts in profile_runs] == [47]
 
 
 def _witness_corpus():
@@ -860,7 +904,7 @@ def test_step_budget_raises():
     # an axis witness settles an infinite colength without any row
     # reduction: J vanishes on the x-axis. After a linear change no axis
     # is left, and the budget is spent by the ladder's row reductions
-    # (510 of them before its Bezout stop), over Q and over Z/p alike.
+    # (402 of them before its Bezout stop), over Q and over Z/p alike.
     J = ideal(("x", "y", "z"), "x^2*y + y^4 + z^5", "x*y^3 - z^4")
     assert colength(J) is INFINITE
     assert colength(J, max_steps=5) is INFINITE
