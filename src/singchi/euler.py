@@ -6,9 +6,10 @@ sheet is pinched: the smooth part, double, triple and quadruple crossing
 loci, the pinch (cross-cap) points, and the crossings of a pinch curve
 with a sheet. Every closed formula evaluated here expresses an Euler
 characteristic of that picture, or of a closely related fibration, as
-exact rational arithmetic in the multiple point invariants; all results
-are forced to be integers and a non-integral value is reported as proof
-that the input tuple is not realizable.
+an integer combination of the multiple point invariants over 2, 3 or 6.
+Each is evaluated on ints multiplied through by its denominator, and the
+division must be exact: a non-integral value is reported as proof that
+the input tuple is not realizable.
 
 Three independent routes to chi of the image Milnor fibre are kept side
 by side on purpose: a direct closed form, the disentanglement value plus
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, mul
 
 from .errors import (
     BadParamsError,
@@ -34,25 +36,21 @@ from .poly import Polynomial, resultant
 from .standard_basis import DEFAULT_MAX_STEPS, RATIONAL
 
 
-def _as_int(value: Fraction, formula: str) -> int:
-    value = Fraction(value)
-    if value.denominator != 1:
+def _exact(num: int, den: int, formula: str) -> int:
+    """num / den, which must be an integer: the formula's value."""
+    value, rest = divmod(num, den)
+    if rest:
         raise NonIntegralChiError(
-            f"{formula} evaluates to the non-integer {value}; "
+            f"{formula} evaluates to the non-integer {Fraction(num, den)}; "
             "the invariant tuple is not realizable by a map germ"
         )
-    return int(value)
+    return value
 
 
 def _unpack(t: InvariantTuple):
-    a = Fraction(t.mu_d2)
-    b = Fraction(t.mu_d2h)
-    c = Fraction(t.mu_d3)
-    d = Fraction(t.mu_d3h1)
-    beta2 = Fraction(1 if t.d2_nonempty else 0)
-    beta3 = Fraction(1 if t.d3_nonempty else 0)
-    q = Fraction(t.quad_points)
-    return a, b, c, d, beta2, beta3, q
+    beta2 = 1 if t.d2_nonempty else 0
+    beta3 = 1 if t.d3_nonempty else 0
+    return t.mu_d2, t.mu_d2h, t.mu_d3, t.mu_d3h1, beta2, beta3, t.quad_points
 
 
 # ------------------------------------------------------------------ strata
@@ -97,17 +95,7 @@ class StratumReport:
     pair_pinch: int
 
     def as_dict(self) -> dict:
-        return {
-            "chi_sheet": self.chi_sheet,
-            "chi_double": self.chi_double,
-            "chi_triple": self.chi_triple,
-            "chi_quadruple": self.chi_quadruple,
-            "chi_pinch": self.chi_pinch,
-            "chi_pinch_crossing": self.chi_pinch_crossing,
-            "pair_double": self.pair_double,
-            "pair_triple": self.pair_triple,
-            "pair_pinch": self.pair_pinch,
-        }
+        return dict(vars(self))
 
 
 def strata_chi(t: InvariantTuple) -> StratumReport:
@@ -118,21 +106,18 @@ def strata_chi(t: InvariantTuple) -> StratumReport:
     crossing to points where a pinch curve meets a third sheet.
     """
     a, b, c, d, beta2, beta3, q = _unpack(t)
-    chi_sheet = _as_int(
-        1 - (Fraction(1, 2) * (a + b) + Fraction(1, 6) * (c + 3 * d + 2 * beta3) + q),
-        "chi of the image",
+    # 1 - ((a + b)/2 + (c + 3d + 2 beta3)/6 + q)
+    chi_sheet = _exact(6 - 3 * (a + b) - (c + 3 * d + 2 * beta3) - 6 * q, 6, "chi of the image")
+    # beta2 + (a - b)/2 + (c - beta3)/3 + 3q
+    chi_double = _exact(
+        6 * beta2 + 3 * (a - b) + 2 * (c - beta3) + 18 * q, 6, "chi of the double point locus"
     )
-    chi_double = _as_int(
-        beta2 + Fraction(1, 2) * (a - b) + Fraction(1, 3) * (c - beta3) + 3 * q,
-        "chi of the double point locus",
-    )
-    chi_triple = _as_int(
-        beta3 - (Fraction(1, 6) * (c - 3 * d + 2 * beta3) + 3 * q),
-        "chi of the triple point locus",
-    )
-    chi_pinch = _as_int(beta2 - b, "chi of the pinch point locus")
-    chi_quadruple = _as_int(q, "chi of the quadruple points")
-    chi_pinch_crossing = _as_int(d + beta3, "chi of the pinch crossings")
+    # beta3 - ((c - 3d + 2 beta3)/6 + 3q)
+    num = 6 * beta3 - (c - 3 * d + 2 * beta3) - 18 * q
+    chi_triple = _exact(num, 6, "chi of the triple point locus")
+    chi_pinch = beta2 - b
+    chi_quadruple = q
+    chi_pinch_crossing = d + beta3
 
     pair_double = chi_double - chi_triple - chi_pinch + chi_pinch_crossing
     pair_triple = chi_triple - chi_quadruple - chi_pinch_crossing
@@ -156,10 +141,8 @@ def strata_chi(t: InvariantTuple) -> StratumReport:
 def image_milnor_number(t: InvariantTuple) -> int:
     """Number of 3-spheres in the disentanglement of the image."""
     a, b, c, d, _, beta3, q = _unpack(t)
-    mu = _as_int(
-        Fraction(1, 2) * (a + b) + Fraction(1, 6) * (c + 3 * d + 2 * beta3) + q,
-        "image Milnor number",
-    )
+    # (a + b)/2 + (c + 3d + 2 beta3)/6 + q
+    mu = _exact(3 * (a + b) + c + 3 * d + 2 * beta3 + 6 * q, 6, "image Milnor number")
     if mu < 0:
         raise NegativeMuImageError(
             f"image Milnor number {mu} is negative; the tuple is not realizable"
@@ -170,24 +153,31 @@ def image_milnor_number(t: InvariantTuple) -> int:
 def chi_mf_image(t: InvariantTuple) -> int:
     """chi of the Milnor fibre of the image hypersurface, directly."""
     a, b, c, d, beta2, beta3, q = _unpack(t)
-    return _as_int(
-        1 + beta2 - (a + 2 * b + Fraction(1, 2) * (c + 5 * d) + 2 * beta3 + 4 * q),
-        "chi of the image Milnor fibre",
-    )
+    # 1 + beta2 - (a + 2b + (c + 5d)/2 + 2 beta3 + 4q)
+    num = 2 + 2 * beta2 - (2 * a + 4 * b + c + 5 * d + 4 * beta3 + 8 * q)
+    return _exact(num, 2, "chi of the image Milnor fibre")
 
 
 def chi_difference_3to4(t: InvariantTuple) -> int:
     """chi(Milnor fibre of the image) minus chi(disentanglement)."""
     a, b, c, d, beta2, beta3, q = _unpack(t)
-    return _as_int(
-        beta2
-        - (
-            Fraction(1, 2) * (a + 3 * b)
-            + Fraction(1, 3) * (c + 6 * d + 5 * beta3)
-            + 3 * q
-        ),
-        "chi difference between Milnor fibre and disentanglement",
-    )
+    # beta2 - ((a + 3b)/2 + (c + 6d + 5 beta3)/3 + 3q)
+    num = 6 * beta2 - (3 * (a + 3 * b) + 2 * (c + 6 * d + 5 * beta3) + 18 * q)
+    return _exact(num, 6, "chi difference between Milnor fibre and disentanglement")
+
+
+#: The strata of the stable image below the top one: name, the field of
+#: StratumReport holding the pair value, and the reduced chi of the
+#: transverse Milnor fibre.
+_STRATA = (
+    ("pinch points", "pair_pinch", 1),
+    ("double crossings", "pair_double", -1),
+    ("triple crossings", "pair_triple", -1),
+    ("quadruple crossings", "chi_quadruple", -1),
+    ("pinch crossings", "chi_pinch_crossing", -1),
+)
+_PAIRS = attrgetter(*(pair for _, pair, _ in _STRATA))
+_TMF = tuple(tmf for _, _, tmf in _STRATA)
 
 
 def image_strata_data(t: InvariantTuple) -> tuple:
@@ -199,18 +189,8 @@ def image_strata_data(t: InvariantTuple) -> tuple:
     characteristic 0, reduced value -1. The top stratum contributes
     nothing and is omitted.
     """
-    return _strata_data(strata_chi(t))
-
-
-def _strata_data(s: StratumReport) -> tuple:
-    """image_strata_data from the Euler characteristics of the strata."""
-    return (
-        StratumDatum("pinch points", s.pair_pinch, 1),
-        StratumDatum("double crossings", s.pair_double, -1),
-        StratumDatum("triple crossings", s.pair_triple, -1),
-        StratumDatum("quadruple crossings", s.chi_quadruple, -1),
-        StratumDatum("pinch crossings", s.chi_pinch_crossing, -1),
-    )
+    s = strata_chi(t)
+    return tuple(StratumDatum(name, getattr(s, pair), tmf) for name, pair, tmf in _STRATA)
 
 
 @dataclass(frozen=True)
@@ -226,15 +206,8 @@ class ImageChiReport:
     consistent: bool
 
     def as_dict(self) -> dict:
-        return {
-            "invariants": self.invariants.as_dict(),
-            "mu_image": self.mu_image,
-            "chi_disentanglement": self.chi_disentanglement,
-            "chi_mf": self.chi_mf,
-            "chi_difference": self.chi_difference,
-            "strata": self.strata.as_dict(),
-            "consistent": self.consistent,
-        }
+        nested = {"invariants": self.invariants.as_dict(), "strata": self.strata.as_dict()}
+        return {**vars(self), **nested}
 
 
 def image_chi_report(t: InvariantTuple) -> ImageChiReport:
@@ -249,7 +222,8 @@ def image_chi_report(t: InvariantTuple) -> ImageChiReport:
     chi_mf = chi_mf_image(t)
     diff = chi_difference_3to4(t)
     strata = strata_chi(t)
-    stratified = chi_dis + stratified_euler_difference(_strata_data(strata))
+    # the sum of stratified_euler_difference over image_strata_data
+    stratified = chi_dis + sum(map(mul, _PAIRS(strata), _TMF))
     consistent = chi_mf == chi_dis + diff == stratified
     return ImageChiReport(
         invariants=t,
@@ -276,11 +250,7 @@ class ComposedChiReport:
     chi_mf_inner: int
 
     def as_dict(self) -> dict:
-        return {
-            "chi_mf_composed": self.chi_mf_composed,
-            "chi_special_fibre": self.chi_special_fibre,
-            "chi_mf_inner": self.chi_mf_inner,
-        }
+        return dict(vars(self))
 
 
 def zariski_chi(mu_g: int, mu_f: int, n: int, mu_image_f: int) -> ComposedChiReport:
@@ -322,13 +292,7 @@ class EquidimReport:
     agree: bool
 
     def as_dict(self) -> dict:
-        return {
-            "mu_phi": self.mu_phi,
-            "chi_direct": self.chi_direct,
-            "chi_stratified": self.chi_stratified,
-            "discriminant": str(self.discriminant),
-            "agree": self.agree,
-        }
+        return {**vars(self), "discriminant": str(self.discriminant)}
 
 
 def _fresh_names(taken, wanted) -> list:
@@ -393,10 +357,13 @@ def equidim_chi_check(
 
 
 def _check_proportional(disc: Polynomial, expected: Polynomial) -> None:
-    """Require disc to be a nonzero rational multiple of expected."""
+    """Require disc to be a nonzero rational multiple of expected: their
+    numerators have one support, and are proportional at every term."""
     if disc.is_zero or expected.is_zero:
         raise SingchiError("discriminant degenerated to zero")
-    anchor = next(iter(expected.terms))
-    ratio = disc.with_ring(expected.ring).coefficient(anchor) / expected.terms[anchor]
-    if not ratio or disc != expected * ratio:
+    got, want = disc.with_ring(expected.ring).nums, expected.nums
+    anchor = next(iter(want))
+    if got.keys() != want.keys() or any(
+        got[m] * want[anchor] != want[m] * got[anchor] for m in want
+    ):
         raise SingchiError("discriminant is not proportional to the cubic shape")

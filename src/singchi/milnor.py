@@ -37,7 +37,6 @@ from .standard_basis import (
     colength,
     eliminate_linear_generators,
     is_unit_ideal,
-    random_invertible_matrix,
 )
 
 RETRY_ATTEMPTS = 5
@@ -71,7 +70,23 @@ def hypersurface_milnor(
     return mu
 
 
+def random_invertible_matrix(size: int, rng: random.Random):
+    """Invertible integer matrix: rows of small random rationals a/b with
+    b in {1, 2}, each row scaled by its denominator (1 or 2)."""
+    while True:
+        rows = []
+        for _ in range(size):
+            row = [(rng.randint(-9, 9), rng.randint(1, 2)) for _ in range(size)]
+            scale = 2 if any(b == 2 and a % 2 for a, b in row) else 1
+            rows.append([a * scale // b for a, b in row])
+        if not determinant([[Polynomial.constant(c, ()) for c in row] for row in rows]).is_zero:
+            return rows
+
+
 def _mix_generators(gens, ring, seed):
+    """A*gens for a seeded random invertible integer matrix A. Scaling a
+    row of A scales one mixed generator, which changes no stage ideal of
+    the chain."""
     if seed == 0 or len(gens) <= 1:
         return gens
     rng = random.Random(seed)

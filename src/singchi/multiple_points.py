@@ -181,11 +181,6 @@ def partition_restricted_ideal(f: MapGerm, k: int, partition) -> IdealPresentati
     return _restricted_ideal(f, k, _check_partition(partition, k))
 
 
-def multiple_point_indicator(f: MapGerm, k: int) -> bool:
-    """Whether the k-th multiple point space passes through the origin."""
-    return not is_unit_ideal(multiple_point_ideal(f, k))
-
-
 @dataclass(frozen=True)
 class InvariantTuple:
     """The n = 3 multiple point invariants feeding the Euler formulas."""

@@ -1,11 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is an ordered tuple of variable names (its ring) and a
-dictionary mapping exponent tuples, aligned with the ring, to nonzero
-Fraction coefficients: x^2*y over the ring (x, y, z) is the key (2, 1, 0).
-The colength engine reads the same exponent tuples, so no monomial is
-converted between the two. All arithmetic is exact; nothing
-here ever rounds.
+A polynomial is an ordered tuple of variable names (its ring), a
+dictionary mapping exponent tuples, aligned with the ring, to nonzero int
+numerators, and one positive denominator coprime to their content:
+x^2*y/2 over the ring (x, y, z) is {(2, 1, 0): 1} over 2. So each
+polynomial has one form, arithmetic runs on ints and reduces each result
+to that form once, and .terms reads the coefficients as Fractions. The
+colength engine reads the same exponent tuples and numerators. All
+arithmetic is exact; nothing here ever rounds.
 
 Input is checked where it enters: the public Polynomial constructor,
 parse_poly and with_ring. Arithmetic and the calculus below build their
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
 
@@ -53,17 +56,33 @@ def _check_ring(ring) -> tuple:
     return ring
 
 
-def _poly(ring: tuple, terms: dict) -> "Polynomial":
-    """The unchecked constructor: terms must already be keyed by exponent
-    tuples aligned with ring and hold only nonzero Fractions."""
+def _poly(ring: tuple, nums: dict, den: int = 1) -> "Polynomial":
+    """The unchecked constructor: nums must already be keyed by exponent
+    tuples aligned with ring and hold only nonzero ints, and den be
+    positive and coprime to their content."""
     p = object.__new__(Polynomial)
-    p.ring = ring
-    p.terms = terms
+    p.ring, p.nums, p.den = ring, nums, den
     return p
 
 
-def _constant(value: Fraction, ring: tuple) -> "Polynomial":
-    return _poly(ring, {(0,) * len(ring): value} if value else {})
+def _reduced(ring: tuple, nums: dict, den: int) -> "Polynomial":
+    """nums / den, nonzero int numerators over a nonzero den, in lowest
+    terms and over a positive denominator."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    return _poly(ring, nums, den)
+
+
+def _constant(value, ring: tuple) -> "Polynomial":
+    """value, an int or a Fraction, as a constant over ring."""
+    if not value:
+        return _poly(ring, {})
+    return _poly(ring, {(0,) * len(ring): value.numerator}, value.denominator)
 
 
 def _add_into(acc: dict, terms: dict) -> None:
@@ -80,13 +99,6 @@ def _add_into(acc: dict, terms: dict) -> None:
                 del acc[m]
 
 
-def _integral(dicts) -> tuple:
-    """(nums, den): Fraction term dicts as int dicts nums[i] / den, den their lcm."""
-    dicts = list(dicts)
-    den = math.lcm(*(c.denominator for t in dicts for c in t.values()))
-    return [{m: c.numerator * (den // c.denominator) for m, c in t.items()} for t in dicts], den
-
-
 def _mul_into(acc: dict, left: dict, right: dict, negate: bool = False) -> None:
     """Add (or subtract) the product of two term dicts over one ring into
     acc in place; cancelled terms stay in acc as zeros."""
@@ -99,14 +111,39 @@ def _mul_into(acc: dict, left: dict, right: dict, negate: bool = False) -> None:
             acc[m] = c1 * c2 if x is None else x + c1 * c2
 
 
-class Polynomial:
-    """A sparse polynomial with Fraction coefficients over a declared ring.
+def _times(nums: dict, k: int) -> dict:
+    """nums times the int k, which must not be zero."""
+    return nums if k == 1 else {m: c * k for m, c in nums.items()}
 
-    The ring is an ordered tuple of variable names, and terms maps exponent
-    tuples aligned with it to nonzero coefficients. The constructor checks
-    every key (a tuple of non-negative ints, one per ring variable) and
-    every coefficient (int or Fraction); results of arithmetic are built
-    without checks. Instances are treated as immutable.
+
+class _Terms(Mapping):
+    """A polynomial's terms as exponents -> Fraction coefficients: a view of
+    its numerators and denominator that copies neither."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums, self._den = nums, den
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __getitem__(self, exp):
+        return Fraction(self._nums[exp], self._den)
+
+
+class Polynomial:
+    """A sparse polynomial with rational coefficients over a declared ring.
+
+    The ring is an ordered tuple of variable names, and nums maps exponent
+    tuples aligned with it to nonzero int numerators over the positive
+    denominator den (module docstring). The constructor checks every key
+    (a tuple of non-negative ints, one per ring variable) and every
+    coefficient (int or Fraction); results of arithmetic are built without
+    checks. Instances are treated as immutable.
 
     Operands over different rings are first re-ringed to their union (the
     left ring, then the right one's new variables). Equality and hashing
@@ -114,13 +151,13 @@ class Polynomial:
     over two different rings is considered equal.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, terms=None):
         ring = _check_ring(ring)
         clean = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
+            items = terms.items() if isinstance(terms, Mapping) else terms
             for exp, coeff in items:
                 if not (
                     isinstance(exp, tuple)
@@ -128,22 +165,21 @@ class Polynomial:
                     and all(isinstance(e, int) and e >= 0 for e in exp)
                 ):
                     raise ValueError(f"exponent {exp!r} is not {len(ring)} non-negative ints")
-                coeff = _coeff(coeff)
-                if not coeff:
-                    continue
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
-                if not clean[exp]:
-                    del clean[exp]
+                clean[exp] = clean.get(exp, 0) + _coeff(coeff)
+        # over the lcm of the reduced denominators the form is the one above
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.ring = ring
-        self.terms = clean
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items() if c}
+        self.den = den
+
+    @property
+    def terms(self) -> Mapping:
+        """The terms as exponents -> Fraction coefficients."""
+        return _Terms(self.nums, self.den)
 
     @staticmethod
     def zero(ring) -> "Polynomial":
         return _poly(_check_ring(ring), {})
-
-    @staticmethod
-    def one(ring) -> "Polynomial":
-        return Polynomial.constant(1, ring)
 
     @staticmethod
     def constant(value, ring) -> "Polynomial":
@@ -154,53 +190,56 @@ class Polynomial:
         ring = _check_ring(ring)
         if name not in ring:
             raise UnknownVariableError(f"variable {name!r} not in ring {ring}")
-        return _poly(ring, {tuple(int(v == name) for v in ring): Fraction(1)})
+        return _poly(ring, {tuple(int(v == name) for v in ring): 1})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring), Fraction(0))
+    def constant_term(self):
+        """The value at the origin: a Fraction, or the int 0 when the zero
+        exponent has no term."""
+        c = self.nums.get((0,) * len(self.ring))
+        return 0 if c is None else Fraction(c, self.den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.nums)
 
     def degree_in(self, var: str) -> int:
-        if not self.terms:
+        if not self.nums:
             return -1
         if var not in self.ring:
             return 0
         i = self.ring.index(var)
-        return max(m[i] for m in self.terms)
+        return max(m[i] for m in self.nums)
 
     def coefficient(self, exp: tuple) -> Fraction:
         """The coefficient of the monomial with exponents exp (ring order)."""
-        return self.terms.get(exp, Fraction(0))
+        return Fraction(self.nums.get(exp, 0), self.den)
 
     def coefficients_in(self, var: str) -> dict:
         """Split into {power of var: polynomial coefficient} (var removed)."""
         if var not in self.ring:
-            return {0: self} if self.terms else {}
+            return {0: self} if self.nums else {}
         i = self.ring.index(var)
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.nums.items():
             out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
-        return {e: _poly(self.ring, bucket) for e, bucket in out.items()}
+        return {e: _reduced(self.ring, bucket, self.den) for e, bucket in out.items()}
 
     def partial(self, var: str) -> "Polynomial":
         if var not in self.ring:
             raise UnknownVariableError(f"variable {var!r} not in ring {self.ring}")
         i = self.ring.index(var)
         terms = {}
-        for m, c in self.terms.items():
+        for m, c in self.nums.items():
             e = m[i]
             if e:
                 terms[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
-        return _poly(self.ring, terms)
+        return _reduced(self.ring, terms, self.den)
 
     def _align(self, other: "Polynomial"):
         """(self, other) re-ringed to one ring: self's, then other's new variables."""
@@ -216,14 +255,15 @@ class Polynomial:
 
     def __add__(self, other):
         a, b = self._align(self._coerce(other))
-        terms = dict(a.terms)
-        _add_into(terms, b.terms)
-        return _poly(a.ring, terms)
+        den = math.lcm(a.den, b.den)
+        nums = dict(_times(a.nums, den // a.den))
+        _add_into(nums, _times(b.nums, den // b.den))
+        return _reduced(a.ring, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ring, {m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -233,21 +273,21 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
+            if not other:
                 return _poly(self.ring, {})
-            return _poly(self.ring, {m: k * c for m, k in self.terms.items()})
+            nums = _times(self.nums, other.numerator)
+            return _reduced(self.ring, nums, self.den * other.denominator)
         a, b = self._align(other)
         acc = {}
-        _mul_into(acc, a.terms, b.terms)
-        return _poly(a.ring, {m: c for m, c in acc.items() if c})
+        _mul_into(acc, a.nums, b.nums)
+        return _reduced(a.ring, {m: c for m, c in acc.items() if c}, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = _constant(Fraction(1), self.ring)
+        result = _constant(1, self.ring)
         base = self
         e = exponent
         while e:
@@ -260,16 +300,16 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _constant(_coeff(other), self.ring)
+            other = _constant(other, self.ring)
         if not isinstance(other, Polynomial):
             return False
         a, b = self._align(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         # over the variables in use, sorted by name: the same for every ring
-        used = sorted(v for i, v in enumerate(self.ring) if any(m[i] for m in self.terms))
-        return hash(frozenset(self.with_ring(used).terms.items()))
+        used = sorted(v for i, v in enumerate(self.ring) if any(m[i] for m in self.nums))
+        return hash((frozenset(self.with_ring(used).nums.items()), self.den))
 
     def with_ring(self, ring) -> "Polynomial":
         """The same polynomial over ring, which must declare every variable
@@ -279,26 +319,26 @@ class Polynomial:
         ring = _check_ring(ring)
         where = {v: i for i, v in enumerate(self.ring)}
         for v, i in where.items():
-            if v not in ring and any(m[i] for m in self.terms):
+            if v not in ring and any(m[i] for m in self.nums):
                 raise UnknownVariableError(f"variable {v!r} not in ring {ring}")
         # index -1 picks the 0 appended to each exponent tuple
         picks = [where.get(v, -1) for v in ring]
-        terms = {}
-        for m, c in self.terms.items():
+        nums = {}
+        for m, c in self.nums.items():
             padded = m + (0,)
-            terms[tuple([padded[i] for i in picks])] = c
-        return _poly(ring, terms)
+            nums[tuple([padded[i] for i in picks])] = c
+        return _poly(ring, nums, self.den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         # terms by descending (degree, exponent vector); inside a monomial
         # the variables go by name
         named = sorted(range(len(self.ring)), key=self.ring.__getitem__)
-        ordered = sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
+        ordered = sorted(self.nums, key=lambda m: (sum(m), m), reverse=True)
         pieces = []
         for m in ordered:
-            coeff = self.terms[m]
+            coeff = Fraction(self.nums[m], self.den)
             body = "*".join(
                 self.ring[i] if m[i] == 1 else f"{self.ring[i]}^{m[i]}" for i in named if m[i]
             )
@@ -441,7 +481,7 @@ class _Parser:
                 if int(v) == 0:
                     raise PolyParseError("zero denominator", p)
                 return _constant(Fraction(numerator, int(v)), self.ring)
-            return _constant(Fraction(numerator), self.ring)
+            return _constant(numerator, self.ring)
         if kind == "ident":
             return Polynomial.variable(value, self.ring)
         if kind == "op" and value == "(":
@@ -454,7 +494,6 @@ class _Parser:
 def parse_poly(text: str, ring) -> Polynomial:
     """Parse polynomial text over the given ring. Exact round-trip with str()."""
     return _Parser(text, ring).parse()
-
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +527,14 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
     # Collect p by the exponents of the substituted variables, so each
     # distinct pattern of them costs one product.
     groups = {}
-    for m, c in p.terms.items():
+    for m, c in p.nums.items():
         rest = [0] * len(ring_out)
         for i, j in kept:
             rest[j] = m[i]
         groups.setdefault(tuple(m[i] for i, _ in moved), {})[tuple(rest)] = c
+    # each part holds numerators of p, over p.den, divided out at the end
     power_cache = {}
-    acc = {}
+    total = _poly(ring_out, {})
     for pattern, part in groups.items():
         piece = _poly(ring_out, part)
         for (_, var), e in zip(moved, pattern):
@@ -508,8 +548,8 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
                     base = _constant(_coeff(value), ring_out)
                 power_cache[var, e] = base**e
             piece = piece * power_cache[var, e]
-        _add_into(acc, piece.terms)
-    return _poly(ring_out, acc)
+        total = total + piece
+    return total * Fraction(1, p.den)
 
 
 def jacobian(polys, variables) -> list:
@@ -521,11 +561,11 @@ def determinant(matrix) -> Polynomial:
     """Determinant of a square matrix of polynomials.
 
     Expansion over column subsets (Laplace with memoization), which is
-    fast for the small matrices that arise here. Each row is first scaled
-    by the lcm L_i of its denominators, so the expansion runs on plain
-    ints, and the result is divided by the product of the L_i once, at
-    the end. Entries are re-ringed to the union of their rings, in
-    row-major order of first appearance.
+    fast for the small matrices that arise here. Each row is brought over
+    the lcm L_i of its denominators, so the expansion runs on the
+    numerators, and the result is over the product of the L_i. Entries
+    are re-ringed to the union of their rings, in row-major order of first
+    appearance.
     """
     n = len(matrix)
     if n == 0:
@@ -539,9 +579,10 @@ def determinant(matrix) -> Polynomial:
     rows = []
     scale = 1
     for row in matrix:
-        nums, den = _integral(entry.with_ring(ring).terms for entry in row)
+        row = [entry.with_ring(ring) for entry in row]
+        den = math.lcm(*(entry.den for entry in row))
         scale *= den
-        rows.append(nums)
+        rows.append([_times(entry.nums, den // entry.den) for entry in row])
     prev = {0: {(0,) * len(ring): 1}}
     for r in range(n):
         cur = {}
@@ -557,7 +598,7 @@ def determinant(matrix) -> Polynomial:
                 _mul_into(cur.setdefault(mask | bit, {}), val, rows[r][c], negate)
         prev = cur
     full = prev.get((1 << n) - 1, {})
-    return _poly(ring, {m: Fraction(k, scale) for m, k in full.items() if k})
+    return _reduced(ring, {m: k for m, k in full.items() if k}, scale)
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
@@ -650,11 +691,11 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
     terms = {}
     # Parameter parts and node parts share no variable, and h_d has node
     # degree d, so every product below is a distinct monomial.
-    for m, coeff in g.terms.items():
+    for m, coeff in g.nums.items():
         d = m[i] - shift
         if d < 0:
             continue
         rest = m[:i] + m[i + 1 :]
         for node_exps, weight in _node_powers(d, multiplicities):
             terms[rest + node_exps] = coeff if weight == 1 else coeff * weight
-    return _poly(params + nodes, terms)
+    return _reduced(params + nodes, terms, g.den)

@@ -30,13 +30,11 @@ import functools
 import heapq
 import itertools
 import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import BadPrimeError, ResourceLimitError
-from .poly import Polynomial, _integral, _mul_into, _poly, determinant, parse_poly, substitute
+from .poly import Polynomial, _mul_into, _poly, _reduced, parse_poly
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -96,12 +94,14 @@ def _is_probable_prime(p: int) -> bool:
     return True
 
 
-def _residue(c: Fraction, p: int) -> int:
-    """c mod p as a plain int in [0, p)."""
-    den = c.denominator % p
-    if den == 0:
+def _residue(g: Polynomial, p: int) -> dict:
+    """The exponent dict of g mod p, with plain int coefficients in [0, p);
+    BadPrimeError when p divides the denominator of a coefficient."""
+    if g.den % p == 0:
+        c = next(c for c in g.terms.values() if c.denominator % p == 0)
         raise BadPrimeError(f"{p} divides the denominator of the coefficient {c}")
-    return c.numerator * pow(den, -1, p) % p
+    inv = pow(g.den, -1, p)
+    return {e: r for e, c in g.nums.items() if (r := c * inv % p)}
 
 
 def prime_field(p: int) -> int:
@@ -113,24 +113,10 @@ def prime_field(p: int) -> int:
 
 
 def _scaled(d):
-    """The exponent dict d over Q scaled to coprime integer coefficients."""
-    [num], _ = _integral([d])
-    g = math.gcd(*num.values())
-    return {e: c // g for e, c in num.items()}
-
-
-def _residues(gens, p):
-    """The exponent dicts gens reduced mod p, dropping what vanishes."""
-    out = []
-    for d in gens:
-        m = {}
-        for e, c in d.items():
-            r = _residue(c, p)
-            if r:
-                m[e] = r
-        if m:
-            out.append(m)
-    return out
+    """The int exponent dict d divided by its content: coprime integer
+    coefficients."""
+    g = math.gcd(*d.values())
+    return {e: c // g for e, c in d.items()} if g != 1 else d
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +166,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
 
     gens are J's nonzero generators as exponent dicts with plain int
     coefficients: primitive integer dicts over Q (_scaled), or residues
-    mod p when p is given (_residues). The rows are the monomial multiples
+    mod p when p is given (_residue). The rows are the monomial multiples
     of the generators, which span exactly the image of J in every
     truncation, because every unit of the truncated ring is itself a
     polynomial image. Columns are ordered by degree first, and the leads of
@@ -492,9 +478,10 @@ def colength(
         the argument is at _sealed_colength). Before a seal d_D >= D + 1,
         so one of the two comes by degree d^n.
     field is RATIONAL or prime_field(p). Both fields take this one route,
-    on integer rows prepared once: over Q the generators scaled to
-    primitive integer dicts, over Z/p their residues mod p, where a prime
-    that divides a coefficient's denominator raises BadPrimeError first.
+    on integer rows prepared once: over Q the numerators of the generators
+    divided by their content, over Z/p their residues mod p, taken before
+    the transversal variables are split off, where a prime that divides a
+    coefficient's denominator raises BadPrimeError first.
     Over Q each pivot is divided by the content of its part of lowest
     degree, and its higher parts are carried over one denominator, which
     a row clears before it is reduced. Every row reduction of the
@@ -504,12 +491,13 @@ def colength(
     """
     if is_unit_ideal(I):
         return 0
-    J, _ = eliminate_linear_generators(I)
+    J, _ = eliminate_linear_generators(I, field)
     nvars = len(J.ring)
-    gens = [g.terms for g in J.gens if g.terms]
+    gens = [g.nums for g in J.gens if g.nums]
     if not gens:
         return INFINITE if nvars else 1
-    gens = [_scaled(d) for d in gens] if field is RATIONAL else _residues(gens, field)
+    if field is RATIONAL:
+        gens = [_scaled(d) for d in gens]
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
     return _sealed_colength(gens, nvars, field, max_steps)
@@ -522,41 +510,16 @@ def is_unit_ideal(I: IdealPresentation) -> bool:
     ring; conversely if every generator vanishes at the origin the ideal
     sits inside the maximal ideal. No basis computation is needed.
     """
-    return any(g.constant_term() for g in I.gens)
+    return any((0,) * len(g.ring) in g.nums for g in I.gens)
 
 
-def random_invertible_matrix(size: int, rng: random.Random):
-    """Invertible matrix with small random rational entries."""
-    while True:
-        rows = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 2)) for _ in range(size)]
-            for _ in range(size)
-        ]
-        constants = [[Polynomial.constant(c, ()) for c in row] for row in rows]
-        if not determinant(constants).is_zero:
-            return rows
+@functools.lru_cache(maxsize=None)
+def _units(n):
+    """The exponents of x_1, ..., x_n in n variables."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def generic_linear_change(I: IdealPresentation, seed: int) -> IdealPresentation:
-    """Apply a seeded random invertible linear change of coordinates.
-
-    Seed 0 is the identity, by convention.
-    """
-    if seed == 0 or not I.ring:
-        return I
-    rng = random.Random(seed)
-    rows = random_invertible_matrix(len(I.ring), rng)
-    images = {}
-    for i, var in enumerate(I.ring):
-        value = Polynomial.zero(I.ring)
-        for j, w in enumerate(I.ring):
-            value = value + Polynomial.variable(w, I.ring) * rows[i][j]
-        images[var] = value
-    gens = tuple(substitute(g.with_ring(I.ring), images).with_ring(I.ring) for g in I.gens)
-    return IdealPresentation(I.ring, gens)
-
-
-def eliminate_linear_generators(I: IdealPresentation):
+def eliminate_linear_generators(I: IdealPresentation, field=RATIONAL):
     """Split off variables that a generator cuts out transversally.
 
     Whenever some generator has the shape c*v + r with c a nonzero constant
@@ -566,29 +529,43 @@ def eliminate_linear_generators(I: IdealPresentation):
     the names of the eliminated variables, in order. Generators must
     vanish at the origin.
 
-    Generators are int dicts over I.ring, each over a denominator. With
-    value = -r, Horner on the parts h_j of h by the power of v (acc = h_k,
-    then acc*value + c^(k-j)*h_j for j = k-1 down to 0) gives c^k*h(v =
-    value/c); over the denominator times c^k that is exactly h(v = -r/c).
+    Over prime_field(p) the generators are reduced mod p first (_residue,
+    so BadPrimeError comes before anything else), and the elimination runs
+    on the residues: a generator that is linear only mod p is split off
+    too. The generators returned are then residues, with coefficients in
+    [0, p).
+
+    The elimination runs on the generators' numerators. With value = -r,
+    Horner on the parts h_j of h by the power of v (acc = h_k, then
+    acc*value + c^(k-j)*h_j for j = k-1 down to 0) gives c^k*h(v =
+    value/c); over h's denominator times c^k that is exactly h(v = -r/c).
+    Mod p, value is -r/c itself, and c^(k-j) is 1.
     """
     ring = tuple(I.ring)
-    units = [tuple(int(i == j) for j in range(len(ring))) for i in range(len(ring))]
-    gens = [(n, d) for [n], d in (_integral([g.with_ring(ring).terms]) for g in I.gens)]
+    p = field
+    gens = [g.with_ring(ring) for g in I.gens]
+    if p is not RATIONAL:
+        gens = [_poly(ring, _residue(g, p)) for g in gens]
+    units = _units(len(ring))
     live = list(range(len(ring)))
     audit = []
     while True:
         # x_i is transversal in a generator whose one term involving x_i is x_i
-        hits = ((gi, i) for gi, (num, _) in enumerate(gens) for i in live if units[i] in num)
-        found = next(((gi, i) for gi, i in hits if sum(1 for m in gens[gi][0] if m[i]) == 1), None)
+        hits = ((gi, g, i) for gi, g in enumerate(gens) for i in live if units[i] in g.nums)
+        found = next(((gi, i) for gi, g, i in hits if sum(1 for m in g.nums if m[i]) == 1), None)
         if found is None:
             break
         gi, i = found
-        num, _ = gens.pop(gi)
+        num = gens.pop(gi).nums
         c = num[units[i]]
         value = {m: -a for m, a in num.items() if m != units[i]}
-        for hi, (h, den) in enumerate(gens):
+        if p is not RATIONAL:
+            inv = pow(c, -1, p)
+            value = {m: a * inv % p for m, a in value.items()}
+            c = 1
+        for hi, h in enumerate(gens):
             parts = {}
-            for m, a in h.items():
+            for m, a in h.nums.items():
                 parts.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = a
             k = max(parts, default=0)
             if not k:
@@ -598,13 +575,15 @@ def eliminate_linear_generators(I: IdealPresentation):
                 s *= c
                 step = {m: s * a for m, a in parts.get(j, {}).items()}
                 _mul_into(step, acc, value)
-                acc = {m: a for m, a in step.items() if a}
-            g = math.gcd(den * s, *acc.values())
-            gens[hi] = ({m: a // g for m, a in acc.items()}, den * s // g)
+                if p is RATIONAL:
+                    acc = {m: a for m, a in step.items() if a}
+                else:
+                    acc = {m: r for m, a in step.items() if (r := a % p)}
+            gens[hi] = _reduced(ring, acc, h.den * s)
         live.remove(i)
         audit.append(ring[i])
-    if not audit:
-        return IdealPresentation(ring, tuple(g.with_ring(ring) for g in I.gens)), audit
     out = tuple(ring[i] for i in live)
-    polys = [{tuple(m[i] for i in live): Fraction(a, d) for m, a in h.items()} for h, d in gens]
-    return IdealPresentation(out, tuple(_poly(out, t) for t in polys)), audit
+    if audit:
+        gens = [_poly(out, {tuple([m[i] for i in live]): a for m, a in g.nums.items()}, g.den)
+                for g in gens]
+    return IdealPresentation(out, tuple(gens)), audit

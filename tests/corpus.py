@@ -9,7 +9,7 @@ oracles comfortable: big colengths only appear in two variables.
 import random
 from fractions import Fraction
 
-from singchi.poly import Polynomial
+from singchi.poly import Polynomial, determinant, substitute
 from singchi.standard_basis import IdealPresentation
 
 
@@ -74,3 +74,30 @@ def random_monomial_ideal(rng, nvars=None):
             exps[v] = exps.get(v, 0) + 1
         gens.append(Polynomial(ring, {tuple(exps.get(v, 0) for v in ring): Fraction(1)}))
     return IdealPresentation(ring, tuple(gens))
+
+
+def generic_linear_change(I, seed):
+    """I after a seeded random invertible linear change of coordinates,
+    with small random rational entries a/b, b in {1, 2}.
+
+    Seed 0 is the identity, by convention.
+    """
+    if seed == 0 or not I.ring:
+        return I
+    rng = random.Random(seed)
+    n = len(I.ring)
+    while True:
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)
+        ]
+        if not determinant([[Polynomial.constant(c, ()) for c in row] for row in rows]).is_zero:
+            break
+    xs = [Polynomial.variable(w, I.ring) for w in I.ring]
+    images = {}
+    for var, row in zip(I.ring, rows):
+        value = Polynomial.zero(I.ring)
+        for x, a in zip(xs, row):
+            value = value + x * a
+        images[var] = value
+    gens = tuple(substitute(g.with_ring(I.ring), images).with_ring(I.ring) for g in I.gens)
+    return IdealPresentation(I.ring, gens)

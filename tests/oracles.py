@@ -28,8 +28,9 @@ The module also keeps references the package's faster code is checked
 against: the pivot profile by elimination over Fraction rows, the
 degree where the seal ladder stops, the staircase count of a standard
 basis's leading monomials, the transversal elimination by rational
-substitution, the recursive divided difference, and the cofactor
-expansion of a determinant.
+substitution, the recursive divided difference, the cofactor
+expansion of a determinant, and the Euler characteristic formulas as
+written, in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, sub
 
-from singchi.errors import EmptyArgsError, ResourceLimitError, UnknownVariableError
+from singchi.errors import (
+    EmptyArgsError,
+    NegativeMuImageError,
+    NonIntegralChiError,
+    ResourceLimitError,
+    UnknownVariableError,
+)
 from singchi.poly import Polynomial, substitute
 from singchi.standard_basis import INFINITE, IdealPresentation
 
@@ -611,3 +618,84 @@ def cofactor_determinant(matrix):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def _fraction_int(value, formula):
+    if value.denominator != 1:
+        raise NonIntegralChiError(
+            f"{formula} evaluates to the non-integer {value}; "
+            "the invariant tuple is not realizable by a map germ"
+        )
+    return int(value)
+
+
+def _fraction_tuple(t):
+    values = (t.mu_d2, t.mu_d2h, t.mu_d3, t.mu_d3h1, t.d2_nonempty, t.d3_nonempty, t.quad_points)
+    return tuple(Fraction(v) for v in values)
+
+
+def fraction_strata_chi(t):
+    """euler.strata_chi(t).as_dict(), from the formulas as written, in
+    Fraction arithmetic, each value checked to be an integer."""
+    a, b, c, d, beta2, beta3, q = _fraction_tuple(t)
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    sheet = _fraction_int(
+        1 - (half * (a + b) + sixth * (c + 3 * d + 2 * beta3) + q), "chi of the image"
+    )
+    double = _fraction_int(
+        beta2 + half * (a - b) + third * (c - beta3) + 3 * q, "chi of the double point locus"
+    )
+    triple = _fraction_int(
+        beta3 - (sixth * (c - 3 * d + 2 * beta3) + 3 * q), "chi of the triple point locus"
+    )
+    pinch = _fraction_int(beta2 - b, "chi of the pinch point locus")
+    quadruple = _fraction_int(q, "chi of the quadruple points")
+    crossing = _fraction_int(d + beta3, "chi of the pinch crossings")
+    return {
+        "chi_sheet": sheet,
+        "chi_double": double,
+        "chi_triple": triple,
+        "chi_quadruple": quadruple,
+        "chi_pinch": pinch,
+        "chi_pinch_crossing": crossing,
+        "pair_double": double - triple - pinch + crossing,
+        "pair_triple": triple - quadruple - crossing,
+        "pair_pinch": pinch - crossing,
+    }
+
+
+def fraction_chi_report(t):
+    """euler.image_chi_report(t).as_dict(), from the formulas as written,
+    in Fraction arithmetic and in the same order, so a tuple that is not
+    realizable raises the same error."""
+    a, b, c, d, beta2, beta3, q = _fraction_tuple(t)
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    mu = _fraction_int(
+        half * (a + b) + sixth * (c + 3 * d + 2 * beta3) + q, "image Milnor number"
+    )
+    if mu < 0:
+        raise NegativeMuImageError(
+            f"image Milnor number {mu} is negative; the tuple is not realizable"
+        )
+    chi_mf = _fraction_int(
+        1 + beta2 - (a + 2 * b + half * (c + 5 * d) + 2 * beta3 + 4 * q),
+        "chi of the image Milnor fibre",
+    )
+    diff = _fraction_int(
+        beta2 - (half * (a + 3 * b) + third * (c + 6 * d + 5 * beta3) + 3 * q),
+        "chi difference between Milnor fibre and disentanglement",
+    )
+    strata = fraction_strata_chi(t)
+    # transverse Milnor fibres: +1 along the pinch points, -1 elsewhere
+    stratified = 1 - mu + strata["pair_pinch"] - sum(
+        strata[k] for k in ("pair_double", "pair_triple", "chi_quadruple", "chi_pinch_crossing")
+    )
+    return {
+        "invariants": t.as_dict(),
+        "mu_image": mu,
+        "chi_disentanglement": 1 - mu,
+        "chi_mf": chi_mf,
+        "chi_difference": diff,
+        "strata": strata,
+        "consistent": chi_mf == 1 - mu + diff == stratified,
+    }

@@ -29,10 +29,9 @@ from singchi.standard_basis import (
     INFINITE,
     IdealPresentation,
     colength,
-    generic_linear_change,
 )
 
-from corpus import random_poly, random_zero_dim_ideal
+from corpus import generic_linear_change, random_poly, random_zero_dim_ideal
 from oracles import brute_colength, leading_monomials, negdeglex, staircase
 
 

@@ -12,6 +12,7 @@ from singchi.errors import (
     NegativeMuImageError,
     NonIntegralChiError,
     NonIsolatedError,
+    SingchiError,
 )
 from singchi.euler import (
     ComposedChiReport,
@@ -28,6 +29,8 @@ from singchi.euler import (
 )
 from singchi.multiple_points import InvariantTuple, invariant_tuple, map_germ
 from singchi.poly import parse_poly
+
+from oracles import fraction_chi_report, fraction_strata_chi
 
 
 def tup(a, b, c, d, b2, b3, b4, q):
@@ -148,6 +151,34 @@ def test_difference_is_chi_mf_minus_disentanglement():
         chi = chi_mf_image(t)
         diff = chi_difference_3to4(t)
         assert chi == (1 - mu) + diff
+
+
+def _outcome(fn, t):
+    """fn(t), or the type and message of the SingchiError it raises."""
+    try:
+        return fn(t)
+    except SingchiError as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_formulas_match_fraction_formulas():
+    # every field of both reports as the formulas evaluate in Fraction
+    # arithmetic, and on tuples that are not realizable the same error
+    # with the same message
+    rng = random.Random(16)
+    seen = set()
+    for i in range(1500):
+        if i % 3:
+            mus = [rng.randint(-3, 9) for _ in range(4)]
+            t = tup(*mus, *(rng.randint(0, 1) for _ in range(3)), rng.randint(-1, 4))
+        else:
+            t = random_integral_tuple(rng)
+        got = _outcome(lambda t: image_chi_report(t).as_dict(), t)
+        assert got == _outcome(fraction_chi_report, t), t
+        strata = _outcome(lambda t: strata_chi(t).as_dict(), t)
+        assert strata == _outcome(fraction_strata_chi, t), t
+        seen.add(got[0] if isinstance(got, tuple) else "report")
+    assert seen == {"report", NonIntegralChiError, NegativeMuImageError}
 
 
 def test_non_realizable_tuple_raises_negative_mu():

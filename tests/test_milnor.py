@@ -21,11 +21,10 @@ from singchi.standard_basis import (
     INFINITE,
     IdealPresentation,
     colength,
-    generic_linear_change,
     ideal,
 )
 
-from corpus import random_poly
+from corpus import generic_linear_change, random_poly
 from test_catalog import FAST_ROWS, QUAD_ROWS
 
 XY = ("x", "y")

@@ -18,7 +18,6 @@ from singchi.multiple_points import (
     invariant_tuple,
     map_germ,
     multiple_point_ideal,
-    multiple_point_indicator,
     partition_restricted_ideal,
     validate_corank1,
 )
@@ -26,6 +25,11 @@ from singchi.poly import Polynomial, parse_poly, substitute
 from singchi.standard_basis import is_unit_ideal
 
 from oracles import in_ideal
+
+
+def multiple_point_indicator(f, k):
+    """Whether the k-th multiple point space passes through the origin."""
+    return not is_unit_ideal(multiple_point_ideal(f, k))
 
 
 XYZ = ("x", "y", "z")

@@ -1,5 +1,6 @@
 """Polynomial kernel: parsing, arithmetic, divided differences, resultants."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -183,6 +184,67 @@ def test_ring_axioms(a, b, c):
 @given(polys())
 def test_print_parse_round_trip(p):
     assert parse_poly(str(p), XYZ) == p
+
+
+def _assert_normal_form(p):
+    """int numerators, none zero, over a positive denominator coprime to
+    their content; .terms reads them as Fractions."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert len(p.terms) == len(p.nums)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert dict(p.terms) == {m: Fraction(c, p.den) for m, c in p.nums.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), small_coeffs)
+def test_normal_form_of_every_result(a, b, r):
+    results = [
+        a + b,
+        a - b,
+        a * b,
+        a * r,
+        r * a + 1,
+        -a,
+        a**2,
+        a.partial("x"),
+        a.with_ring(("z", "w", "y", "x")),
+        substitute(a, {"x": b, "y": r}),
+        divided_difference(a, "z", ("z1", "z2", "z1")),
+        determinant([[a, b], [b * r, a]]),
+        *a.coefficients_in("y").values(),
+    ]
+    for p in (a, b, *results):
+        _assert_normal_form(p)
+        assert parse_poly(str(p), p.ring) == p
+    # the same polynomial by other paths and over other ring orders
+    assert (a * r) * (1 / r) == a
+    assert a + b - b == a
+    for ring in permutations(XYZ):
+        q = Polynomial(ring, {tuple(m[XYZ.index(v)] for v in ring): c for m, c in a.terms.items()})
+        assert q == a and hash(q) == hash(a)
+        assert parse_poly(str(a), ring) == a
+
+
+def test_normal_form_of_fractional_coefficients():
+    x = P("x")
+    half = x * Fraction(1, 2)
+    assert (half.nums, half.den) == ({(1, 0, 0): 1}, 2)
+    for whole in (half * 2, half + half, 2 * half, P("1/2*x") * 2):
+        assert whole == x and hash(whole) == hash(x) and whole.den == 1
+    assert P("2*x + 4*y") * Fraction(1, 2) == P("x + 2*y")
+    assert (P("2*x + 4*y") * Fraction(1, 2)).den == 1
+    p = P("1/2*y^2*z")
+    assert str(p) == "1/2*y^2*z" and (p.nums, p.den) == ({(0, 2, 1): 1}, 2)
+    # the family's sample values 1/3 and 7/5 substituted into an unfolding
+    F = parse_poly("z^3 + t*y^2*z + t^2*x*z", XYZ + ("t",))
+    for t in (Fraction(1, 3), Fraction(7, 5)):
+        q = substitute(F, {"t": t})
+        _assert_normal_form(q)
+        assert q.den == t.denominator**2
+        assert parse_poly(str(q), XYZ) == q and str(parse_poly(str(q), XYZ)) == str(q)
+        assert q == P("z^3") + P("y^2*z") * t + P("x*z") * t * t
 
 
 # --- substitution ----------------------------------------------------------

@@ -22,7 +22,6 @@ from singchi.standard_basis import (
     IdealPresentation,
     colength,
     eliminate_linear_generators,
-    generic_linear_change,
     ideal,
     is_unit_ideal,
     prime_field,
@@ -36,7 +35,12 @@ from singchi.multiple_points import (
     multiple_point_ideal,
 )
 
-from corpus import random_monomial_ideal, random_poly, random_zero_dim_ideal
+from corpus import (
+    generic_linear_change,
+    random_monomial_ideal,
+    random_poly,
+    random_zero_dim_ideal,
+)
 from oracles import (
     brute_colength,
     brute_membership,
@@ -243,6 +247,16 @@ def _exp_dicts(I):
     return [g.with_ring(I.ring).terms for g in I.gens if not g.is_zero]
 
 
+def _rows(gens, ring, p=None):
+    """The int rows colength hands _pivot_profile for the generators gens:
+    their numerators divided by their content over Q, their nonzero
+    residues mod p over Z/p."""
+    gens = [g.with_ring(ring) for g in gens if not g.is_zero]
+    if p is None:
+        return [sb._scaled(g.nums) for g in gens]
+    return [r for g in gens if (r := sb._residue(g, p))]
+
+
 #: The highest degree the pivot profile tests read to, per number of
 #: variables.
 _PROFILE_BOUND = {1: 9, 2: 7, 3: 4}
@@ -279,8 +293,7 @@ def test_pivot_profile_matches_truncation_oracle():
     for I in _profile_corpus():
         nv = len(I.ring)
         bound = _PROFILE_BOUND[nv]
-        gens = _exp_dicts(I)
-        rows = [sb._scaled(g) for g in gens]
+        rows = _rows(I.gens, I.ring)
         dims = _truncated_dims(_profile(rows, nv, bound), nv)
         want = [truncated_quotient_dim(I.gens, I.ring, D) for D in range(bound + 1)]
         assert dims == want, str(I.gens)
@@ -288,7 +301,7 @@ def test_pivot_profile_matches_truncation_oracle():
         if stops:
             assert sb._sealed_colength(rows, nv) == want[stops[0]], str(I.gens)
         for p in (5, 2147483647):
-            counts_p = _profile(sb._residues(gens, p), nv, bound, p)
+            counts_p = _profile(_rows(I.gens, I.ring, p), nv, bound, p)
             dims_p = _truncated_dims(counts_p, nv)
             assert all(a >= b for a, b in zip(dims_p, dims)), (p, str(I.gens))
 
@@ -324,16 +337,15 @@ def test_denominators_of_later_slices_match_truncation_oracle():
     # or to degree 9, over Q and over Z/p, where no denominator arises.
     carried = []
     for I in [*_profile_corpus(), *_catalog_colength_ideals()]:
-        rows = [sb._scaled(g) for g in _exp_dicts(I)]
+        rows = _rows(I.gens, I.ring)
         run = functools.partial(sb._sealed_colength, rows, len(I.ring))
         if _reaches(sb, "s *= pden // g", run):
             carried.append(I)
     assert len(carried) >= 5
     for I in carried:
         nv = len(I.ring)
-        dicts = _exp_dicts(I)
         for p in (None, 5, 2147483647):
-            rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
+            rows = _rows(I.gens, I.ring, p)
             bezout = max(sum(e) for d in rows for e in d) ** nv
             dims, _ = ladder_stop(I.gens, I.ring, bezout, p, top=9)
             counts = _profile(rows, nv, len(dims) - 1, p)
@@ -355,7 +367,8 @@ def test_fraction_free_profile_matches_fraction_elimination(multipliers):
             {e: c * multipliers[i % len(multipliers)] for e, c in g.items()}
             for i, g in enumerate(_exp_dicts(I))
         ]
-        got = _profile([sb._scaled(g) for g in gens], nv, _PROFILE_BOUND[nv])
+        rows = _rows([Polynomial(I.ring, g) for g in gens], I.ring)
+        got = _profile(rows, nv, _PROFILE_BOUND[nv])
         for bound in range(1, _PROFILE_BOUND[nv] + 1):
             want = fraction_pivot_profile(gens, nv, bound)
             assert got[: bound + 1] == want, (bound, str(I.gens))
@@ -386,7 +399,7 @@ def test_profile_of_redundant_generators_matches_all_rows():
         for gens in _redundant_presentations(I):
             dicts = [g.with_ring(I.ring).terms for g in gens]
             for p in (None, 5, 2147483647):
-                rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
+                rows = _rows(gens, I.ring, p)
                 want = [truncated_quotient_dim(gens, I.ring, D, p) for D in range(top + 1)]
                 counts = _profile(rows, nv, top, p)
                 assert _truncated_dims(counts, nv) == want, (p, gens)
@@ -423,8 +436,7 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     generator vanishes over the field: colength's witness settles that
     ideal."""
     nv = len(ring)
-    dicts = [g.with_ring(ring).terms for g in gens if not g.is_zero]
-    rows = [sb._scaled(d) for d in dicts] if p is None else sb._residues(dicts, p)
+    rows = _rows(gens, ring, p)
     if not rows:
         return None
     bezout = max(sum(e) for d in rows for e in d) ** nv
@@ -786,6 +798,25 @@ def test_eliminate_scaled_variable():
     assert J.ring == ("y",)
     assert J.gens[0] == parse_poly("y^4", ("y",))
     assert colength(I) == 4
+
+
+def test_generator_linear_only_mod_p_is_split_off():
+    # y + 5*y^2 is y over F_5: the residues are taken first, so y is split
+    # off there, and the colength is settled within a small budget; over Q
+    # y is not transversal, and the answer is the same
+    I = ideal(XYZ, "y + 5*y^2", "(x + z)^2*(x^3 + z^4)", "(x + z)^3")
+    J, audit = eliminate_linear_generators(I, prime_field(5))
+    assert audit == ["y"] and J.ring == ("x", "z")
+    assert all(0 <= c < 5 for g in J.gens for c in g.nums.values())
+    assert colength(I, field=prime_field(5), max_steps=500) == INFINITE
+    assert eliminate_linear_generators(I)[1] == []
+    assert colength(I) == INFINITE
+    # a prime dividing a denominator still comes first
+    with pytest.raises(BadPrimeError):
+        eliminate_linear_generators(ideal(XY, "x + 1/5*y^2", "y^3"), prime_field(5))
+    K = ideal(("y", "z"), "-30*y^5 - 2*y", "z^2 + y*z")
+    J, audit = eliminate_linear_generators(K, prime_field(5))
+    assert audit == ["y"] and J.gens == (parse_poly("z^2", ("z",)),)
 
 
 def test_eliminate_ignores_nonconstant_coefficient():
