@@ -33,6 +33,10 @@ class BadPrimeError(SingchiError):
     """A chosen prime divides the denominator of an input coefficient."""
 
 
+class ExponentLimitError(SingchiError, ValueError):
+    """An exponent reached 2^15, past the field of a packed monomial key."""
+
+
 class ResourceLimitError(SingchiError):
     """The row reductions of a colength exhausted their budget (max_steps)."""
 

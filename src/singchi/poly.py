@@ -1,13 +1,15 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is an ordered tuple of variable names (its ring), a
-dictionary mapping exponent tuples, aligned with the ring, to nonzero int
-numerators, and one positive denominator coprime to their content:
-x^2*y/2 over the ring (x, y, z) is {(2, 1, 0): 1} over 2. So each
-polynomial has one form, arithmetic runs on ints and reduces each result
-to that form once, and .terms reads the coefficients as Fractions. The
-colength engine reads the same exponent tuples and numerators. All
-arithmetic is exact; nothing here ever rounds.
+dictionary mapping monomial keys to nonzero int numerators, and one
+positive denominator coprime to their content. A key is one int, with the
+exponent of ring variable j in bits [16j, 16j + 16): x^2*y/2 over the
+ring (x, y, z) is {2 + (1 << 16): 1} over 2, and the key of a product of
+monomials is the sum of their keys. Exponents stay below 2^15: a
+ValueError (ExponentLimitError from arithmetic) is raised past that.
+Arithmetic runs on ints and reduces each result once; .terms reads
+exponent tuples and Fractions, and the colength engine the keys and
+numerators. Nothing here ever rounds.
 
 Input is checked where it enters: the public Polynomial constructor,
 parse_poly and with_ring. Arithmetic and the calculus below build their
@@ -31,14 +33,21 @@ import math
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
+from operator import or_
 
 from .errors import (
     EmptyArgsError,
+    ExponentLimitError,
     PolyParseError,
     UnknownVariableError,
     ZeroDegreeError,
 )
+
+#: The width of an exponent field of a key, its mask, and the bound on
+#: exponents, which leaves the top bit of each field as a guard bit.
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)
 
 
 def _coeff(value) -> Fraction:
@@ -56,10 +65,34 @@ def _check_ring(ring) -> tuple:
     return ring
 
 
+def _key(exp, n: int) -> int:
+    """The key of the exponent tuple exp in n variables, checked."""
+    if not (isinstance(exp, tuple) and len(exp) == n
+            and all(isinstance(e, int) and 0 <= e < _LIMIT for e in exp)):
+        raise ValueError(f"exponent {exp!r} is not {n} ints in [0, {_LIMIT})")
+    return sum(e << _BITS * j for j, e in enumerate(exp))
+
+
+def _exponents(key: int, n: int) -> tuple:
+    """The exponent tuple of key in n variables."""
+    return tuple(key >> s & _MASK for s in range(0, _BITS * n, _BITS))
+
+
+def _support(nums) -> int:
+    """The OR of the keys of nums: a field is nonzero where some key's is."""
+    return functools.reduce(or_, nums, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _guard(bits: int) -> int:
+    """The guard bits of every field below bit `bits`."""
+    return int("8000" * (bits // _BITS + 1), 16)
+
+
 def _poly(ring: tuple, nums: dict, den: int = 1) -> "Polynomial":
-    """The unchecked constructor: nums must already be keyed by exponent
-    tuples aligned with ring and hold only nonzero ints, and den be
-    positive and coprime to their content."""
+    """The unchecked constructor: nums must already be keyed by monomial
+    keys over ring and hold only nonzero ints, and den be positive and
+    coprime to their content."""
     p = object.__new__(Polynomial)
     p.ring, p.nums, p.den = ring, nums, den
     return p
@@ -82,7 +115,7 @@ def _constant(value, ring: tuple) -> "Polynomial":
     """value, an int or a Fraction, as a constant over ring."""
     if not value:
         return _poly(ring, {})
-    return _poly(ring, {(0,) * len(ring): value.numerator}, value.denominator)
+    return _poly(ring, {0: value.numerator}, value.denominator)
 
 
 def _add_into(acc: dict, terms: dict) -> None:
@@ -101,12 +134,17 @@ def _add_into(acc: dict, terms: dict) -> None:
 
 def _mul_into(acc: dict, left: dict, right: dict, negate: bool = False) -> None:
     """Add (or subtract) the product of two term dicts over one ring into
-    acc in place; cancelled terms stay in acc as zeros."""
+    acc in place; cancelled terms stay as zeros. ExponentLimitError if an
+    exponent reaches _LIMIT, which a guard bit of the supports' sum flags."""
+    top = _support(left) + _support(right)
+    guard = _guard(top.bit_length())
+    if top & guard and any(m1 + m2 & guard for m1 in left for m2 in right):
+        raise ExponentLimitError(f"an exponent of a product reaches {_LIMIT}")
     for m1, c1 in left.items():
         if negate:
             c1 = -c1
         for m2, c2 in right.items():
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             x = acc.get(m)
             acc[m] = c1 * c2 if x is None else x + c1 * c2
 
@@ -117,31 +155,37 @@ def _times(nums: dict, k: int) -> dict:
 
 
 class _Terms(Mapping):
-    """A polynomial's terms as exponents -> Fraction coefficients: a view of
-    its numerators and denominator that copies neither."""
+    """A polynomial's terms as exponent tuples -> Fractions: a view of nums."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_n")
 
-    def __init__(self, nums: dict, den: int):
-        self._nums, self._den = nums, den
+    def __init__(self, nums: dict, den: int, n: int):
+        self._nums, self._den, self._n = nums, den, n
 
     def __len__(self):
         return len(self._nums)
 
     def __iter__(self):
-        return iter(self._nums)
+        return (_exponents(m, self._n) for m in self._nums)
 
     def __getitem__(self, exp):
-        return Fraction(self._nums[exp], self._den)
+        try:
+            return Fraction(self._nums[_key(exp, self._n)], self._den)
+        except ValueError:
+            raise KeyError(exp) from None
+
+    def items(self):
+        n, den = self._n, self._den
+        return {_exponents(m, n): Fraction(c, den) for m, c in self._nums.items()}.items()
 
 
 class Polynomial:
     """A sparse polynomial with rational coefficients over a declared ring.
 
-    The ring is an ordered tuple of variable names, and nums maps exponent
-    tuples aligned with it to nonzero int numerators over the positive
-    denominator den (module docstring). The constructor checks every key
-    (a tuple of non-negative ints, one per ring variable) and every
+    The ring is an ordered tuple of variable names, and nums maps monomial
+    keys over it to nonzero int numerators over the positive denominator
+    den (module docstring). The constructor checks every exponent tuple (a
+    tuple of non-negative ints below 2^15, one per ring variable) and every
     coefficient (int or Fraction); results of arithmetic are built without
     checks. Instances are treated as immutable.
 
@@ -159,13 +203,8 @@ class Polynomial:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for exp, coeff in items:
-                if not (
-                    isinstance(exp, tuple)
-                    and len(exp) == len(ring)
-                    and all(isinstance(e, int) and e >= 0 for e in exp)
-                ):
-                    raise ValueError(f"exponent {exp!r} is not {len(ring)} non-negative ints")
-                clean[exp] = clean.get(exp, 0) + _coeff(coeff)
+                m = _key(exp, len(ring))
+                clean[m] = clean.get(m, 0) + _coeff(coeff)
         # over the lcm of the reduced denominators the form is the one above
         den = math.lcm(*(c.denominator for c in clean.values()))
         self.ring = ring
@@ -174,8 +213,8 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping:
-        """The terms as exponents -> Fraction coefficients."""
-        return _Terms(self.nums, self.den)
+        """The terms as exponent tuples -> Fraction coefficients."""
+        return _Terms(self.nums, self.den, len(self.ring))
 
     @staticmethod
     def zero(ring) -> "Polynomial":
@@ -190,7 +229,7 @@ class Polynomial:
         ring = _check_ring(ring)
         if name not in ring:
             raise UnknownVariableError(f"variable {name!r} not in ring {ring}")
-        return _poly(ring, {tuple(int(v == name) for v in ring): 1})
+        return _poly(ring, {1 << _BITS * ring.index(name): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -198,47 +237,45 @@ class Polynomial:
 
     def constant_term(self):
         """The value at the origin: a Fraction, or the int 0 when the zero
-        exponent has no term."""
-        c = self.nums.get((0,) * len(self.ring))
+        key has no term."""
+        c = self.nums.get(0)
         return 0 if c is None else Fraction(c, self.den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.nums:
-            return -1
-        return max(sum(m) for m in self.nums)
+        return max((sum(_exponents(m, len(self.ring))) for m in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
         if not self.nums:
             return -1
         if var not in self.ring:
             return 0
-        i = self.ring.index(var)
-        return max(m[i] for m in self.nums)
+        s = _BITS * self.ring.index(var)
+        return max(m >> s & _MASK for m in self.nums)
 
     def coefficient(self, exp: tuple) -> Fraction:
         """The coefficient of the monomial with exponents exp (ring order)."""
-        return Fraction(self.nums.get(exp, 0), self.den)
+        return self.terms.get(exp, Fraction(0))
 
     def coefficients_in(self, var: str) -> dict:
         """Split into {power of var: polynomial coefficient} (var removed)."""
         if var not in self.ring:
             return {0: self} if self.nums else {}
-        i = self.ring.index(var)
+        s = _BITS * self.ring.index(var)
         out = {}
         for m, c in self.nums.items():
-            out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
+            out.setdefault(m >> s & _MASK, {})[m & ~(_MASK << s)] = c
         return {e: _reduced(self.ring, bucket, self.den) for e, bucket in out.items()}
 
     def partial(self, var: str) -> "Polynomial":
         if var not in self.ring:
             raise UnknownVariableError(f"variable {var!r} not in ring {self.ring}")
-        i = self.ring.index(var)
+        s = _BITS * self.ring.index(var)
         terms = {}
         for m, c in self.nums.items():
-            e = m[i]
+            e = m >> s & _MASK
             if e:
-                terms[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+                terms[m - (1 << s)] = c * e
         return _reduced(self.ring, terms, self.den)
 
     def _align(self, other: "Polynomial"):
@@ -308,25 +345,36 @@ class Polynomial:
 
     def __hash__(self):
         # over the variables in use, sorted by name: the same for every ring
-        used = sorted(v for i, v in enumerate(self.ring) if any(m[i] for m in self.nums))
-        return hash((frozenset(self.with_ring(used).nums.items()), self.den))
+        used = _support(self.nums)
+        names = sorted(v for i, v in enumerate(self.ring) if used >> _BITS * i & _MASK)
+        return hash((frozenset(self.with_ring(names).nums.items()), self.den))
 
     def with_ring(self, ring) -> "Polynomial":
         """The same polynomial over ring, which must declare every variable
-        a term uses; raises UnknownVariableError otherwise."""
+        a term uses (UnknownVariableError otherwise). An extension, or a
+        prefix holding every variable in use, shares the term dict."""
         if tuple(ring) == self.ring:
             return self
         ring = _check_ring(ring)
-        where = {v: i for i, v in enumerate(self.ring)}
-        for v, i in where.items():
-            if v not in ring and any(m[i] for m in self.nums):
-                raise UnknownVariableError(f"variable {v!r} not in ring {ring}")
-        # index -1 picks the 0 appended to each exponent tuple
-        picks = [where.get(v, -1) for v in ring]
+        used = _support(self.nums)
+        n = min(len(ring), len(self.ring))
+        if ring[:n] == self.ring[:n] and not used >> _BITS * n:
+            return _poly(ring, self.nums, self.den)
+        # the fields in use that move by one offset move as one mask
+        moves = {}
+        for i, v in enumerate(self.ring):
+            if used >> _BITS * i & _MASK:
+                if v not in ring:
+                    raise UnknownVariableError(f"variable {v!r} not in ring {ring}")
+                d = _BITS * (ring.index(v) - i)
+                moves[d] = moves.get(d, 0) | _MASK << _BITS * i
+        moves = [(mask, max(d, 0), max(-d, 0)) for d, mask in moves.items()]
         nums = {}
         for m, c in self.nums.items():
-            padded = m + (0,)
-            nums[tuple([padded[i] for i in picks])] = c
+            key = 0
+            for mask, up, down in moves:
+                key |= (m & mask) << up >> down
+            nums[key] = c
         return _poly(ring, nums, self.den)
 
     def __str__(self):
@@ -334,11 +382,13 @@ class Polynomial:
             return "0"
         # terms by descending (degree, exponent vector); inside a monomial
         # the variables go by name
-        named = sorted(range(len(self.ring)), key=self.ring.__getitem__)
-        ordered = sorted(self.nums, key=lambda m: (sum(m), m), reverse=True)
+        n = len(self.ring)
+        named = sorted(range(n), key=self.ring.__getitem__)
+        ordered = sorted(((_exponents(m, n), c) for m, c in self.nums.items()),
+                         key=lambda t: (sum(t[0]), t[0]), reverse=True)
         pieces = []
-        for m in ordered:
-            coeff = Fraction(self.nums[m], self.den)
+        for m, c in ordered:
+            coeff = Fraction(c, self.den)
             body = "*".join(
                 self.ring[i] if m[i] == 1 else f"{self.ring[i]}^{m[i]}" for i in named if m[i]
             )
@@ -522,22 +572,20 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
                         ring_out.append(w)
     ring_out = tuple(ring_out)
 
-    kept = [(i, ring_out.index(v)) for i, v in enumerate(p.ring) if v not in assignment]
-    moved = [(i, v) for i, v in enumerate(p.ring) if v in assignment]
+    moved = [(_BITS * i, v) for i, v in enumerate(p.ring) if v in assignment]
+    mask = sum(_MASK << i for i, _ in moved)
     # Collect p by the exponents of the substituted variables, so each
     # distinct pattern of them costs one product.
     groups = {}
     for m, c in p.nums.items():
-        rest = [0] * len(ring_out)
-        for i, j in kept:
-            rest[j] = m[i]
-        groups.setdefault(tuple(m[i] for i, _ in moved), {})[tuple(rest)] = c
+        groups.setdefault(m & mask, {})[m & ~mask] = c
     # each part holds numerators of p, over p.den, divided out at the end
     power_cache = {}
     total = _poly(ring_out, {})
     for pattern, part in groups.items():
-        piece = _poly(ring_out, part)
-        for (_, var), e in zip(moved, pattern):
+        piece = _poly(p.ring, part).with_ring(ring_out)
+        for i, var in moved:
+            e = pattern >> i & _MASK
             if not e:
                 continue
             if (var, e) not in power_cache:
@@ -583,7 +631,7 @@ def determinant(matrix) -> Polynomial:
         den = math.lcm(*(entry.den for entry in row))
         scale *= den
         rows.append([_times(entry.nums, den // entry.den) for entry in row])
-    prev = {0: {(0,) * len(ring): 1}}
+    prev = {0: {0: 1}}
     for r in range(n):
         cur = {}
         for mask, acc in prev.items():
@@ -636,8 +684,8 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
 
 
 @functools.lru_cache(maxsize=1024)
-def _node_powers(degree: int, multiplicities: tuple) -> tuple:
-    """The terms of h_degree over a multiset of nodes, as (exponents, weight).
+def _node_powers(degree: int, multiplicities: tuple, at: int) -> tuple:
+    """The terms of h_degree over nodes from ring variable at on, as (key, weight).
 
     multiplicities[i] is how often node i repeats; the weight of the
     monomial with exponents e is prod_i C(e_i + r_i - 1, r_i - 1), the
@@ -647,11 +695,11 @@ def _node_powers(degree: int, multiplicities: tuple) -> tuple:
     """
     r = multiplicities[0]
     if len(multiplicities) == 1:
-        return (((degree,), math.comb(degree + r - 1, r - 1)),)
+        return ((degree << _BITS * at, math.comb(degree + r - 1, r - 1)),)
     return tuple(
-        ((e,) + rest, math.comb(e + r - 1, r - 1) * w)
+        (e << _BITS * at | rest, math.comb(e + r - 1, r - 1) * w)
         for e in range(degree + 1)
-        for rest, w in _node_powers(degree - e, multiplicities[1:])
+        for rest, w in _node_powers(degree - e, multiplicities[1:], at + 1)
     )
 
 
@@ -689,13 +737,14 @@ def divided_difference(g: Polynomial, var: str, args) -> Polynomial:
     multiplicities = tuple(args.count(a) for a in nodes)
     shift = len(args) - 1
     terms = {}
+    s, low = _BITS * i, (1 << _BITS * i) - 1
     # Parameter parts and node parts share no variable, and h_d has node
     # degree d, so every product below is a distinct monomial.
     for m, coeff in g.nums.items():
-        d = m[i] - shift
+        d = (m >> s & _MASK) - shift
         if d < 0:
             continue
-        rest = m[:i] + m[i + 1 :]
-        for node_exps, weight in _node_powers(d, multiplicities):
-            terms[rest + node_exps] = coeff if weight == 1 else coeff * weight
+        rest = m & low | m >> s + _BITS << s
+        for node_key, weight in _node_powers(d, multiplicities, len(params)):
+            terms[rest | node_key] = coeff if weight == 1 else coeff * weight
     return _reduced(params + nodes, terms, g.den)

@@ -31,10 +31,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import BadPrimeError, ResourceLimitError
-from .poly import Polynomial, _mul_into, _poly, _reduced, parse_poly
+from .poly import _BITS, _LIMIT, _MASK, Polynomial, _exponents, _mul_into, _poly, _reduced
+from .poly import _support, parse_poly
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -95,7 +95,7 @@ def _is_probable_prime(p: int) -> bool:
 
 
 def _residue(g: Polynomial, p: int) -> dict:
-    """The exponent dict of g mod p, with plain int coefficients in [0, p);
+    """The key dict of g mod p, with plain int coefficients in [0, p);
     BadPrimeError when p divides the denominator of a coefficient."""
     if g.den % p == 0:
         c = next(c for c in g.terms.values() if c.denominator % p == 0)
@@ -113,7 +113,7 @@ def prime_field(p: int) -> int:
 
 
 def _scaled(d):
-    """The int exponent dict d divided by its content: coprime integer
+    """The int key dict d divided by its content: coprime integer
     coefficients."""
     g = math.gcd(*d.values())
     return {e: c // g for e, c in d.items()} if g != 1 else d
@@ -124,39 +124,33 @@ def _scaled(d):
 # ---------------------------------------------------------------------------
 
 
-def _axis_witness(exps, nvars):
-    """The first i such that no exponent in exps is a power of x_i alone
-    (1 included), or None.
+def _axis_witness(keys, nvars):
+    """The first i such that no monomial key in keys is a power of x_i
+    alone (1 included), or None. A pure power is a key with exactly one
+    nonzero field.
 
     For the terms of J's generators this certifies an infinite colength:
     every generator vanishes on the x_i-axis, so O/J maps onto C{x_i}.
     """
     on_axis = set()
-    for e in exps:
-        support = [i for i, a in enumerate(e) if a]
-        if not support:
+    for m in keys:
+        if not m:
             return None
-        if len(support) == 1:
-            on_axis.add(support[0])
+        i = (m.bit_length() - 1) // _BITS
+        if not m & (1 << _BITS * i) - 1:
+            on_axis.add(i)
     return next((i for i in range(nvars) if i not in on_axis), None)
-
-
-def _exponents(nv, k):
-    """The exponents of the monomials of degree k in nv >= 1 variables, in
-    ascending lexicographic order."""
-    if nv == 1:
-        return [(k,)]
-    return [(j,) + e for j in range(k + 1) for e in _exponents(nv - 1, k - j)]
 
 
 @functools.lru_cache(maxsize=256)
 def _monomials(nv, k):
-    """The exponents of degree k in nv variables, ascending, each with its
-    column at degree k: the exponent read as digits in base k + 1. The
-    cache is shared by every elimination, and bounded: one that climbs
-    far would otherwise keep every degree it reached."""
-    weights = [(k + 1) ** (nv - 1 - j) for j in range(nv)]
-    return tuple((a, sum(map(mul, a, weights))) for a in _exponents(nv, k))
+    """The keys of the monomials of degree k in nv >= 1 variables,
+    ascending. The cache is shared by every elimination, and bounded: one
+    that climbs far would otherwise keep every degree it reached."""
+    if nv == 1:
+        return (k,)
+    top = _BITS * (nv - 1)
+    return tuple((j << top) + m for j in range(k + 1) for m in _monomials(nv - 1, k - j))
 
 
 def _pivot_profile(gens, nv, p=None, budget=None):
@@ -164,8 +158,8 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     yields counts[D], the number of pivots in degree D, for D = 0, 1, 2,
     ... without end.
 
-    gens are J's nonzero generators as exponent dicts with plain int
-    coefficients: primitive integer dicts over Q (_scaled), or residues
+    gens are J's nonzero generators as dicts of poly's monomial keys to
+    plain ints: primitive integer dicts over Q (_scaled), or residues
     mod p when p is given (_residue). The rows are the monomial multiples
     of the generators, which span exactly the image of J in every
     truncation, because every unit of the truncated ring is itself a
@@ -190,9 +184,10 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     The first column left without a pivot becomes a row's pivot; a row with
     none is pending, until no degree above D is left where x^a*g_i or a
     pivot it met has a term. No row at step D has an entry below D, so
-    counts[D] is final after it. Within degree D the column of x^e is e
-    read as digits in base D + 1: columns order by exponent, and the column
-    of a product of monomials is the sum of their columns.
+    counts[D] is final after it. The column of x^e is its key (poly), at
+    every degree, as the key of a product is the sum of the keys; columns
+    order lexicographically, the last variable most significant. Keys hold
+    exponents below 2^15, and ResourceLimitError comes before D = 2^15.
 
     No row x^a*g_i is built when x^a already leads the image of J' =
     (g_1, ..., g_{i-1}) (the F5 criterion: Faugere, ISSAC 2002). If q in
@@ -224,34 +219,27 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     if budget is None:
         budget = [math.inf]
     # per generator: its order, its degrees as a bit mask, and its terms by
-    # degree
+    # degree as (key, entry)
     parts = []
     for gen in gens:
         by_degree = {}
         for e, c in gen.items():
-            by_degree.setdefault(sum(e), []).append((e, c))
+            by_degree.setdefault(sum(_exponents(e, nv)), []).append((e, c))
         parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree))
-    # A pivot: (generator index i, shift exponents a, operations, degrees).
+    # A pivot: (generator index i, shift key a, operations, degrees).
     # Bit D of degrees is clear where the D-slice is known to be zero: every
     # degree of x^a*g_i and of the pivots the operations name is set. Kept as
     # tuples of ints, which the garbage collector stops tracking.
     pivots = []
-    # per degree k: the lead column of each pivot of degree k -> the index
-    # of the generator that made it
-    leads = []
+    # the lead column of each pivot -> the index of the generator that made it
+    leads = {}
     # per generator: (a, operations, degree mask) of the rows whose slices
     # so far all cancelled
     pending = [[] for _ in gens]
+    # deg a is the top field of a*ones: no field sum of a reaches 2^15
+    ones, top = sum(1 << _BITS * j for j in range(nv)), _BITS * (nv - 1)
 
-    # D, weights, terms and slices below are those of the current degree D
-    def terms_of(i, t):
-        """The terms of degree t of g_i, as (column at degree D, entry)."""
-        low = terms.get((i, t))
-        if low is None:
-            low = [(sum(map(mul, e, weights)), c) for e, c in parts[i][2].get(t, ())]
-            terms[i, t] = low
-        return low
-
+    # D and slices below are those of the current degree D
     def replay(i, a, ops):
         """The D-slice of the row x^a*g_i after ops, as an int dict and a
         positive denominator, and ops as they act above degree D.
@@ -259,8 +247,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         An operation whose pivot has no terms above D only scales the row
         at every later degree, so it is folded into the next operation that
         names a pivot with such terms, or into a last scaling."""
-        at = sum(map(mul, a, weights))
-        N = {at + col: c for col, c in terms_of(i, D - sum(a))}
+        N = {a + col: c for col, c in parts[i][2].get(D - (a * ones >> top & _MASK), ())}
         den, kept, S, C = 1, [], 1, 1
         for op in ops:
             s, f, k, c = op
@@ -305,10 +292,9 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         return N, den, kept
 
     for D in itertools.count():
-        # columns at degree D, and (generator index, degree t) -> the terms
-        # of degree t of g_i by column, built as they are asked for
-        weights = [(D + 1) ** (nv - 1 - j) for j in range(nv)]
-        terms, slices = {}, {}
+        if D == _LIMIT:
+            raise ResourceLimitError(f"degree {D} passes the exponent width of a key")
+        slices = {}
         if any(pending):
             # The D-slices of the pivots that the pending rows name, directly
             # or through other pivots, replayed in the order they were made.
@@ -327,9 +313,8 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         # the lead column of each pivot of degree D -> (lead entry, the other
         # entries of its D-slice, pivot index)
         here, made = {}, len(pivots)
-        leads.append({})
         for i, (order, degrees, _) in enumerate(parts):
-            # (a, operations, degrees, D-slice, its denominator) per row
+            # (a, operations, D-slice, its denominator, degrees) per row
             rows = []
             for shift, ops, mask in pending[i]:
                 N, den = {}, 1
@@ -339,12 +324,11 @@ def _pivot_profile(gens, nv, p=None, budget=None):
             pending[i] = []
             k = D - order
             if k >= 0:
-                known, low = leads[k], terms_of(i, order)
-                for shift, col in _monomials(nv, k):
+                low = parts[i][2][order]
+                for shift in _monomials(nv, k):
                     # F5: skip x^a*g_i when x^a leads a pivot of g_1..g_(i-1)
-                    if known.get(col, i) >= i:
-                        at = sum(map(mul, shift, weights))
-                        rows.append((shift, [], {at + t: c for t, c in low}, 1, degrees << k))
+                    if leads.get(shift, i) >= i:
+                        rows.append((shift, [], {shift + t: c for t, c in low}, 1, degrees << k))
             for shift, ops, N, pre, mask in rows:
                 start = len(ops)
                 # Reducing at a column only brings in columns above it, so a
@@ -413,7 +397,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 else:
                     a = pow(a, -1, p)
                 here[lead] = (a, N, len(pivots))
-                leads[D][lead] = i
+                leads[lead] = i
                 pivots.append((i, shift, tuple(ops), mask))
         yield len(pivots) - made
 
@@ -441,7 +425,7 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     reductions take from one budget of max_steps, and ResourceLimitError
     ends the elimination when it runs out.
     """
-    bezout = max(sum(e) for d in gens for e in d) ** nv
+    bezout = max(sum(_exponents(e, nv)) for d in gens for e in d) ** nv
     dim = 0
     for D, filled in enumerate(_pivot_profile(gens, nv, p, [max_steps])):
         full = math.comb(D + nv - 1, nv - 1)
@@ -510,13 +494,7 @@ def is_unit_ideal(I: IdealPresentation) -> bool:
     ring; conversely if every generator vanishes at the origin the ideal
     sits inside the maximal ideal. No basis computation is needed.
     """
-    return any((0,) * len(g.ring) in g.nums for g in I.gens)
-
-
-@functools.lru_cache(maxsize=None)
-def _units(n):
-    """The exponents of x_1, ..., x_n in n variables."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return any(0 in g.nums for g in I.gens)
 
 
 def eliminate_linear_generators(I: IdealPresentation, field=RATIONAL):
@@ -546,30 +524,32 @@ def eliminate_linear_generators(I: IdealPresentation, field=RATIONAL):
     gens = [g.with_ring(ring) for g in I.gens]
     if p is not RATIONAL:
         gens = [_poly(ring, _residue(g, p)) for g in gens]
-    units = _units(len(ring))
     live = list(range(len(ring)))
     audit = []
     while True:
         # x_i is transversal in a generator whose one term involving x_i is x_i
-        hits = ((gi, g, i) for gi, g in enumerate(gens) for i in live if units[i] in g.nums)
-        found = next(((gi, i) for gi, g, i in hits if sum(1 for m in g.nums if m[i]) == 1), None)
+        hits = ((gi, g, i) for gi, g in enumerate(gens) for i in live if 1 << _BITS * i in g.nums)
+        found = next(((gi, i) for gi, g, i in hits
+                      if sum(1 for m in g.nums if m & _MASK << _BITS * i) == 1), None)
         if found is None:
             break
         gi, i = found
+        at = _BITS * i
         num = gens.pop(gi).nums
-        c = num[units[i]]
-        value = {m: -a for m, a in num.items() if m != units[i]}
+        c = num[1 << at]
+        value = {m: -a for m, a in num.items() if m != 1 << at}
         if p is not RATIONAL:
             inv = pow(c, -1, p)
             value = {m: a * inv % p for m, a in value.items()}
             c = 1
         for hi, h in enumerate(gens):
+            # a generator free of x_i is left as it is, unsplit
+            if not _support(h.nums) >> at & _MASK:
+                continue
             parts = {}
             for m, a in h.nums.items():
-                parts.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = a
-            k = max(parts, default=0)
-            if not k:
-                continue
+                parts.setdefault(m >> at & _MASK, {})[m & ~(_MASK << at)] = a
+            k = max(parts)
             acc, s = parts[k], 1
             for j in range(k - 1, -1, -1):
                 s *= c
@@ -583,7 +563,4 @@ def eliminate_linear_generators(I: IdealPresentation, field=RATIONAL):
         live.remove(i)
         audit.append(ring[i])
     out = tuple(ring[i] for i in live)
-    if audit:
-        gens = [_poly(out, {tuple([m[i] for i in live]): a for m, a in g.nums.items()}, g.den)
-                for g in gens]
-    return IdealPresentation(out, tuple(gens)), audit
+    return IdealPresentation(out, tuple(g.with_ring(out) for g in gens)), audit

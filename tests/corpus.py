@@ -9,8 +9,15 @@ oracles comfortable: big colengths only appear in two variables.
 import random
 from fractions import Fraction
 
-from singchi.poly import Polynomial, determinant, substitute
+from singchi.poly import Polynomial, _exponents, determinant, substitute
 from singchi.standard_basis import IdealPresentation
+
+
+def exponent_dict(nums, n):
+    """nums, a dict keyed by the package's monomial keys (a Polynomial's
+    nums, a row of the colength elimination), keyed by exponent tuples in
+    n variables instead: the one place the tests read a key's exponents."""
+    return {_exponents(m, n): c for m, c in nums.items()}
 
 
 def random_coeff(rng):

@@ -15,6 +15,7 @@ from singchi.errors import (
 from singchi.milnor import icis_milnor
 from singchi.multiple_points import (
     InvariantTuple,
+    _prefix_ideal,
     invariant_tuple,
     map_germ,
     multiple_point_ideal,
@@ -25,6 +26,7 @@ from singchi.poly import Polynomial, parse_poly, substitute
 from singchi.standard_basis import is_unit_ideal
 
 from oracles import in_ideal
+from test_catalog import QUAD_ROWS
 
 
 def multiple_point_indicator(f, k):
@@ -156,6 +158,31 @@ def test_node_name_collision_rejected():
     validate_corank1(f)
     with pytest.raises(BadParamsError):
         multiple_point_ideal(f, 2)
+
+
+#: The scaled family members of the benchmark, whose generators carry the
+#: largest exponents of the catalog rows.
+SCALED_ROWS = ("P_13", "R_12", "S_{4,6}", "P_3^4")
+
+
+def test_generators_round_trip_through_the_public_surface():
+    # every D^k generator of the table, quad and scaled rows, built
+    # directly and as a prefix of D^4, reads back through its exponent
+    # tuples and its text, and hashes alike over a permuted ring
+    count = 0
+    for name in ACCEPTANCE_ROWS + QUAD_ROWS + SCALED_ROWS:
+        f = resolve_row(name).germ
+        d4 = multiple_point_ideal(f, 4)
+        for k in (2, 3, 4):
+            for I in (multiple_point_ideal(f, k), _prefix_ideal(d4, k)):
+                for g in I.gens:
+                    assert Polynomial(g.ring, g.terms) == g, (name, k, str(g))
+                    assert parse_poly(str(g), g.ring) == g, (name, k, str(g))
+                    flipped = g.with_ring(g.ring[::-1])
+                    assert flipped == g and hash(flipped) == hash(g), (name, k, str(g))
+                    assert Polynomial(flipped.ring, flipped.terms) == g
+                    count += 1
+    assert count == 2 * 12 * (len(ACCEPTANCE_ROWS) + len(QUAD_ROWS) + len(SCALED_ROWS))
 
 
 def test_triple_points_empty_when_middle_component_is_z_squared():

@@ -13,6 +13,7 @@ from singchi.errors import (
     UnknownVariableError,
     ZeroDegreeError,
 )
+from corpus import exponent_dict
 from oracles import cofactor_determinant, recursive_divided_difference
 from singchi.poly import (
     Polynomial,
@@ -153,6 +154,43 @@ def test_constructor_checks_exponent_tuples():
         Polynomial(XY, {(1, 0): 0.5})
 
 
+def test_exponents_stay_below_the_guard_bit():
+    # an exponent field holds 16 bits, and exponents stay below 2^15 so
+    # that its top bit guards it: every way in raises a ValueError there
+    top = 2**15 - 1
+    assert Polynomial(XY, {(top, 1): 1}).degree() == top + 1
+    with pytest.raises(ValueError):
+        Polynomial(XY, {(top + 1, 0): 1})
+    assert parse_poly(f"x^{top}*y", XY) == Polynomial(XY, {(top, 1): 1})
+    with pytest.raises(ValueError):
+        parse_poly(f"y*x^{top + 1}", XY)
+    x, y = P("x", XY), P("y", XY)
+    assert (x * y) ** top == Polynomial(XY, {(top, top): 1})
+    with pytest.raises(ValueError):
+        x ** (top + 1)
+    assert P("5", XY) ** (top + 1) == 5 ** (top + 1)
+    # a product checks the sum of its operands' supports, and pairs only
+    # when that sum reaches a guard bit
+    high, low = x**16384 + x * y, x**16383
+    assert high * low == Polynomial(XY, {(top, 0): 1, (16384, 1): 1})
+    with pytest.raises(ValueError):
+        high * (low * x)
+    with pytest.raises(ValueError):
+        determinant([[high, x], [y, low * x]])
+
+
+def test_with_ring_shares_terms_on_extensions_and_prefixes():
+    p = P("x*y + y^2")
+    wide = p.with_ring(XYZ + ("w",))
+    assert wide.nums is p.nums and wide == p
+    narrow = p.with_ring(XY)
+    assert narrow.nums is p.nums and narrow == p
+    swapped = p.with_ring(("y", "x"))
+    assert swapped.nums is not p.nums and swapped == p
+    assert swapped.terms == {(1, 1): 1, (2, 0): 1}
+    assert narrow.with_ring(("y", "z", "x")).terms == {(1, 0, 1): 1, (2, 0, 0): 1}
+
+
 small_coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 ).filter(lambda f: f != 0)
@@ -194,7 +232,8 @@ def _assert_normal_form(p):
     assert math.gcd(p.den, *p.nums.values()) == 1
     assert len(p.terms) == len(p.nums)
     assert all(type(c) is Fraction for c in p.terms.values())
-    assert dict(p.terms) == {m: Fraction(c, p.den) for m, c in p.nums.items()}
+    exps = exponent_dict(p.nums, len(p.ring))
+    assert dict(p.terms) == {m: Fraction(c, p.den) for m, c in exps.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,13 +269,13 @@ def test_normal_form_of_every_result(a, b, r):
 def test_normal_form_of_fractional_coefficients():
     x = P("x")
     half = x * Fraction(1, 2)
-    assert (half.nums, half.den) == ({(1, 0, 0): 1}, 2)
+    assert (exponent_dict(half.nums, 3), half.den) == ({(1, 0, 0): 1}, 2)
     for whole in (half * 2, half + half, 2 * half, P("1/2*x") * 2):
         assert whole == x and hash(whole) == hash(x) and whole.den == 1
     assert P("2*x + 4*y") * Fraction(1, 2) == P("x + 2*y")
     assert (P("2*x + 4*y") * Fraction(1, 2)).den == 1
     p = P("1/2*y^2*z")
-    assert str(p) == "1/2*y^2*z" and (p.nums, p.den) == ({(0, 2, 1): 1}, 2)
+    assert str(p) == "1/2*y^2*z" and (exponent_dict(p.nums, 3), p.den) == ({(0, 2, 1): 1}, 2)
     # the family's sample values 1/3 and 7/5 substituted into an unfolding
     F = parse_poly("z^3 + t*y^2*z + t^2*x*z", XYZ + ("t",))
     for t in (Fraction(1, 3), Fraction(7, 5)):

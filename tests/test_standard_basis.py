@@ -36,6 +36,7 @@ from singchi.multiple_points import (
 )
 
 from corpus import (
+    exponent_dict,
     generic_linear_change,
     random_monomial_ideal,
     random_poly,
@@ -306,6 +307,15 @@ def test_pivot_profile_matches_truncation_oracle():
             assert all(a >= b for a, b in zip(dims_p, dims)), (p, str(I.gens))
 
 
+def test_pivot_profile_stops_below_the_exponent_limit():
+    # a key's exponent fields hold exponents below 2^15, so the
+    # elimination ends in ResourceLimitError before degree 2^15
+    profile = sb._pivot_profile([{1: 1}], 1)
+    assert list(itertools.islice(profile, 2**15)) == [0] + [1] * (2**15 - 1)
+    with pytest.raises(ResourceLimitError):
+        next(profile)
+
+
 def _reaches(module, text, call):
     """Whether the one line of module's source that holds text runs in
     call()."""
@@ -346,7 +356,7 @@ def test_denominators_of_later_slices_match_truncation_oracle():
         nv = len(I.ring)
         for p in (None, 5, 2147483647):
             rows = _rows(I.gens, I.ring, p)
-            bezout = max(sum(e) for d in rows for e in d) ** nv
+            bezout = max(sum(e) for d in rows for e in exponent_dict(d, nv)) ** nv
             dims, _ = ladder_stop(I.gens, I.ring, bezout, p, top=9)
             counts = _profile(rows, nv, len(dims) - 1, p)
             assert _truncated_dims(counts, nv) == dims, (p, str(I.gens))
@@ -439,7 +449,7 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     rows = _rows(gens, ring, p)
     if not rows:
         return None
-    bezout = max(sum(e) for d in rows for e in d) ** nv
+    bezout = max(sum(e) for d in rows for e in exponent_dict(d, nv)) ** nv
     dims, value = ladder_stop(gens, ring, bezout, p, top)
     runs.clear()
     got = sb._sealed_colength(rows, nv, p)
@@ -566,8 +576,8 @@ def _assert_witness_sound(I):
     """When the axis witness names x_i, every generator vanishes on the
     x_i-axis and rational Mora agrees that the colength is infinite.
     Returns whether a witness was found."""
-    gens = _exp_dicts(I)
-    i = sb._axis_witness([e for g in gens for e in g], len(I.ring))
+    keys = [m for g in I.gens for m in g.with_ring(I.ring).nums]
+    i = sb._axis_witness(keys, len(I.ring))
     if i is None:
         return False
     off_axis = {v: Polynomial.zero(I.ring) for j, v in enumerate(I.ring) if j != i}
@@ -707,8 +717,8 @@ def test_bezout_infinite_agrees_with_mora():
     finished = 0
     for I in _nonisolated_jacobians():
         J = eliminate_linear_generators(I)[0]
-        exps = [e for g in J.gens for e in g.terms]
-        assert sb._axis_witness(exps, len(J.ring)) is None, str(I.gens)
+        keys = [m for g in J.gens for m in g.nums]
+        assert sb._axis_witness(keys, len(J.ring)) is None, str(I.gens)
         assert colength(I) is INFINITE, str(I.gens)
         assert colength(I, field=prime_field(32003)) is INFINITE, str(I.gens)
         try:
@@ -798,6 +808,16 @@ def test_eliminate_scaled_variable():
     assert J.ring == ("y",)
     assert J.gens[0] == parse_poly("y^4", ("y",))
     assert colength(I) == 4
+
+
+def test_eliminate_leaves_generators_free_of_the_variable_alone():
+    # z is split off; generators free of z are neither split nor rebuilt,
+    # and over the prefix ring (x, y) they keep their very term dicts
+    I = ideal(XYZ, "x^3 + y^2", "z - x*y", "y^5 + x*y^3", "z^2 + x^4")
+    J, audit = eliminate_linear_generators(I)
+    assert audit == ["z"] and J.ring == XY
+    assert J.gens[0].nums is I.gens[0].nums and J.gens[1].nums is I.gens[2].nums
+    assert J.gens == (P("x^3 + y^2"), P("y^5 + x*y^3"), P("x^2*y^2 + x^4"))
 
 
 def test_generator_linear_only_mod_p_is_split_off():
