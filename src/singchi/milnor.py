@@ -1,19 +1,30 @@
-"""Milnor numbers of isolated singularities, by polar chains.
+"""Milnor numbers of isolated singularities, by colengths.
 
-The hypersurface case is the colength of the Jacobian ideal. The complete
-intersection case walks a chain: for a generic choice of generators
-f_1, ..., f_m the alternating sum of the colengths
+The hypersurface case is the colength of the Jacobian ideal. A complete
+intersection takes one of four routes, named in its MilnorResult:
 
-    c_i = dim O / ( (f_1..f_{i-1}) + (i x i minors of Jac(f_1..f_i)) )
+  * "empty": the ideal is the unit ideal, so the germ is empty; mu = 0;
+  * "smooth": every generator is split off as a transversal linear one,
+    so the germ is smooth; mu = 0;
+  * "points": as many generators remain as variables, so the germ is a
+    zero-dimensional complete intersection. Its Milnor fibre is
+    `colength` points, as deformations of complete intersections are
+    flat, so mu = colength - 1 (Looijenga, "Isolated singular points on
+    complete intersections", LMS Lecture Notes 77, 1984);
+  * "chain": fewer generators than variables. For a generic choice of
+    generators f_1, ..., f_m the alternating sum of the colengths
 
-computes the Milnor number. Genericity matters: the chain is only valid
-when every truncated tuple (f_1..f_i) again has an isolated singularity,
-which can fail for the generators as given but holds for a random
-invertible recombination. We therefore mix generators with a seeded
-random matrix and retry with fresh seeds when a stage degenerates.
+        c_i = dim O / ( (f_1..f_{i-1}) + (i x i minors of Jac(f_1..f_i)) )
 
-Seed 0 means "no mixing" and disables retries; it exists so tests can
-exhibit chains that genuinely need the recombination.
+    computes the Milnor number (the Le-Greuel formula). Genericity
+    matters: the chain is only valid when every truncated tuple
+    (f_1..f_i) again has an isolated singularity, which can fail for the
+    generators as given but holds for a generic invertible recombination.
+    We therefore mix generators with a seeded random matrix, and a stage
+    that degenerates raises NotICISError.
+
+Seed 0 means "no mixing"; it exists so tests can exhibit chains that
+genuinely need the recombination.
 """
 
 from __future__ import annotations
@@ -39,16 +50,13 @@ from .standard_basis import (
     is_unit_ideal,
 )
 
-RETRY_ATTEMPTS = 5
-
-
 @dataclass(frozen=True)
 class MilnorResult:
     """Milnor number plus an audit of how it was obtained."""
 
     mu: int
-    route: str  # "chain", "smooth", or "empty"
-    stages: tuple  # stage colengths, empty unless route == "chain"
+    route: str  # "chain", "points", "smooth", or "empty"
+    stages: tuple  # chain: the stage colengths; points: (colength,); else ()
     seed: int
 
 
@@ -137,7 +145,8 @@ def icis_milnor(
     linear generators (which changes nothing up to isomorphism) and by
     dropping generators that become identically zero. A presentation with
     more remaining generators than variables cannot be a complete
-    intersection and is rejected.
+    intersection and is rejected; one with as many takes the points
+    route, and one with fewer the polar chain (module docstring).
     """
     if is_unit_ideal(I):
         return MilnorResult(0, "empty", (), seed)
@@ -150,24 +159,24 @@ def icis_milnor(
             f"{len(gens)} generators in {len(J.ring)} variables cannot present "
             "an isolated complete intersection"
         )
-    # mixing leaves a lone generator as it is, so a retry would repeat the chain
-    attempts = 1 if seed == 0 or len(gens) == 1 else RETRY_ATTEMPTS
-    for attempt in range(attempts):
-        attempt_seed = seed if attempt == 0 else seed + 1000003 * attempt
-        mixed = _mix_generators(gens, J.ring, attempt_seed)
-        stages = _chain(mixed, gens, J.ring, field, max_steps)
-        if stages is None:
-            continue
-        mu = 0
-        for c in stages:
-            mu = c - mu
-        if mu < 0:
-            continue
-        return MilnorResult(mu, "chain", stages, attempt_seed)
-    raise NotICISError(
-        "no generic recombination produced a valid polar chain; "
-        "the singularity is probably not isolated or not a complete intersection"
-    )
+    if len(gens) == len(J.ring):
+        c = colength(IdealPresentation(J.ring, gens), field=field, max_steps=max_steps)
+        if c is INFINITE:
+            raise NotICISError(
+                f"{len(gens)} generators in {len(J.ring)} variables with infinite "
+                "colength do not present a zero-dimensional complete intersection"
+            )
+        return MilnorResult(c - 1, "points", (c,), seed)
+    stages = _chain(_mix_generators(gens, J.ring, seed), gens, J.ring, field, max_steps)
+    if stages is None:
+        raise NotICISError(
+            "no generic recombination produced a valid polar chain; "
+            "the singularity is probably not isolated or not a complete intersection"
+        )
+    mu = 0
+    for c in stages:
+        mu = c - mu
+    return MilnorResult(mu, "chain", stages, seed)
 
 
 def point_count(

@@ -83,6 +83,27 @@ def _support(nums) -> int:
     return functools.reduce(or_, nums, 0)
 
 
+def _degrees(nums, n: int) -> list:
+    """The total degree of each key of nums in n variables, in order.
+
+    A key times ones, a 1 in every field, carries the sum of its fields in
+    its top field, exactly while no prefix sum of the fields reaches 2^16.
+    Each field of the keys' OR is the largest of that field, so when the
+    OR's fields sum below 2^16 every key reads exactly; otherwise every
+    key is unpacked.
+    """
+    if sum(_exponents(_support(nums), n)) >> _BITS:
+        return [sum(_exponents(m, n)) for m in nums]
+    ones, top = _ones(n), _BITS * max(n - 1, 0)
+    return [m * ones >> top & _MASK for m in nums]
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(n: int) -> int:
+    """The key with a 1 in each of its n fields."""
+    return sum(1 << _BITS * j for j in range(n))
+
+
 @functools.lru_cache(maxsize=None)
 def _guard(bits: int) -> int:
     """The guard bits of every field below bit `bits`."""
@@ -243,7 +264,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(_exponents(m, len(self.ring))) for m in self.nums), default=-1)
+        return max(_degrees(self.nums, len(self.ring)), default=-1)
 
     def degree_in(self, var: str) -> int:
         if not self.nums:

@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadPrimeError, ResourceLimitError
-from .poly import _BITS, _LIMIT, _MASK, Polynomial, _exponents, _mul_into, _poly, _reduced
-from .poly import _support, parse_poly
+from .poly import _BITS, _LIMIT, _MASK, Polynomial, _degrees, _mul_into, _ones, _poly
+from .poly import _reduced, _support, parse_poly
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -223,8 +223,8 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     parts = []
     for gen in gens:
         by_degree = {}
-        for e, c in gen.items():
-            by_degree.setdefault(sum(_exponents(e, nv)), []).append((e, c))
+        for (e, c), t in zip(gen.items(), _degrees(gen, nv)):
+            by_degree.setdefault(t, []).append((e, c))
         parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree))
     # A pivot: (generator index i, shift key a, operations, degrees).
     # Bit D of degrees is clear where the D-slice is known to be zero: every
@@ -237,7 +237,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     # so far all cancelled
     pending = [[] for _ in gens]
     # deg a is the top field of a*ones: no field sum of a reaches 2^15
-    ones, top = sum(1 << _BITS * j for j in range(nv)), _BITS * (nv - 1)
+    ones, top = _ones(nv), _BITS * (nv - 1)
 
     # D and slices below are those of the current degree D
     def replay(i, a, ops):
@@ -425,7 +425,7 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     reductions take from one budget of max_steps, and ResourceLimitError
     ends the elimination when it runs out.
     """
-    bezout = max(sum(_exponents(e, nv)) for d in gens for e in d) ** nv
+    bezout = max(max(_degrees(d, nv)) for d in gens) ** nv
     dim = 0
     for D, filled in enumerate(_pivot_profile(gens, nv, p, [max_steps])):
         full = math.comb(D + nv - 1, nv - 1)

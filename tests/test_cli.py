@@ -320,9 +320,9 @@ GOLDEN_STDOUT_SHA256 = {
     ("table1",): "5597220406ba7944451d67e41a52b7d069a9e5b450bb661de2379b0cbfc622a8",
     ("mps", "P_1", "--k", "4"): "20e43bbfdcb507997641aecf8a4efa61a7e91d3b6371d205561014face6e6750",
     ("mps", "P_1", "--k", "3", "--partition", "1,2"): (
-        "95b35924b8d5f671e8e56ea6cdd9557b1b837a04d50d103a2636397e9ff4a832"
+        "6ec6d8d08c39ba76f82c1af847cf4e8eb5f553810d3eb6e54cd650fca71608ce"
     ),
-    ("mps", "VIII", "--k", "4"): "a0a68c3ce840a8bc7f6e8af67ace9806c6956b9aebb56bb959129b387a77f5c3",
+    ("mps", "VIII", "--k", "4"): "9f04d2dd385432710971780a118cae3f2bd872d51127c7e437446112bc23353b",
     # Rings out of alphabetical order: terms print in descending (degree,
     # ring-vector) order, variables inside a monomial sorted by name.
     ("milnor", "z*a^2 + z^3 + a^4*b + b^2", "--vars", "z,b,a"): (
@@ -339,6 +339,25 @@ def test_reports_match_pinned_digests(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+# The pinned reports of zero-dimensional spaces as they read when the polar
+# chain computed their Milnor number: the route is all that differs.
+CHAIN_ROUTE_SHA256 = {
+    ("mps", "P_1", "--k", "3", "--partition", "1,2"): (
+        "95b35924b8d5f671e8e56ea6cdd9557b1b837a04d50d103a2636397e9ff4a832"
+    ),
+    ("mps", "VIII", "--k", "4"): "a0a68c3ce840a8bc7f6e8af67ace9806c6956b9aebb56bb959129b387a77f5c3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CHAIN_ROUTE_SHA256), ids=" ".join)
+def test_points_route_is_all_that_differs_from_the_chain(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert out.count('"route":"points"') == 1
+    masked = out.replace('"route":"points"', '"route":"chain"')
+    assert hashlib.sha256(masked.encode()).hexdigest() == CHAIN_ROUTE_SHA256[argv]
 
 
 def test_pretty_changes_layout_not_payload(capsys):

@@ -13,14 +13,17 @@ from singchi.errors import (
 )
 import singchi.milnor as milnor
 from singchi.catalog import ACCEPTANCE_ROWS, resolve_row
-from singchi.milnor import _minor_ideal, hypersurface_milnor, icis_milnor, point_count
-from singchi.multiple_points import invariant_tuple
+from singchi.milnor import MilnorResult, _minor_ideal, hypersurface_milnor, icis_milnor, point_count
+from singchi.multiple_points import _restricted_ideal, invariant_tuple
 from singchi.poly import parse_poly
 import singchi.standard_basis as sb
 from singchi.standard_basis import (
+    DEFAULT_MAX_STEPS,
     INFINITE,
+    RATIONAL,
     IdealPresentation,
     colength,
+    eliminate_linear_generators,
     ideal,
 )
 
@@ -132,17 +135,54 @@ def test_eliminates_then_chains():
     assert r.mu == 1
 
 
+def _polar_chain(I, seed=1):
+    """(alternating sum, stages) of the polar chain that icis_milnor would
+    run on I's simplified presentation mixed by seed, or None when a stage
+    degenerates. Zero-dimensional inputs take the points route instead,
+    so the chain is called directly."""
+    J, _ = eliminate_linear_generators(I)
+    gens = tuple(g for g in J.gens if not g.is_zero)
+    mixed = milnor._mix_generators(gens, J.ring, seed)
+    stages = milnor._chain(mixed, gens, J.ring, RATIONAL, DEFAULT_MAX_STEPS)
+    if stages is None:
+        return None
+    mu = 0
+    for c in stages:
+        mu = c - mu
+    return mu, stages
+
+
 def test_fat_point_chain():
-    r = icis_milnor(ideal(XY, "x^3", "y^2"))
-    assert r.mu == 5
-    assert r.stages == (2, 7)
-    assert r.mu + 1 == point_count(ideal(XY, "x^3", "y^2"))
+    mu, stages = _polar_chain(ideal(XY, "x^3", "y^2"))
+    assert mu == 5
+    assert stages == (2, 7)
+    assert mu + 1 == point_count(ideal(XY, "x^3", "y^2"))
 
 
 def test_chain_stages_stable_across_seeds():
     for seed in (1, 2, 3):
-        r = icis_milnor(ideal(XY, "x^3", "y^2"), seed=seed)
-        assert r.mu == 5 and r.stages == (2, 7)
+        mu, stages = _polar_chain(ideal(XY, "x^3", "y^2"), seed=seed)
+        assert mu == 5 and stages == (2, 7)
+
+
+def test_zero_dimensional_space_takes_one_colength(monkeypatch):
+    # as many generators as variables: mu = colength - 1, with no chain
+    calls = []
+    monkeypatch.setattr(milnor, "_chain", lambda *args: calls.append(args))
+    counted = milnor.colength
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(milnor, "colength", counting)
+    I = ideal(("x", "y", "z"), "x^3", "y^2", "z - x*y")
+    assert icis_milnor(I, seed=7) == MilnorResult(5, "points", (6,), 7)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NotICISError, match="infinite colength"):
+        icis_milnor(ideal(XY, "x*y", "x^2"))
+    assert len(calls) == 1
 
 
 def _mixed_chain(mixed, ring, field, max_steps):
@@ -181,11 +221,10 @@ def test_last_stage_minors_of_unmixed_generators(monkeypatch):
 def test_mixing_is_essential():
     # the unmixed flag starts with x^2, whose own singularity is a line
     I = ideal(XY, "x^2", "y^2 - x^3")
-    with pytest.raises(NotICISError):
-        icis_milnor(I, seed=0)
-    r = icis_milnor(I, seed=1)
-    assert r.mu == 3
-    assert r.mu + 1 == point_count(I)
+    assert _polar_chain(I, seed=0) is None
+    mu, _ = _polar_chain(I, seed=1)
+    assert mu == 3
+    assert mu + 1 == point_count(I)
 
 
 def test_rejects_overdetermined_presentation():
@@ -222,19 +261,44 @@ def test_redundant_generators_are_dropped():
     assert r.mu == 0 and r.route == "smooth"
 
 
-def test_zero_dim_identity_randomised():
-    # for zero-dimensional complete intersections, mu + 1 is the colength
+def _random_pairs(count=50):
+    """Seeded zero-dimensional complete intersections (x^a + ..., y^b + ...)."""
     rng = random.Random(97)
-    done = 0
-    while done < 50:
+    for _ in range(count):
         a, b = rng.randint(2, 4), rng.randint(2, 4)
         f = P(f"x^{a}") + random_poly(rng, XY, max_deg=a + 2, max_terms=2, min_deg=a + 1)
         g = P(f"y^{b}") + random_poly(rng, XY, max_deg=b + 2, max_terms=2, min_deg=b + 1)
-        I = IdealPresentation(XY, (f, g))
+        yield IdealPresentation(XY, (f, g))
+
+
+def test_zero_dim_identity_randomised():
+    # for zero-dimensional complete intersections, mu + 1 is the colength
+    for I in _random_pairs():
         c = colength(I)
-        r = icis_milnor(I)
-        assert r.mu + 1 == c, (str(f), str(g))
-        done += 1
+        mu, _ = _polar_chain(I)
+        assert mu + 1 == c, [str(g) for g in I.gens]
+
+
+def test_chain_agrees_with_points():
+    # the chain's alternating sum is colength - 1 on every zero-dimensional
+    # ICIS here: the d3h1 spaces of the catalog rows (18 are nonempty) and
+    # the random pairs
+    spaces = [_restricted_ideal(resolve_row(text).germ, 3, (1, 2))
+              for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS]
+    spaces += _random_pairs()
+    checked = 0
+    for I in spaces:
+        for seed in (1, 2, 3):
+            r = icis_milnor(I, seed=seed)
+            if r.route != "points":
+                assert r.route == "empty"
+                continue
+            c = colength(I)
+            assert r == MilnorResult(c - 1, "points", (c,), seed)
+            mu, _ = _polar_chain(I, seed=seed)
+            assert mu == c - 1, [str(g) for g in I.gens]
+            checked += 1
+    assert checked == 3 * (50 + 18)
 
 
 def test_results_deterministic():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import singchi.milnor as milnor
 import singchi.standard_basis as sb
 from singchi.errors import BadPrimeError, ResourceLimitError
-from singchi.poly import Polynomial, parse_poly, substitute
+from singchi.poly import Polynomial, _key, parse_poly, substitute
 from singchi.standard_basis import (
     INFINITE,
     IdealPresentation,
@@ -58,6 +58,7 @@ from oracles import (
     truncated_quotient_dim,
 )
 from test_catalog import FAST_ROWS, QUAD_ROWS
+from test_poly import NEAR_GUARD
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -314,6 +315,28 @@ def test_pivot_profile_stops_below_the_exponent_limit():
     assert list(itertools.islice(profile, 2**15)) == [0] + [1] * (2**15 - 1)
     with pytest.raises(ResourceLimitError):
         next(profile)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_slices_hold_terms_past_the_key_sum_limit_at_their_degree(n):
+    # a key whose prefix sums reach 2^16, such as x^32767*y^32767*z^4,
+    # must land in the slice of its true degree, above every degree
+    # reached here, and leave the counts of the squares alone
+    squares = [{2 << 16 * j: 1} for j in range(n)]
+    expected = list(itertools.islice(sb._pivot_profile(squares, n), 5))
+    for exp in itertools.product(NEAR_GUARD, repeat=n):
+        if sum(exp) > 4:
+            profile = sb._pivot_profile(squares + [{_key(exp, n): 1}], n)
+            assert list(itertools.islice(profile, 5)) == expected, exp
+    # a ladder that seals far below such a term: its colength is d_D at
+    # the seal degree D
+    ring = ("x", "y", "z", "w")[:n]
+    huge = "x^32767*y^32767*z^4"
+    I = ideal(ring, f"x^2 + {huge}", *(f"{v}^2" for v in ring[1:]))
+    seal = next(D for D, filled in enumerate(sb._pivot_profile([g.nums for g in I.gens], n))
+                if D and filled == math.comb(D + n - 1, n - 1))
+    assert seal < parse_poly(huge, ring).degree() == 2**16 + 2
+    assert colength(I) == truncated_quotient_dim(I.gens, ring, seal) == 2**n
 
 
 def _reaches(module, text, call):
