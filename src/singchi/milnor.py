@@ -133,6 +133,31 @@ def _chain(mixed, gens, ring, field, max_steps):
     return tuple(stages)
 
 
+def _polar_mu(gens, ring, seed, field, max_steps):
+    """(mu, stages) of the polar chain on gens mixed by seed: mu is the
+    alternating sum of the stage colengths. None if a stage degenerates."""
+    stages = _chain(_mix_generators(gens, ring, seed), gens, ring, field, max_steps)
+    if stages is None:
+        return None
+    mu = 0
+    for c in stages:
+        mu = c - mu
+    return mu, stages
+
+
+def _simplified(I: IdealPresentation):
+    """(ring, gens) of I once transversal linear generators are split off
+    and zero ones dropped. More generators than variables raise."""
+    J, _ = eliminate_linear_generators(I)
+    gens = tuple(g for g in J.gens if not g.is_zero)
+    if len(gens) > len(J.ring):
+        raise NotICISError(
+            f"{len(gens)} generators in {len(J.ring)} variables cannot present "
+            "an isolated complete intersection"
+        )
+    return J.ring, gens
+
+
 def icis_milnor(
     I: IdealPresentation,
     seed: int = 1,
@@ -150,32 +175,25 @@ def icis_milnor(
     """
     if is_unit_ideal(I):
         return MilnorResult(0, "empty", (), seed)
-    J, _ = eliminate_linear_generators(I)
-    gens = tuple(g for g in J.gens if not g.is_zero)
+    ring, gens = _simplified(I)
     if not gens:
         return MilnorResult(0, "smooth", (), seed)
-    if len(gens) > len(J.ring):
-        raise NotICISError(
-            f"{len(gens)} generators in {len(J.ring)} variables cannot present "
-            "an isolated complete intersection"
-        )
-    if len(gens) == len(J.ring):
-        c = colength(IdealPresentation(J.ring, gens), field=field, max_steps=max_steps)
+    if len(gens) == len(ring):
+        c = colength(IdealPresentation(ring, gens), field=field, max_steps=max_steps)
         if c is INFINITE:
             raise NotICISError(
-                f"{len(gens)} generators in {len(J.ring)} variables with infinite "
+                f"{len(gens)} generators in {len(ring)} variables with infinite "
                 "colength do not present a zero-dimensional complete intersection"
             )
         return MilnorResult(c - 1, "points", (c,), seed)
-    stages = _chain(_mix_generators(gens, J.ring, seed), gens, J.ring, field, max_steps)
-    if stages is None:
+    polar = _polar_mu(gens, ring, seed, field, max_steps)
+    if polar is None:
         raise NotICISError(
-            "no generic recombination produced a valid polar chain; "
-            "the singularity is probably not isolated or not a complete intersection"
+            f"the polar chain of the generators mixed by seed {seed} degenerates; "
+            "the singularity is probably not isolated or not a complete "
+            "intersection, or the mixing is not generic: try another seed"
         )
-    mu = 0
-    for c in stages:
-        mu = c - mu
+    mu, stages = polar
     return MilnorResult(mu, "chain", stages, seed)
 
 

@@ -9,8 +9,9 @@ oracles comfortable: big colengths only appear in two variables.
 import random
 from fractions import Fraction
 
+from singchi import milnor
 from singchi.poly import Polynomial, _exponents, determinant, substitute
-from singchi.standard_basis import IdealPresentation
+from singchi.standard_basis import DEFAULT_MAX_STEPS, RATIONAL, IdealPresentation
 
 
 def exponent_dict(nums, n):
@@ -18,6 +19,15 @@ def exponent_dict(nums, n):
     nums, a row of the colength elimination), keyed by exponent tuples in
     n variables instead: the one place the tests read a key's exponents."""
     return {_exponents(m, n): c for m, c in nums.items()}
+
+
+def polar_chain(I, seed=1):
+    """(mu, stages) of the polar chain on I's simplified presentation
+    mixed by seed, or None when a stage degenerates. icis_milnor sends a
+    zero-dimensional I down the points route instead; this runs the chain
+    on it too, so the two can be compared."""
+    ring, gens = milnor._simplified(I)
+    return milnor._polar_mu(gens, ring, seed, RATIONAL, DEFAULT_MAX_STEPS)
 
 
 def random_coeff(rng):

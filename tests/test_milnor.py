@@ -18,16 +18,13 @@ from singchi.multiple_points import _restricted_ideal, invariant_tuple
 from singchi.poly import parse_poly
 import singchi.standard_basis as sb
 from singchi.standard_basis import (
-    DEFAULT_MAX_STEPS,
     INFINITE,
-    RATIONAL,
     IdealPresentation,
     colength,
-    eliminate_linear_generators,
     ideal,
 )
 
-from corpus import generic_linear_change, random_poly
+from corpus import generic_linear_change, polar_chain, random_poly
 from test_catalog import FAST_ROWS, QUAD_ROWS
 
 XY = ("x", "y")
@@ -135,25 +132,8 @@ def test_eliminates_then_chains():
     assert r.mu == 1
 
 
-def _polar_chain(I, seed=1):
-    """(alternating sum, stages) of the polar chain that icis_milnor would
-    run on I's simplified presentation mixed by seed, or None when a stage
-    degenerates. Zero-dimensional inputs take the points route instead,
-    so the chain is called directly."""
-    J, _ = eliminate_linear_generators(I)
-    gens = tuple(g for g in J.gens if not g.is_zero)
-    mixed = milnor._mix_generators(gens, J.ring, seed)
-    stages = milnor._chain(mixed, gens, J.ring, RATIONAL, DEFAULT_MAX_STEPS)
-    if stages is None:
-        return None
-    mu = 0
-    for c in stages:
-        mu = c - mu
-    return mu, stages
-
-
 def test_fat_point_chain():
-    mu, stages = _polar_chain(ideal(XY, "x^3", "y^2"))
+    mu, stages = polar_chain(ideal(XY, "x^3", "y^2"))
     assert mu == 5
     assert stages == (2, 7)
     assert mu + 1 == point_count(ideal(XY, "x^3", "y^2"))
@@ -161,7 +141,7 @@ def test_fat_point_chain():
 
 def test_chain_stages_stable_across_seeds():
     for seed in (1, 2, 3):
-        mu, stages = _polar_chain(ideal(XY, "x^3", "y^2"), seed=seed)
+        mu, stages = polar_chain(ideal(XY, "x^3", "y^2"), seed=seed)
         assert mu == 5 and stages == (2, 7)
 
 
@@ -199,7 +179,9 @@ def _mixed_chain(mixed, ring, field, max_steps):
 
 def test_last_stage_minors_of_unmixed_generators(monkeypatch):
     # minors(A*g) = det(A)*minors(g): every chain invariant_tuple runs on
-    # the catalog rows gives the stages of the all-mixed chain
+    # the catalog rows, and the chain on each row's d3h1 space, which
+    # invariant_tuple sends down the points route, gives the stages of the
+    # all-mixed chain
     seen = []
     chain = milnor._chain
 
@@ -211,9 +193,13 @@ def test_last_stage_minors_of_unmixed_generators(monkeypatch):
     monkeypatch.setattr(milnor, "_chain", spy)
     for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS:
         germ = resolve_row(text).germ
+        d3h1 = _restricted_ideal(germ, 3, (1, 2))
         for seed in (1, 2, 3):
             invariant_tuple(germ, seed=seed)
-    assert any(len(mixed) > 1 for mixed, *_ in seen)
+            if icis_milnor(d3h1).route == "points":
+                polar_chain(d3h1, seed=seed)
+    assert len(seen) == 234
+    assert sum(len(mixed) > 1 for mixed, *_ in seen) == 48
     for mixed, ring, field, max_steps, stages in seen:
         assert stages == _mixed_chain(mixed, ring, field, max_steps), [str(g) for g in mixed]
 
@@ -221,8 +207,8 @@ def test_last_stage_minors_of_unmixed_generators(monkeypatch):
 def test_mixing_is_essential():
     # the unmixed flag starts with x^2, whose own singularity is a line
     I = ideal(XY, "x^2", "y^2 - x^3")
-    assert _polar_chain(I, seed=0) is None
-    mu, _ = _polar_chain(I, seed=1)
+    assert polar_chain(I, seed=0) is None
+    mu, _ = polar_chain(I, seed=1)
     assert mu == 3
     assert mu + 1 == point_count(I)
 
@@ -238,8 +224,7 @@ def test_rejects_nonisolated_curve():
 
 
 def test_lone_generator_runs_one_chain(monkeypatch):
-    # mixing cannot change a single generator, so a failed chain is not
-    # retried under fresh seeds; the error and its message stay the same
+    # one chain per call: a degenerate one raises at once, naming its seed
     calls = []
     chain = milnor._chain
 
@@ -248,7 +233,7 @@ def test_lone_generator_runs_one_chain(monkeypatch):
         return chain(*args)
 
     monkeypatch.setattr(milnor, "_chain", counting)
-    with pytest.raises(NotICISError, match="no generic recombination produced a valid polar chain"):
+    with pytest.raises(NotICISError, match="mixed by seed 1 degenerates"):
         icis_milnor(ideal(XYZ, "x*y^2 + z^2"))
     assert len(calls) == 1
     calls.clear()
@@ -275,7 +260,7 @@ def test_zero_dim_identity_randomised():
     # for zero-dimensional complete intersections, mu + 1 is the colength
     for I in _random_pairs():
         c = colength(I)
-        mu, _ = _polar_chain(I)
+        mu, _ = polar_chain(I)
         assert mu + 1 == c, [str(g) for g in I.gens]
 
 
@@ -295,7 +280,7 @@ def test_chain_agrees_with_points():
                 continue
             c = colength(I)
             assert r == MilnorResult(c - 1, "points", (c,), seed)
-            mu, _ = _polar_chain(I, seed=seed)
+            mu, _ = polar_chain(I, seed=seed)
             assert mu == c - 1, [str(g) for g in I.gens]
             checked += 1
     assert checked == 3 * (50 + 18)

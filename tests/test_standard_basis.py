@@ -38,6 +38,7 @@ from singchi.multiple_points import (
 from corpus import (
     exponent_dict,
     generic_linear_change,
+    polar_chain,
     random_monomial_ideal,
     random_poly,
     random_zero_dim_ideal,
@@ -553,7 +554,9 @@ def test_seal_ladder_on_and_past_its_caps(ring, gens, degree, dense, profile_run
 def _catalog_colength_ideals(rows=FAST_ROWS):
     """The ideals whose colengths invariant_tuple takes on the catalog
     rows (polar-chain stages and point counts), as left by
-    eliminate_linear_generators, where generators and variables are left."""
+    eliminate_linear_generators, where generators and variables are left.
+    The stages of the polar chain on each row's d3h1 space are added:
+    invariant_tuple takes that zero-dimensional space's colength instead."""
     stages = []
     measure = milnor.colength
 
@@ -566,7 +569,11 @@ def _catalog_colength_ideals(rows=FAST_ROWS):
     milnor.colength = recording
     try:
         for text in rows:
-            invariant_tuple(resolve_row(text).germ)
+            germ = resolve_row(text).germ
+            invariant_tuple(germ)
+            d3h1 = _restricted_ideal(germ, 3, (1, 2))
+            if not sb.is_unit_ideal(d3h1):
+                polar_chain(d3h1)
     finally:
         milnor.colength = measure
     return tuple(stages)
