@@ -171,6 +171,15 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
     pushes it into J, and d_D is the colength of J: the quotient seals.
 
+    The leads are the initial ideal of J for this local degree ordering, a
+    monomial ideal: if f in J leads with x^a, x_j*f leads with x_j*x^a
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6).
+    So degree D >= 1 fills, and every later degree with it, when every
+    monomial of degree D is a multiple of a lead of degree D - 1. Step D
+    checks this before it builds a row, once every x_j^(D-1) is a lead
+    (x_j^D has no other divisor of degree D - 1). From there on no row is
+    built, and counts[D] is the number of monomials of degree D.
+
     The elimination is degree-major and has no truncation bound. A row is
     kept as what made it: a generator index i, a shift x^a, and the
     operations applied to it, each row <- (s*row - f*pivot_k)/c. Step D
@@ -291,9 +300,18 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 den //= g
         return N, den, kept
 
+    sealed, here = False, {}
     for D in itertools.count():
         if D == _LIMIT:
             raise ResourceLimitError(f"degree {D} passes the exponent width of a key")
+        # a seal read off the leads of degree D - 1, here (see above); most
+        # steps end at the lookup of x_1^(D-1), key D - 1, before any loop
+        if not sealed and D - 1 in here and all((D - 1) << _BITS * j in here for j in range(1, nv)):
+            covered = {u + (1 << _BITS * j) for u in here for j in range(nv)}
+            sealed = len(covered) == math.comb(D + nv - 1, nv - 1)
+        if sealed:
+            yield math.comb(D + nv - 1, nv - 1)
+            continue
         slices = {}
         if any(pending):
             # The D-slices of the pivots that the pending rows name, directly
@@ -409,7 +427,8 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     One elimination, _pivot_profile, is read degree by degree, once, and
     the first of two stops decides, with d_D = dim O/(J + m^(D+1)):
       * seal: the first degree D >= 1 that fills; d_D is then the
-        colength, by Nakayama;
+        colength, by Nakayama. The fill is often read off the leads of
+        degree D - 1, and then no row of degree D is built;
       * Bezout: the first D with d_D > d^nv, d the largest total degree
         of a generator; the colength is then infinite.
     The Bezout stop rests on this. Let J have a finite colength u. Over
@@ -454,7 +473,9 @@ def colength(
       * seal: one degree-by-degree elimination, with no truncation
         bound, fills degree D, so m^D lies in J by Nakayama and the
         colength is d_D = dim O/(J + m^(D+1)); the elimination stops
-        there, having built no part of a row above degree D;
+        there, having built no part of a row above degree D, and none of
+        degree D when the leads of degree D - 1 already have every
+        monomial of degree D among their multiples;
       * Bezout: the same elimination reaches a degree D with d_D > d^n,
         d the largest total degree of a generator and n the number of
         variables, and the colength is infinite, since a finite one is

@@ -445,16 +445,25 @@ def test_profile_of_redundant_generators_matches_all_rows():
 
 @pytest.fixture
 def profile_runs(monkeypatch):
-    """The counts read from each _pivot_profile run, one list per run."""
-    runs = []
-    profile = sb._pivot_profile
+    """The steps read from each _pivot_profile run, one list per run: per
+    degree, its count and whether the step built a row, that is listed the
+    shifts of a generator's new rows (_monomials)."""
+    runs, calls = [], [0]
+    profile, monomials = sb._pivot_profile, sb._monomials
+
+    def counting(nv, k):
+        calls[0] += 1
+        return monomials(nv, k)
 
     def recording(gens, nv, p=None, budget=None):
         runs.append([])
+        before = calls[0]
         for count in profile(gens, nv, p, budget):
-            runs[-1].append(count)
+            runs[-1].append((count, calls[0] > before))
             yield count
+            before = calls[0]
 
+    monkeypatch.setattr(sb, "_monomials", counting)
     monkeypatch.setattr(sb, "_pivot_profile", recording)
     return runs
 
@@ -466,9 +475,9 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     up to that degree and no further. The oracle steps at most to degree
     top: where it has not stopped by then, the elimination's d_D up to top
     must be the oracle's and its stop must come later. Returns the stop
-    degree and the oracle's value (None past top), or None when every
-    generator vanishes over the field: colength's witness settles that
-    ideal."""
+    degree, the oracle's value (None past top) and whether the stop's step
+    built a row, or None when every generator vanishes over the field:
+    colength's witness settles that ideal."""
     nv = len(ring)
     rows = _rows(gens, ring, p)
     if not rows:
@@ -479,13 +488,13 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     got = sb._sealed_colength(rows, nv, p)
     where = (p, [str(g) for g in gens])
     assert len(runs) == 1, where
-    read = _truncated_dims(runs[0], nv)
+    read = _truncated_dims([count for count, _ in runs[0]], nv)
     stop = len(read) - 1
     if value is None:
         assert stop > top and read[: top + 1] == dims, where
     else:
         assert read == dims and got == value, where
-    return stop, value
+    return stop, value, runs[0][-1][1]
 
 
 #: Ideals by the degree where they seal, from 2 to 9.
@@ -546,7 +555,7 @@ def test_seal_ladder_on_and_past_its_caps(ring, gens, degree, dense, profile_run
     if dense:
         I = generic_linear_change(I, 1)
     for p in (None, 5, 2147483647):
-        stop, _ = _assert_stops_like_stepping(I.gens, ring, p, profile_runs)
+        stop, *_ = _assert_stops_like_stepping(I.gens, ring, p, profile_runs)
         assert stop == degree, p
 
 
@@ -582,17 +591,20 @@ def _catalog_colength_ideals(rows=FAST_ROWS):
 def test_seal_ladder_matches_stepping_oracle(profile_runs):
     # every corpus, redundant presentations included, over three fields,
     # with the oracle stepping to degree 9 at most; the elimination runs on
-    # past 9 alone
+    # past 9 alone. On each field some of the runs seal from the leads of
+    # the degree below, building no row at the seal degree, and some do not.
     ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]
     cases = [(I.gens, I.ring) for I in ideals]
     cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
     seals, bezout, past = set(), set(), 0
+    early = dict.fromkeys((None, 5, 2147483647), 0)
     for gens, ring in cases:
-        for p in (None, 5, 2147483647):
+        for p in early:
             result = _assert_stops_like_stepping(gens, ring, p, profile_runs, top=9)
             if result is None:
                 continue
-            stop, value = result
+            stop, value, built = result
+            early[p] += not built
             if value is None:
                 past += 1
             else:
@@ -600,6 +612,36 @@ def test_seal_ladder_matches_stepping_oracle(profile_runs):
     assert {1, 2, 3, 4, 5, 8, 9} <= seals
     assert {1, 2, 3, 4, 5, 8, 9} <= bezout
     assert past
+    assert all(60 <= n < len(cases) // 2 for n in early.values()), early
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_seal_read_off_the_leads_of_the_degree_below(p, profile_runs):
+    # The leads form a monomial ideal, so degree D fills when the leads of
+    # degree D - 1 have every monomial of degree D among their multiples,
+    # and the elimination then seals at D without building a row of that
+    # degree. (x^2, y^2) seals so at 3. (x^2, y^3) leaves the pure power y^2
+    # free at degree 2, which keeps degree 3 open, and seals so at 4.
+    # (x^2, x*y, y^3) leaves y^2 free too, and degree 3 fills only through
+    # the lead y^3, which its rows of degree 3 make.
+    for gens, degree, built in (
+        (("x^2", "y^2"), 3, False),
+        (("x^2", "y^3"), 4, False),
+        (("x^2", "x*y", "y^3"), 3, True),
+    ):
+        I = ideal(XY, *gens)
+        stop, _, step_built = _assert_stops_like_stepping(I.gens, XY, p, profile_runs)
+        assert (stop, step_built) == (degree, built), gens
+    # D^4 of rows I and IV seals at 7 from the leads of degree 6, which
+    # leave z2*z3^2*z4^3 free: 338 and 272 reductions, where building
+    # degree 7 as well took 540 and 438
+    field = sb.RATIONAL if p is None else prime_field(p)
+    for row, steps in (("I", 338), ("IV", 272)):
+        D4 = multiple_point_ideal(resolve_row(row).germ, 4)
+        profile_runs.clear()
+        assert colength(D4, field, max_steps=steps) == 24
+        [run] = profile_runs
+        assert len(run) == 8 and not run[-1][1], row
 
 
 def _assert_witness_sound(I):
@@ -666,7 +708,7 @@ def test_colength_past_the_ladder(profile_runs):
     for field in (sb.RATIONAL, prime_field(32003)):
         profile_runs.clear()
         assert colength(I, field=field) == 90
-        assert [len(counts) for counts in profile_runs] == [47]
+        assert [len(steps) for steps in profile_runs] == [47]
 
 
 def _witness_corpus():
