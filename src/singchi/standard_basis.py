@@ -26,6 +26,7 @@ where some rank drops.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -153,6 +154,19 @@ def _monomials(nv, k):
     return tuple((j << top) + m for j in range(k + 1) for m in _monomials(nv - 1, k - j))
 
 
+def _covers(leads, nv, D):
+    """Whether every monomial of degree D >= 1 in nv variables is a multiple
+    of a key in leads, a set of keys of degree D - 1.
+
+    The rest of degree D - 1 is free. A monomial x^m of degree D is a
+    multiple of no key in leads when every x^m/x_j is free, and it is then
+    x_j*s for a free s: so only those are tried."""
+    free = set(_monomials(nv, D - 1)).difference(leads)
+    units = [1 << _BITS * j for j in range(nv)]
+    return all(any(m - x not in free for x in units if m & x * _MASK)
+               for m in {s + x for s in free for x in units})
+
+
 def _pivot_profile(gens, nv, p=None, budget=None):
     """Pivots per degree of the image of J in the truncations O/m^(D+1):
     yields counts[D], the number of pivots in degree D, for D = 0, 1, 2,
@@ -176,9 +190,9 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6).
     So degree D >= 1 fills, and every later degree with it, when every
     monomial of degree D is a multiple of a lead of degree D - 1. Step D
-    checks this before it builds a row, once every x_j^(D-1) is a lead
-    (x_j^D has no other divisor of degree D - 1). From there on no row is
-    built, and counts[D] is the number of monomials of degree D.
+    checks this (_covers) before it builds a row, once every x_j^(D-1) is
+    a lead (x_j^D has no other divisor of degree D - 1). From there on no
+    row is built, and counts[D] is the number of monomials of degree D.
 
     The elimination is degree-major and has no truncation bound. A row is
     kept as what made it: a generator index i, a shift x^a, and the
@@ -191,9 +205,12 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     slices so far all cancelled) and its new rows x^a*g_i of degree D, and
     reduces their D-slices, lowest column first, by the pivots of degree D.
     The first column left without a pivot becomes a row's pivot; a row with
-    none is pending, until no degree above D is left where x^a*g_i or a
+    none is pending, until no degree above D is left where its start or a
     pivot it met has a term. No row at step D has an entry below D, so
-    counts[D] is final after it. The column of x^e is its key (poly), at
+    counts[D] is final after it. Most new rows x^a*g_i are pivots at once,
+    their first column being free: their slice, lead and division by the
+    content are those of the lowest part of g_i, shifted, and are not
+    computed again. The column of x^e is its key (poly), at
     every degree, as the key of a product is the sum of the keys; columns
     order lexicographically, the last variable most significant. Keys hold
     exponents below 2^15, and ResourceLimitError comes before D = 2^15.
@@ -208,6 +225,34 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     index of the generator that made it. Rows of g_i meet only pivots of
     degree D, made by g_1..g_i, so the pivots of lower index span the
     image of J' up to degree D, which holds x^a, and lead all of it.
+
+    A new row starts from the degree below where that saves its
+    reductions (matrix F5: Bardet, Faugere and Salvy, "On the complexity
+    of the F5 Groebner basis algorithm", J. Symbolic Comput. 70, 2015).
+    Let j be the top variable of a, and let the row x^(a-e_j)*g_i have
+    become at D - 1 a pivot p that carries reductions: it reduced, or it
+    started so itself. Then x^a*g_i starts as x_j*p: its D-slice is x_j
+    times the lead slice of p, already reduced at D - 1, with no replay,
+    and its base is (p, x_j), or (k, x^t*x_j) when p only shifted pivot k
+    by x^t. A row with base (k, x^t) replays at degree d from the
+    (d - |t|)-slice of pivot k, so a step replays (pivot, degree) pairs.
+    Replays at the step's degree prune operations as before; replays below
+    it read the operations a pivot had when a base first named it, kept
+    whole for it and for every pivot its replays name, and the slices of
+    those pivots are kept for the steps after.
+    Why the span is unchanged: label the row x^a*g_i by its signature
+    x^a*e_i, and order signatures by i, then by deg a, then by the key of
+    a. That is the order in which rows are reduced, so a row meets only
+    pivots of smaller signature, and x_j keeps that order. Modulo the
+    image of J', which the rows of g_1..g_(i-1) span by induction on i,
+    each row of g_i is h*g_i with h a combination of its support, the
+    shifts x^b of the rows x^b*g_i it combines: x^a itself, and shifts of
+    smaller signature, which the pivots it meets bring in. The support of
+    x_j*p is x_j times that of p, and x_j*p starts only when no shift in it
+    is one that F5 skips. The rows of g_i are then unitriangular over the
+    rows x^b*g_i that F5 keeps, by signature, and span what those span. A
+    skipped shift would break this: its F5 identity ties it to columns
+    above it, x^a among them. Where it occurs, the row starts as x^a*g_i.
 
     Over Q the elimination is fraction-free: a slice with entry f at the
     column of a pivot with lead a becomes (a/g)*slice - (f/g)*pivot,
@@ -227,40 +272,74 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     """
     if budget is None:
         budget = [math.inf]
-    # per generator: its order, its degrees as a bit mask, and its terms by
-    # degree as (key, entry)
+    # per generator: its order, its degrees as a bit mask, its terms by degree
+    # as (key, entry), and what a row x^a*g_i is when its first column a + t
+    # has no pivot: t, its lead entry (its inverse mod p), its other terms,
+    # and its operations (the division by the content of its lowest part)
     parts = []
     for gen in gens:
         by_degree = {}
         for (e, c), t in zip(gen.items(), _degrees(gen, nv)):
             by_degree.setdefault(t, []).append((e, c))
-        parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree))
-    # A pivot: (generator index i, shift key a, operations, degrees).
+        rest = dict(by_degree[min(by_degree)])
+        t = min(rest)
+        a, ops = rest.pop(t), ()
+        if p is None:
+            c = math.gcd(a, *rest.values())
+            sign = -1 if a < 0 else 1
+            if sign * c != 1:
+                a, rest = a // (sign * c), {e: v // (sign * c) for e, v in rest.items()}
+                ops = ((sign, 0, -1, c),)
+        else:
+            a = pow(a, -1, p)
+        parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree, (t, a, rest, ops)))
+    # A pivot: (generator index i, shift key a, operations, degrees, origin).
     # Bit D of degrees is clear where the D-slice is known to be zero: every
-    # degree of x^a*g_i and of the pivots the operations name is set. Kept as
-    # tuples of ints, which the garbage collector stops tracking.
+    # degree of the row's start and of the pivots the operations name is set.
+    # origin is None for a row x^a*g_i that no reduction touched, and else
+    # (base, support): base is None for a row that starts as x^a*g_i and
+    # (k, t, |t|) for one that starts as x^t times pivot k; the support is
+    # the set of shifts b of the rows x^b*g_i that the row combines modulo
+    # the image of g_1..g_(i-1), None when it is {a}.
     pivots = []
     # the lead column of each pivot -> the index of the generator that made it
     leads = {}
-    # per generator: (a, operations, degree mask) of the rows whose slices
-    # so far all cancelled
+    # per generator: (a, operations, degrees, origin) of the rows whose
+    # slices so far all cancelled
     pending = [[] for _ in gens]
+    # generator index -> {a: (pivot index, whether it reduced, lead, lead
+    # entry, the rest of its slice)} for the new rows x^a*g_i of degree D
+    # that became pivots carrying reductions: the parents at D + 1
+    parents = {}
+    # pivot -> its operations when a base first named it, or named a pivot
+    # whose replays name it: a base reads its pivot below the step's degree,
+    # where the operations pruned at the step's degree no longer hold
+    whole = {}
+    # (pivot, degree) -> its slice, for the pivots in whole: their slices do
+    # not change, and a base reads each again at later steps
+    known = {}
     # deg a is the top field of a*ones: no field sum of a reaches 2^15
     ones, top = _ones(nv), _BITS * (nv - 1)
 
-    # D and slices below are those of the current degree D
-    def replay(i, a, ops):
-        """The D-slice of the row x^a*g_i after ops, as an int dict and a
-        positive denominator, and ops as they act above degree D.
+    # slices below maps a degree to the slices of that degree replayed so far
+    def replay(i, a, ops, origin, d):
+        """The d-slice of the row x^a*g_i of this origin after ops, as an int
+        dict and a positive denominator, and ops as they act above degree d.
 
-        An operation whose pivot has no terms above D only scales the row
+        An operation whose pivot has no terms above d only scales the row
         at every later degree, so it is folded into the next operation that
         names a pivot with such terms, or into a last scaling."""
-        N = {a + col: c for col, c in parts[i][2].get(D - (a * ones >> top & _MASK), ())}
-        den, kept, S, C = 1, [], 1, 1
+        if origin is None or origin[0] is None:
+            N, den = {a + col: c for col, c in parts[i][2].get(d - (a * ones >> top & _MASK), ())}, 1
+        else:
+            k, t, n = origin[0]
+            N, den = slices.get(d - n, {}).get(k, ({}, 1))
+            N = {t + col: v for col, v in N.items()}
+        at = slices.get(d) or {}
+        kept, S, C = [], 1, 1
         for op in ops:
             s, f, k, c = op
-            if f and pivots[k][3] >> D > 1:
+            if f and pivots[k][3] >> d > 1:
                 if (S, C) != (1, 1):
                     op = (s * S, f * C, k, c * C)
                     S = C = 1
@@ -269,7 +348,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 S, C = S * s, C * c
             else:
                 S = S * s % p
-            P = slices.get(k) if f else None
+            P = at.get(k) if f else None
             if P is not None:
                 P, pden = P
                 if pden != den:
@@ -300,6 +379,46 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 den //= g
         return N, den, kept
 
+    def widened(i, a, origin, ops):
+        """The origin of the row x^a*g_i once it has met the pivots ops
+        name. F5 skips no row of g_1, so the supports of its rows are never
+        read."""
+        base, span = origin or (None, None)
+        for _, f, k, _ in ops if i else ():
+            if f and pivots[k][0] == i:
+                met = pivots[k][4]
+                span = {*(span or (a,)), *(met and met[1] or (pivots[k][1],))}
+        return base, span and frozenset(span)
+
+    def inherited(i, below):
+        """The rows of g_i at D that start from their parents in below, by
+        their shifts. A pivot that a base names keeps its operations whole,
+        with every pivot its replays name, from before its replays at D."""
+        born = {}
+        for b, (q, reduced, lead, c, rest) in below.items():
+            base, span = pivots[q][4]
+            # x^a has the one parent x^(a - e_j), j its top variable
+            for j in range((b.bit_length() - 1) // _BITS if b else 0, nv):
+                x = 1 << _BITS * j
+                # F5, and no shift of the support that F5 skips
+                if any(leads.get(m + x, i) < i for m in span or (b,)):
+                    continue
+                N = {col + x: v for col, v in rest.items()}
+                N[lead + x] = c
+                born[b + x] = (b + x, [], N, 1, pivots[q][3] << 1,
+                               ((q, x, 1) if reduced else (base[0], base[1] + x, base[2] + 1),
+                                span and frozenset(m + x for m in span)))
+                todo = [q]
+                while todo:
+                    k = todo.pop()
+                    if k not in whole:
+                        _, _, ops, _, origin = pivots[k]
+                        whole[k] = ops
+                        todo += [j for _, f, j, _ in ops if f]
+                        if origin and origin[0]:
+                            todo.append(origin[0][0])
+        return born
+
     sealed, here = False, {}
     for D in itertools.count():
         if D == _LIMIT:
@@ -307,47 +426,80 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         # a seal read off the leads of degree D - 1, here (see above); most
         # steps end at the lookup of x_1^(D-1), key D - 1, before any loop
         if not sealed and D - 1 in here and all((D - 1) << _BITS * j in here for j in range(1, nv)):
-            covered = {u + (1 << _BITS * j) for u in here for j in range(nv)}
-            sealed = len(covered) == math.comb(D + nv - 1, nv - 1)
+            sealed = _covers(here, nv, D)
         if sealed:
             yield math.comb(D + nv - 1, nv - 1)
             continue
+        born = {}
+        if parents:
+            born = {i: inherited(i, below) for i, below in parents.items()}
+            parents = {}
         slices = {}
         if any(pending):
-            # The D-slices of the pivots that the pending rows name, directly
-            # or through other pivots, replayed in the order they were made.
-            live = (ops for rows in pending for _, ops, degrees in rows if degrees >> D & 1)
-            needed = {k for ops in live for _, f, k, _ in ops if f}
-            for k in range(max(needed, default=-1), -1, -1):
-                if k in needed and pivots[k][3] >> D & 1:
-                    needed.update(j for _, f, j, _ in pivots[k][2] if f)
-            for k in sorted(needed):
-                i, a, ops, degrees = pivots[k]
-                if degrees >> D & 1:
-                    N, den, ops = replay(i, a, ops)
-                    pivots[k] = (i, a, tuple(ops), degrees)
-                    if N:
-                        slices[k] = (N, den)
+            # The slices the pending rows read, replayed in the order the
+            # pivots were made: those of degree D of the pivots their
+            # operations name, of degree D - |t| of a base's pivot, and so
+            # on through those pivots.
+            todo = [(ops, origin, D) for rows in pending for _, ops, mask, origin in rows if mask >> D & 1]
+            needed = set()
+            while todo:
+                ops, origin, d = todo.pop()
+                reads = [(k, d) for _, f, k, _ in ops if f]
+                if origin and origin[0]:
+                    reads.append((origin[0][0], d - origin[0][2]))
+                for k, e in reads:
+                    if (k, e) not in needed and pivots[k][3] >> e & 1:
+                        needed.add((k, e))
+                        if (k, e) not in known:
+                            todo.append((pivots[k][2] if e == D else whole[k], pivots[k][4], e))
+            for k, d in sorted(needed):
+                i, a, ops, degrees, origin = pivots[k]
+                if (k, d) in known:
+                    N, den = known[k, d]
+                elif d < D:
+                    N, den, _ = replay(i, a, whole[k], origin, d)
+                else:
+                    N, den, kept = replay(i, a, ops, origin, d)
+                    pivots[k] = (i, a, tuple(kept), degrees, origin)
+                if k in whole:
+                    known[k, d] = N, den
+                if N:
+                    slices.setdefault(d, {})[k] = (N, den)
         # the lead column of each pivot of degree D -> (lead entry, the other
         # entries of its D-slice, pivot index)
         here, made = {}, len(pivots)
-        for i, (order, degrees, _) in enumerate(parts):
-            # (a, operations, D-slice, its denominator, degrees) per row
+        for i, (order, degrees, by_degree, (first, entry, rest, scaling)) in enumerate(parts):
+            # (a, operations, D-slice, its denominator, degrees, origin) per row
             rows = []
-            for shift, ops, mask in pending[i]:
+            for shift, ops, mask, origin in pending[i]:
                 N, den = {}, 1
                 if mask >> D & 1:
-                    N, den, ops = replay(i, shift, ops)
-                rows.append((shift, ops, N, den, mask))
+                    N, den, ops = replay(i, shift, ops, origin, D)
+                rows.append((shift, ops, N, den, mask, origin))
             pending[i] = []
             k = D - order
             if k >= 0:
-                low = parts[i][2][order]
+                fresh, low = len(rows), by_degree[order]
                 for shift in _monomials(nv, k):
                     # F5: skip x^a*g_i when x^a leads a pivot of g_1..g_(i-1)
                     if leads.get(shift, i) >= i:
-                        rows.append((shift, [], {shift + t: c for t, c in low}, 1, degrees << k))
-            for shift, ops, N, pre, mask in rows:
+                        rows.append((shift, [], None, 1, degrees << k, None))
+                # the new rows ascend by shift, and few have a parent
+                for shift, row in born[i].items() if i in born else ():
+                    n = bisect.bisect_left(rows, (shift,), fresh)
+                    if n < len(rows) and rows[n][0] == shift:
+                        rows[n] = row
+            for shift, ops, N, pre, mask, origin in rows:
+                if N is None:
+                    # a row x^a*g_i as built, a pivot at once unless its
+                    # first column has one
+                    lead = shift + first
+                    if lead not in here:
+                        here[lead] = (entry, {shift + t: c for t, c in rest.items()}, len(pivots))
+                        leads[lead] = i
+                        pivots.append((i, shift, scaling, mask, None))
+                        continue
+                    N = {shift + t: c for t, c in low}
                 start = len(ops)
                 # Reducing at a column only brings in columns above it, so a
                 # column the heap has handed out never comes back, and the
@@ -393,20 +545,23 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     mask |= pivots[k][3]
                 else:
                     if mask >> D > 1:
-                        pending[i].append((shift, ops, mask))
+                        if len(ops) > start:
+                            origin = widened(i, shift, origin, ops[start:])
+                        pending[i].append((shift, ops, mask, origin))
                     continue
                 # A new pivot. Over Q it is divided by the content of its lead
                 # slice, with a positive lead, and the division joins the
                 # row's last operation of this degree. Mod p it keeps its lead
                 # a, and here holds 1/a, by which reductions scale f.
                 a = N.pop(lead)
+                reduced = len(ops) > start
                 if p is None:
                     c = math.gcd(a, *N.values())
                     sign = -1 if a < 0 else 1
                     if sign * c != 1:
                         a //= sign * c
                         N = {col: v // (sign * c) for col, v in N.items()}
-                    if len(ops) > start:
+                    if reduced:
                         if sign * c != 1:
                             t, f, k, _ = ops[-1]
                             ops[-1] = (t * sign, f * sign, k, c)
@@ -416,7 +571,14 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     a = pow(a, -1, p)
                 here[lead] = (a, N, len(pivots))
                 leads[lead] = i
-                pivots.append((i, shift, tuple(ops), mask))
+                if reduced:
+                    origin = widened(i, shift, origin, ops[start:])
+                pivots.append((i, shift, tuple(ops), mask, origin))
+                # A new row that carries reductions is a parent at D + 1. Mod p
+                # the entry of its lead is the inverse of what here holds.
+                if origin and shift * ones >> top & _MASK == D - order:
+                    c = a if p is None else pow(a, -1, p)
+                    parents.setdefault(i, {})[shift] = (len(pivots) - 1, reduced, lead, c, N)
         yield len(pivots) - made
 
 

@@ -2,6 +2,7 @@
 against independent oracles, Mora's standard bases among them."""
 
 import functools
+import gc
 import hashlib
 import inspect
 import itertools
@@ -447,13 +448,21 @@ def test_profile_of_redundant_generators_matches_all_rows():
 def profile_runs(monkeypatch):
     """The steps read from each _pivot_profile run, one list per run: per
     degree, its count and whether the step built a row, that is listed the
-    shifts of a generator's new rows (_monomials)."""
+    shifts of a generator's new rows (_monomials, outside the seal check
+    _covers, which lists a degree's monomials too)."""
     runs, calls = [], [0]
-    profile, monomials = sb._pivot_profile, sb._monomials
+    profile, monomials, covers = sb._pivot_profile, sb._monomials, sb._covers
 
     def counting(nv, k):
         calls[0] += 1
         return monomials(nv, k)
+
+    def checking(leads, nv, D):
+        before = calls[0]
+        try:
+            return covers(leads, nv, D)
+        finally:
+            calls[0] = before
 
     def recording(gens, nv, p=None, budget=None):
         runs.append([])
@@ -464,6 +473,7 @@ def profile_runs(monkeypatch):
             before = calls[0]
 
     monkeypatch.setattr(sb, "_monomials", counting)
+    monkeypatch.setattr(sb, "_covers", checking)
     monkeypatch.setattr(sb, "_pivot_profile", recording)
     return runs
 
@@ -633,15 +643,61 @@ def test_seal_read_off_the_leads_of_the_degree_below(p, profile_runs):
         stop, _, step_built = _assert_stops_like_stepping(I.gens, XY, p, profile_runs)
         assert (stop, step_built) == (degree, built), gens
     # D^4 of rows I and IV seals at 7 from the leads of degree 6, which
-    # leave z2*z3^2*z4^3 free: 338 and 272 reductions, where building
-    # degree 7 as well took 540 and 438
+    # leave z2*z3^2*z4^3 free: 169 and 103 reductions, where rows built as
+    # shifts of their generators took 338 and 272, and building degree 7
+    # as well took 540 and 438
     field = sb.RATIONAL if p is None else prime_field(p)
-    for row, steps in (("I", 338), ("IV", 272)):
+    for row, steps in (("I", 169), ("IV", 103)):
         D4 = multiple_point_ideal(resolve_row(row).germ, 4)
         profile_runs.clear()
         assert colength(D4, field, max_steps=steps) == 24
         [run] = profile_runs
         assert len(run) == 8 and not run[-1][1], row
+        with pytest.raises(ResourceLimitError):
+            colength(D4, field, max_steps=steps - 1)
+
+
+@pytest.mark.parametrize("p, value, steps", [(None, 169, 91), (5, INFINITE, 63), (2147483647, 169, 91)])
+def test_rows_start_from_the_pivots_of_the_degree_below(p, value, steps):
+    # The double-point chain stage of P_13 with colength 169 (infinite over
+    # F_5) takes 91 reductions (63 over F_5) when a row starts as x_j times
+    # the pivot its parent row became, where rows built as shifts of their
+    # generators took 819 (105 over F_5).
+    [J] = [J for J in _catalog_colength_ideals(("P_13",)) if colength(J) == 169]
+    field = sb.RATIONAL if p is None else prime_field(p)
+    assert colength(J, field, max_steps=steps) == value
+    with pytest.raises(ResourceLimitError):
+        colength(J, field, max_steps=steps - 1)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_rows_start_from_their_parents_only_off_the_f5_skips(p):
+    # Modulo the image of g_1..g_(i-1), the row x_j*p of g_i is h*g_i, where
+    # h holds x_j times the shifts of the rows of g_i that p combines. Where
+    # one of those is a shift F5 skips, the F5 identity ties it to higher
+    # columns, x^a among them, and x_j*p can lose the lead of x^a*g_i; such
+    # a row starts as x^a*g_i. Without that check the colength of
+    # (x^2*y^2 + x^3*y + x*y^3, y^2, x^6), whose J is (x^3*y, y^2, x^6),
+    # reads 10, and (x*y^2 + x^4 + x^3*y, 3*x) loses a lead in degree 5.
+    field = sb.RATIONAL if p is None else prime_field(p)
+    assert colength(ideal(XY, "x^2*y^2 + x^3*y + x*y^3", "y^2", "x^6"), field) == 9
+    rows = _rows(ideal(XY, "x*y^2 + x^4 + x^3*y", "3*x").gens, XY, p)
+    assert _profile(rows, 2, 8, p) == list(range(9))
+
+
+def test_colength_leaves_no_reference_cycle():
+    # an elimination is freed by reference counting alone: its nested
+    # functions hold no cycle that would keep it alive until a collection
+    D4 = multiple_point_ideal(resolve_row("I").germ, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        for field in (sb.RATIONAL, prime_field(5), prime_field(2147483647)):
+            assert colength(D4, field) == 24
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def _assert_witness_sound(I):
