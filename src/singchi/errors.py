@@ -42,7 +42,20 @@ class ResourceLimitError(SingchiError):
 
 
 class NonIsolatedError(SingchiError):
-    """The hypersurface singularity has a non-isolated critical locus."""
+    """The hypersurface singularity has a non-isolated critical locus.
+
+    NonIsolatedError(template, *values) formats the template with the
+    values when its text is first read, not when it is raised: a caller
+    that only catches the error never spells the germ out."""
+
+    def __init__(self, message: str, *values):
+        super().__init__(message)
+        self.values = values
+
+    def __str__(self):
+        if self.values:
+            self.args, self.values = (self.args[0].format(*self.values),), ()
+        return super().__str__()
 
 
 class NotAtOriginError(SingchiError):

@@ -74,7 +74,7 @@ def hypersurface_milnor(
     partials = [g.partial(v) for v in ring]
     mu = colength(IdealPresentation(ring, tuple(partials)), field=field, max_steps=max_steps)
     if mu is INFINITE:
-        raise NonIsolatedError(f"Jacobian ideal of {g} has infinite colength")
+        raise NonIsolatedError("Jacobian ideal of {} has infinite colength", g)
     return mu
 
 

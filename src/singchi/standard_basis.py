@@ -254,6 +254,30 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     skipped shift would break this: its F5 identity ties it to columns
     above it, x^a among them. Where it occurs, the row starts as x^a*g_i.
 
+    A row whose parent has not become a pivot waits for it. At step D, let
+    j be the top variable of a, and let the parent x^(a-e_j)*g_i be
+    pending after step D - 1, or dormant. Then x^a*g_i is not built: it is
+    dormant, and its anchor is its nearest ancestor that is a pending row,
+    A, the row of x^b*g_i as reduced so far, with x^a = x^t*x^b. The span:
+    A is x^b*g_i less pivots of smaller signature and has no term below D,
+    so x^a*g_i is x^t*A, which lies in m^(D+1), plus x^t times those
+    pivots. By induction on signature every dormant row then lies, modulo
+    m^(D+1), in the span of the rows built, and counts[D] is what it would
+    be with them built, as long as no shift in x^t times the support of A
+    is one that F5 skips: the support condition of x_j*p. A dormant row
+    waits on through every step after which its anchor is still pending
+    and the condition holds; the support of the anchor grows as it meets
+    pivots of g_i, and the condition is read again after each step where
+    it does. When the anchor becomes a pivot P at step E, its dormant
+    children enter at E + 1 as rows x_j*P, with bases as above, among the
+    pending rows in signature order, and deeper descendants wait on the
+    child they descend from. When the anchor turns out to be zero at every
+    degree, x^a*g_i is exactly x^t times those pivots, and its dormant
+    descendants are never built. Where the condition fails after step D, a
+    dormant row enters at D + 1 as x^t times the anchor as it stood before
+    step D instead, which passed the condition and lies in m^(D+1): its
+    base is a copy of that anchor, kept for it.
+
     Over Q the elimination is fraction-free: a slice with entry f at the
     column of a pivot with lead a becomes (a/g)*slice - (f/g)*pivot,
     g = gcd(a, f). A row that becomes a pivot is divided by the content of
@@ -300,13 +324,22 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     # (base, support): base is None for a row that starts as x^a*g_i and
     # (k, t, |t|) for one that starts as x^t times pivot k; the support is
     # the set of shifts b of the rows x^b*g_i that the row combines modulo
-    # the image of g_1..g_(i-1), None when it is {a}.
+    # the image of g_1..g_(i-1), None when it is {a}. The list also holds
+    # copies of pending rows that the bases of rows leaving a dormant state
+    # name (see above), which are not pivots.
     pivots = []
     # the lead column of each pivot -> the index of the generator that made it
     leads = {}
     # per generator: (a, operations, degrees, origin) of the rows whose
     # slices so far all cancelled
     pending = [[] for _ in gens]
+    # per generator: anchor -> [its support at the start of the step, its
+    # dormant descendants in signature order, its pending row then, and
+    # (the lead of the pivot it became at the step, None while it is
+    # pending, -1 once it is zero at every degree; its origin after it)],
+    # and dormant row shift -> its anchor, the nearest ancestor that is a
+    # pending row
+    dormant = [({}, {}) for _ in gens]
     # generator index -> {a: (pivot index, whether it reduced, lead, lead
     # entry, the rest of its slice)} for the new rows x^a*g_i of degree D
     # that became pivots carrying reductions: the parents at D + 1
@@ -392,11 +425,12 @@ def _pivot_profile(gens, nv, p=None, budget=None):
 
     def inherited(i, below):
         """The rows of g_i at D that start from their parents in below, by
-        their shifts. A pivot that a base names keeps its operations whole,
-        with every pivot its replays name, from before its replays at D."""
+        their shifts. A pivot that a base names is kept whole before its
+        replays at D."""
         born = {}
         for b, (q, reduced, lead, c, rest) in below.items():
             base, span = pivots[q][4]
+            n = len(born)
             # x^a has the one parent x^(a - e_j), j its top variable
             for j in range((b.bit_length() - 1) // _BITS if b else 0, nv):
                 x = 1 << _BITS * j
@@ -408,16 +442,97 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 born[b + x] = (b + x, [], N, 1, pivots[q][3] << 1,
                                ((q, x, 1) if reduced else (base[0], base[1] + x, base[2] + 1),
                                 span and frozenset(m + x for m in span)))
-                todo = [q]
-                while todo:
-                    k = todo.pop()
-                    if k not in whole:
-                        _, _, ops, _, origin = pivots[k]
-                        whole[k] = ops
-                        todo += [j for _, f, j, _ in ops if f]
-                        if origin and origin[0]:
-                            todo.append(origin[0][0])
+            if len(born) > n:
+                keep(q)
         return born
+
+    def keep(k):
+        """Keep the operations of pivot k whole, with those of every pivot
+        its replays name, as they stand: a base reads k below the step's
+        degree, where operations pruned at later steps no longer hold."""
+        todo = [k]
+        while todo:
+            k = todo.pop()
+            if k not in whole:
+                _, _, ops, _, origin = pivots[k]
+                whole[k] = ops
+                todo += [j for _, f, j, _ in ops if f]
+                if origin and origin[0]:
+                    todo.append(origin[0][0])
+
+    def waits(i, a, waiting, brood, kin):
+        """Whether the new row x^a*g_i waits, dormant, for a parent that is
+        pending (waiting, by shift) or dormant (kin), off the shifts that F5
+        skips; it is then recorded with its anchor (brood)."""
+        up = a - (1 << _BITS * ((a.bit_length() - 1) // _BITS))
+        anchor = kin.get(up, up if up in waiting else None)
+        if anchor is None:
+            return False
+        if anchor in brood:
+            span = brood[anchor][0]
+        else:
+            span = waiting[anchor][3] and waiting[anchor][3][1]
+        t = a - anchor
+        if i and any(leads.get(m + t, i) < i for m in span or (anchor,)):
+            return False
+        kin[a] = anchor
+        brood.setdefault(anchor, [span, [], waiting.get(anchor), None])[1].append(a)
+        return True
+
+    def settle(i):
+        """After step D, the dormant rows of g_i whose anchors' supports
+        grew, or that stopped pending (see above)."""
+        brood, kin = dormant[i]
+        for anchor, (span, kids, before, (lead, origin)) in list(brood.items()):
+            now = origin and origin[1]
+            if lead is None and now == span:
+                continue
+            del brood[anchor]
+            ghost, q, stay = None, None, []
+            for shift in kids:
+                t = shift - anchor
+                n = t * ones >> top & _MASK
+                if i and any(leads.get(m + t, i) < i for m in now or (anchor,)):
+                    # x^t times the anchor as it stood before the step,
+                    # with the support span, which is zero below D + 1
+                    if ghost is None:
+                        _, ops, mask, was = before
+                        if mask >> D & 1:
+                            N, den, _ = replay(i, anchor, ops, was, D)
+                            known[len(pivots), D] = N, den
+                        ghost, mask = len(pivots), mask >> D << D
+                        pivots.append((i, anchor, tuple(ops), mask, was))
+                        keep(ghost)
+                    row = (shift, [], mask << n, ((ghost, t, n), span and frozenset(m + t for m in span)))
+                elif lead is None:
+                    stay.append(shift)
+                    continue
+                elif lead < 0:
+                    del kin[shift]
+                    continue
+                elif n > 1:
+                    # It waits on the child of the anchor it descends from,
+                    # which has entered: the leads of g_1..g_(i-1) are a
+                    # monomial ideal, so where this row passes the support
+                    # condition, so does that child. Each generation adds a
+                    # variable at or past the top one, so the child's is
+                    # the lowest of t.
+                    up = anchor + (1 << _BITS * (((t & -t).bit_length() - 1) // _BITS))
+                    kin[shift] = up
+                    brood.setdefault(up, [now and frozenset(m + up - anchor for m in now), [], None, None])[1].append(shift)
+                    continue
+                else:
+                    # x_j times the pivot the anchor became, its D-slice
+                    # the pivot's lead slice
+                    if q is None:
+                        a, N, q = here[lead]
+                        known[q, D] = {**N, lead: a if p is None else pow(a, -1, p)}, 1
+                        keep(q)
+                    row = (shift, [], pivots[q][3] << 1, ((q, t, 1), now and frozenset(m + t for m in now)))
+                del kin[shift]
+                bisect.insort(pending[i], row, key=lambda row: (row[0] * ones >> top & _MASK, row[0]))
+            if stay:
+                brood[anchor] = [now, stay, None, None]
 
     sealed, here = False, {}
     for D in itertools.count():
@@ -467,24 +582,36 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     slices.setdefault(d, {})[k] = (N, den)
         # the lead column of each pivot of degree D -> (lead entry, the other
         # entries of its D-slice, pivot index)
-        here, made = {}, len(pivots)
+        here = {}
         for i, (order, degrees, by_degree, (first, entry, rest, scaling)) in enumerate(parts):
+            brood, kin = dormant[i]
             # (a, operations, D-slice, its denominator, degrees, origin) per row
-            rows = []
-            for shift, ops, mask, origin in pending[i]:
-                N, den = {}, 1
+            rows, k = [], D - order
+            # the pending rows of degree k - 1, the last by signature: a new
+            # row can have its parent among them
+            waiting = {}
+            if k > 0 and pending[i]:
+                for row in reversed(pending[i]):
+                    if row[0] * ones >> top & _MASK < k - 1:
+                        break
+                    waiting[row[0]] = row
+            for row in pending[i]:
+                shift, ops, mask, origin = row
+                N, den, kept = {}, 1, ops
                 if mask >> D & 1:
-                    N, den, ops = replay(i, shift, ops, origin, D)
-                rows.append((shift, ops, N, den, mask, origin))
+                    N, den, kept = replay(i, shift, ops, origin, D)
+                if shift in brood:
+                    brood[shift][2] = row
+                rows.append((shift, kept, N, den, mask, origin))
             pending[i] = []
-            k = D - order
             if k >= 0:
-                fresh, low = len(rows), by_degree[order]
+                fresh, low, wait = len(rows), by_degree[order], waiting or kin
                 for shift in _monomials(nv, k):
                     # F5: skip x^a*g_i when x^a leads a pivot of g_1..g_(i-1)
-                    if leads.get(shift, i) >= i:
+                    if leads.get(shift, i) >= i and not (wait and waits(i, shift, waiting, brood, kin)):
                         rows.append((shift, [], None, 1, degrees << k, None))
-                # the new rows ascend by shift, and few have a parent
+                # the new rows ascend by shift, and few have a parent that
+                # became a pivot
                 for shift, row in born[i].items() if i in born else ():
                     n = bisect.bisect_left(rows, (shift,), fresh)
                     if n < len(rows) and rows[n][0] == shift:
@@ -516,7 +643,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     budget[0] -= 1
                     if budget[0] < 0:
                         raise ResourceLimitError("row reduction budget exhausted")
-                    a, P, k = here[lead]
+                    a, P, q = here[lead]
                     if p is None:
                         g = math.gcd(a, f)
                         s = a // g
@@ -540,14 +667,18 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                         else:
                             del N[col]
                     # pre clears the replayed slice's denominator
-                    ops.append((s * pre, f, k, 1))
+                    ops.append((s * pre, f, q, 1))
                     pre = 1
-                    mask |= pivots[k][3]
+                    mask |= pivots[q][3]
                 else:
-                    if mask >> D > 1:
+                    alive = mask >> D > 1
+                    if alive or shift in brood:
                         if len(ops) > start:
                             origin = widened(i, shift, origin, ops[start:])
-                        pending[i].append((shift, ops, mask, origin))
+                        if alive:
+                            pending[i].append((shift, ops, mask, origin))
+                        if shift in brood:
+                            brood[shift][3] = (None if alive else -1, origin)
                     continue
                 # A new pivot. Over Q it is divided by the content of its lead
                 # slice, with a positive lead, and the division joins the
@@ -563,8 +694,8 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                         N = {col: v // (sign * c) for col, v in N.items()}
                     if reduced:
                         if sign * c != 1:
-                            t, f, k, _ = ops[-1]
-                            ops[-1] = (t * sign, f * sign, k, c)
+                            t, f, q, _ = ops[-1]
+                            ops[-1] = (t * sign, f * sign, q, c)
                     elif sign * c * pre != 1:
                         ops.append((sign * pre, 0, -1, c))
                 else:
@@ -576,10 +707,14 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 pivots.append((i, shift, tuple(ops), mask, origin))
                 # A new row that carries reductions is a parent at D + 1. Mod p
                 # the entry of its lead is the inverse of what here holds.
-                if origin and shift * ones >> top & _MASK == D - order:
+                if origin and shift * ones >> top & _MASK == k:
                     c = a if p is None else pow(a, -1, p)
                     parents.setdefault(i, {})[shift] = (len(pivots) - 1, reduced, lead, c, N)
-        yield len(pivots) - made
+                elif shift in brood:
+                    brood[shift][3] = (lead, origin)
+            if brood:
+                settle(i)
+        yield len(here)
 
 
 def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):

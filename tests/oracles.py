@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -70,12 +71,18 @@ def monomials_up_to(ring, degree):
 def _sparse_rank(rows, p=None):
     """Rank of a sparse matrix given as dicts {column: value}: rational,
     or int entries over Z/p when p is given."""
+    return len(_sparse_leads(rows, p))
+
+
+def _sparse_leads(rows, p=None):
+    """The lead columns of an echelon basis of the row space of a sparse
+    matrix given as dicts {column: value}, the lowest column of each row
+    first: rational, or int entries over Z/p when p is given."""
 
     def normal(v):
         return v if p is None else v % p
 
     pivots = {}
-    rank = 0
     for row in rows:
         row = {c: normal(v) for c, v in row.items() if normal(v)}
         while row:
@@ -84,7 +91,6 @@ def _sparse_rank(rows, p=None):
             if pivot is None:
                 inv = Fraction(1) / row[col] if p is None else pow(row[col], -1, p)
                 pivots[col] = {c: normal(v * inv) for c, v in row.items()}
-                rank += 1
                 break
             factor = row[col]
             for c, v in pivot.items():
@@ -93,12 +99,36 @@ def _sparse_rank(rows, p=None):
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    return rank
+    return pivots
 
 
 def truncated_quotient_dim(gens, ring, degree, p=None):
     """dim O/(I + m^(degree+1)) by sparse row reduction, over Q, or over
     Z/p on the generators' residues when p is given."""
+    monos, rows = _truncated_rows(gens, ring, degree, p)
+    return 0 if rows is None else len(monos) - _sparse_rank(rows, p)
+
+
+def truncated_quotient_dims(gens, ring, degree, p=None):
+    """[d_0, ..., d_degree], d_e = dim O/(I + m^(e+1)), from the one
+    elimination of truncated_quotient_dim at degree: its columns run by
+    degree first, so the leads of degree <= e are those of the truncation
+    at e."""
+    monos, rows = _truncated_rows(gens, ring, degree, p)
+    if rows is None:
+        return [0] * (degree + 1)
+    dims = [0] * (degree + 1)
+    for m in monos:
+        dims[sum(m)] += 1
+    for col in _sparse_leads(rows, p):
+        dims[sum(monos[col])] -= 1
+    return list(itertools.accumulate(dims))
+
+
+def _truncated_rows(gens, ring, degree, p):
+    """The monomials of degree <= degree, and the truncations of their
+    products with the generators as rows over their indices; rows is None
+    when a generator is a unit."""
     monos = monomials_up_to(ring, degree)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
@@ -110,7 +140,7 @@ def truncated_quotient_dim(gens, ring, degree, p=None):
         if not terms:
             continue
         if terms.get((0,) * len(ring)):
-            return 0
+            return monos, None
         for m in monos:
             row = {}
             for mono, coeff in terms.items():
@@ -120,7 +150,7 @@ def truncated_quotient_dim(gens, ring, degree, p=None):
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-    return len(monos) - _sparse_rank(rows, p)
+    return monos, rows
 
 
 def brute_colength(gens, ring, cap=40):

@@ -94,13 +94,25 @@ def test_nonisolated_off_the_axes_is_never_finite(text, seed):
 def test_nonisolated_along_a_parabola():
     # singular along a parabola: no axis witness, and the Jacobian ideal's
     # d_D grows by one per degree, so the Bezout stop comes only at
-    # d_27 = 28 > 3^3, after 36,828 row reductions; a budget below that
-    # ends the ladder instead
+    # d_27 = 28 > 3^3, after 4,033 row reductions; one fewer ends the
+    # ladder instead
     g = generic_linear_change(ideal(XYZ, "(y - x^2)^2 + z^2"), 1).gens[0]
     with pytest.raises(NonIsolatedError):
-        hypersurface_milnor(g)
+        hypersurface_milnor(g, max_steps=4033)
     with pytest.raises(ResourceLimitError):
-        hypersurface_milnor(g, max_steps=20000)
+        hypersurface_milnor(g, max_steps=4032)
+
+
+def test_nonisolated_message_is_formatted_when_read():
+    # the message spells the germ out only when it is first read, and reads
+    # as it always has, also where invariant_tuple re-raises it with a prefix
+    g = P("x^2*y")
+    with pytest.raises(NonIsolatedError) as info:
+        hypersurface_milnor(g)
+    assert info.value.values == (g,)
+    text = "Jacobian ideal of x^2*y has infinite colength"
+    assert str(info.value) == text == str(info.value)
+    assert str(NonIsolatedError(f"d2: {info.value}")) == f"d2: {text}"
 
 
 def test_hypersurface_rejects_nonvanishing():

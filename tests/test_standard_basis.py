@@ -57,7 +57,9 @@ from oracles import (
     staircase_count_bfs,
     standard_basis,
     substitute_elimination,
+    monomials_up_to,
     truncated_quotient_dim,
+    truncated_quotient_dims,
 )
 from test_catalog import FAST_ROWS, QUAD_ROWS
 from test_poly import NEAR_GUARD
@@ -643,11 +645,12 @@ def test_seal_read_off_the_leads_of_the_degree_below(p, profile_runs):
         stop, _, step_built = _assert_stops_like_stepping(I.gens, XY, p, profile_runs)
         assert (stop, step_built) == (degree, built), gens
     # D^4 of rows I and IV seals at 7 from the leads of degree 6, which
-    # leave z2*z3^2*z4^3 free: 169 and 103 reductions, where rows built as
-    # shifts of their generators took 338 and 272, and building degree 7
-    # as well took 540 and 438
+    # leave z2*z3^2*z4^3 free: 103 and 71 reductions, where rows that
+    # built the children of pending rows took 169 and 103, rows built as
+    # shifts of their generators 338 and 272, and building degree 7 as
+    # well 540 and 438
     field = sb.RATIONAL if p is None else prime_field(p)
-    for row, steps in (("I", 169), ("IV", 103)):
+    for row, steps in (("I", 103), ("IV", 71)):
         D4 = multiple_point_ideal(resolve_row(row).germ, 4)
         profile_runs.clear()
         assert colength(D4, field, max_steps=steps) == 24
@@ -683,6 +686,106 @@ def test_rows_start_from_their_parents_only_off_the_f5_skips(p):
     assert colength(ideal(XY, "x^2*y^2 + x^3*y + x*y^3", "y^2", "x^6"), field) == 9
     rows = _rows(ideal(XY, "x*y^2 + x^4 + x^3*y", "3*x").gens, XY, p)
     assert _profile(rows, 2, 8, p) == list(range(9))
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_rows_of_a_pending_parent_wait_for_its_pivot(p):
+    # D^4 of row VIII (colength 24) and the stage of row II's D^3 chain
+    # with colength 26 take 33 and 161 reductions (26 and 119 over F_5)
+    # when a row whose parent is pending waits, dormant, for the parent's
+    # pivot, where building it took 386 and 245 (311 and 194)
+    steps = (26, 119) if p == 5 else (33, 161)
+    field = sb.RATIONAL if p is None else prime_field(p)
+    D4 = multiple_point_ideal(resolve_row("VIII").germ, 4)
+    [J] = [J for J in _catalog_colength_ideals(("II",)) if colength(J) == 26]
+    for I, value, n in ((D4, 24, steps[0]), (J, 26, steps[1])):
+        assert colength(I, field, max_steps=n) == value
+        with pytest.raises(ResourceLimitError):
+            colength(I, field, max_steps=n - 1)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_a_dormant_row_enters_as_x_j_times_its_parents_pivot(p, profile_runs):
+    # In (x^2*y + y^4, x^3) the row y*x^3 meets the pivot of x*g_1 and
+    # cancels in degree 4, leaving -x*y^4, so y^2*x^3 waits dormant at 5,
+    # where its parent becomes the pivot of x*y^4. It enters at 6 as y
+    # times that pivot, already reduced: 3 reductions in all, where
+    # building it as y^2*x^3 took 9.
+    I = ideal(XY, "x^2*y + y^4", "x^3")
+    _, value, _ = _assert_stops_like_stepping(I.gens, XY, p, profile_runs)
+    assert value == 12
+    field = sb.RATIONAL if p is None else prime_field(p)
+    assert colength(I, field, max_steps=3) == 12
+    with pytest.raises(ResourceLimitError):
+        colength(I, field, max_steps=2)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 2147483647])
+def test_dormant_rows_leave_an_anchor_whose_support_meets_an_f5_skip(p):
+    # A dormant row cannot wait on once x_j times a shift in its anchor's
+    # support is one that F5 skips. In (x^4 + x*y^3 + x^2*y, x^2*y, x*y)
+    # that comes about both ways: pending anchors meet pivots of their
+    # generator that widen their supports, and anchors become pivots
+    # whose supports hold such a shift. In the second ideal only the
+    # latter. Such rows enter as x^t times the anchor as it stood before
+    # the step; left waiting, or entered as x_j times the pivot, they lose
+    # leads.
+    for ring, gens, top in (
+        (XY, ("x^4 + x*y^3 + x^2*y", "x^2*y", "x*y"), 14),
+        (XYZ, ("y^4 + x^3 + x*y*z + y^2*z + 3*y*z^2 + 2*z^3", "-y*z - z^2", "x^3"), 9),
+    ):
+        I = ideal(ring, *gens)
+        counts = _profile(_rows(I.gens, ring, p), len(ring), top, p)
+        assert _truncated_dims(counts, len(ring)) == truncated_quotient_dims(I.gens, ring, top, p), gens
+
+
+def _dense_ideal(rng):
+    """2 or 3 variables and 2 to 4 generators, each drawing every monomial
+    of degree low..high (2 <= low <= high <= 6) with probability 0.3 and
+    a coefficient in -3..3, where 0 leaves it out."""
+    ring = rng.choice((XY, XYZ))
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        low = rng.randint(2, 3)
+        high = rng.randint(low, 6)
+        terms = {e: rng.randint(-3, 3) for e in monomials_up_to(ring, high) if sum(e) >= low and rng.random() < 0.3}
+        gens.append(Polynomial(ring, {e: Fraction(c) for e, c in terms.items() if c}))
+    return ring, gens
+
+
+def test_dormant_rows_keep_every_count_on_random_dense_ideals(profile_runs):
+    # Seeded random dense ideals over Q, F_2, F_3, F_5 and F_7, where rows
+    # wait dormant, enter, leave their anchors and are dropped. The d_D
+    # read up to the stop (seal, Bezout, or the budget running out) are
+    # those of one truncated elimination, and the stop is where d_D stops
+    # growing or first passes d^n. Counts are compared, not which row
+    # became a pivot: where a stop is far, a dormant row can lead before
+    # its pending parent and another row take the lead it would have had.
+    rng = random.Random(2021)
+    stops = set()
+    for _ in range(24):
+        ring, gens = _dense_ideal(rng)
+        nv, top = len(ring), 10 if len(ring) == 2 else 6
+        for p in (None, 2, 3, 5, 7):
+            rows = _rows(gens, ring, p)
+            if not rows or any(0 in d for d in rows):
+                continue
+            bezout = max(sum(e) for d in rows for e in exponent_dict(d, nv)) ** nv
+            profile_runs.clear()
+            try:
+                value = sb._sealed_colength(rows, nv, p, max_steps=1500)
+            except ResourceLimitError:
+                value = None
+            read = _truncated_dims([count for count, _ in profile_runs[0]], nv)
+            stop = len(read) - 1
+            dims = truncated_quotient_dims(gens, ring, min(stop, top), p)
+            where = (p, [str(g) for g in gens])
+            assert read[: top + 1] == dims, where
+            if value is not None and stop <= top:
+                grew = [D for D in range(1, stop + 1) if dims[D] == dims[D - 1] or dims[D] > bezout]
+                assert grew == [stop] and value == (INFINITE if dims[stop] > bezout else dims[stop]), where
+            stops.add("budget" if value is None else "Bezout" if value is INFINITE else "seal")
+    assert stops == {"seal", "Bezout", "budget"}
 
 
 def test_colength_leaves_no_reference_cycle():
