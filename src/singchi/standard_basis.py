@@ -167,6 +167,31 @@ def _covers(leads, nv, D):
                for m in {s + x for s in free for x in units})
 
 
+def _coprime_profile(degrees, nv):
+    """counts[D], D = 0, 1, 2, ..., of a monomial ideal in nv >= 1
+    variables generated by pairwise coprime monomials of these degrees:
+    the number of its monomials of degree D (see _pivot_profile).
+
+    By inclusion-exclusion over the nonempty sets S of generators, whose
+    lcm is their product, of degree e_S, the counts are the coefficients
+    of the sum of (-1)^(|S|+1) z^e_S, which is 1 - prod (1 - z^e_i),
+    times 1/(1 - z)^nv, whose coefficient of z^k counts the monomials of
+    degree k: nv running sums. ResourceLimitError comes at D = 2^15, as
+    in _pivot_profile."""
+    signs = [1]
+    for e in degrees:
+        signs = [a - b for a, b in itertools.zip_longest(signs, [0] * e + signs, fillvalue=0)]
+    series = [-s for s in signs]
+    series[0] += 1
+    sums = [0] * nv
+    for D in range(_LIMIT):
+        x = series[D] if D < len(series) else 0
+        for j in range(nv):
+            x = sums[j] = sums[j] + x
+        yield x
+    raise ResourceLimitError(f"degree {_LIMIT} passes the exponent width of a key")
+
+
 def _pivot_profile(gens, nv, p=None, budget=None):
     """Pivots per degree of the image of J in the truncations O/m^(D+1):
     yields counts[D], the number of pivots in degree D, for D = 0, 1, 2,
@@ -193,6 +218,34 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     checks this (_covers) before it builds a row, once every x_j^(D-1) is
     a lead (x_j^D has no other divisor of degree D - 1). From there on no
     row is built, and counts[D] is the number of monomials of degree D.
+
+    When the generators' leads t_i are pairwise coprime, no row is built
+    at all: every count is read off the t_i (_coprime_profile). Here t_i
+    is the smallest key in the lowest part g_i* of g_i, its initial form,
+    of degree e_i. The argument has four steps.
+      1. counts[D] = dim in(J)_D, in(J) the ideal of the leads of J, by
+         the paragraphs above.
+      2. On the forms of one degree, order monomials by key, smaller
+         first: keys add under products, so with the degree this is a
+         monomial order, and t_i leads g_i*. Buchberger's product
+         criterion holds for every monomial order: with coprime leads,
+         the S-polynomial of g_i* and g_j* reduces to zero. So the g_i*
+         are a Groebner basis, and (g_1*, ..., g_k*) has the lead ideal
+         (t_1, ..., t_k).
+      3. Coprime monomials are a regular sequence, and homogeneous forms
+         whose leads are one are one too: their ideal and the monomial
+         one share a Hilbert series, prod (1 - z^e_i) / (1 - z)^n, which
+         is the one of a regular sequence of those degrees. So the g_i*
+         are a regular sequence in the graded ring k[x] of O.
+      4. By Valabrega-Valla ("Form rings and regular sequences", Nagoya
+         Math. J. 72, 1978), the initial forms of J are then the ideal
+         (g_1*, ..., g_k*). The lead of f in J is the lead of its initial
+         form, so in(J) = (t_1, ..., t_k).
+    A constant generator has the lead 1 and makes every count full. The
+    colength is finite exactly when a lead is 1 or each variable has a
+    pure power among the leads, which are then x_j^(e_j), one per
+    variable: it is prod e_i. Over Z/p the leads are those of the
+    residues, which may differ from the leads over Q.
 
     The elimination is degree-major and has no truncation bound. A row is
     kept as what made it: a generator index i, a shift x^a, and the
@@ -296,6 +349,14 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     """
     if budget is None:
         budget = [math.inf]
+    # deg a is the top field of a*ones: no field sum of a reaches 2^15
+    ones, top = _ones(nv), _BITS * (nv - 1)
+    # Bit 15 of each field that a lead so far has nonzero: every exponent
+    # is below 2^15, so adding 2^15 - 1 to a field carries into its bit 15
+    # exactly when the field is nonzero. The leads are pairwise coprime
+    # while no lead meets those of the generators before it.
+    carry, guard = ones * (_LIMIT - 1), ones << _BITS - 1
+    used, coprime = 0, True
     # per generator: its order, its degrees as a bit mask, its terms by degree
     # as (key, entry), and what a row x^a*g_i is when its first column a + t
     # has no pivot: t, its lead entry (its inverse mod p), its other terms,
@@ -307,6 +368,9 @@ def _pivot_profile(gens, nv, p=None, budget=None):
             by_degree.setdefault(t, []).append((e, c))
         rest = dict(by_degree[min(by_degree)])
         t = min(rest)
+        fields = t + carry & guard
+        coprime = coprime and not used & fields
+        used |= fields
         a, ops = rest.pop(t), ()
         if p is None:
             c = math.gcd(a, *rest.values())
@@ -317,6 +381,10 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         else:
             a = pow(a, -1, p)
         parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree, (t, a, rest, ops)))
+    if coprime:
+        # the leads generate the initial ideal (see above): no row is built
+        yield from _coprime_profile([order for order, *_ in parts], nv)
+        return
     # A pivot: (generator index i, shift key a, operations, degrees, origin).
     # Bit D of degrees is clear where the D-slice is known to be zero: every
     # degree of the row's start and of the pivots the operations name is set.
@@ -351,8 +419,6 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     # (pivot, degree) -> its slice, for the pivots in whole: their slices do
     # not change, and a base reads each again at later steps
     known = {}
-    # deg a is the top field of a*ones: no field sum of a reaches 2^15
-    ones, top = _ones(nv), _BITS * (nv - 1)
 
     # slices below maps a degree to the slices of that degree replayed so far
     def replay(i, a, ops, origin, d):
@@ -725,7 +791,9 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     the first of two stops decides, with d_D = dim O/(J + m^(D+1)):
       * seal: the first degree D >= 1 that fills; d_D is then the
         colength, by Nakayama. The fill is often read off the leads of
-        degree D - 1, and then no row of degree D is built;
+        degree D - 1, and then no row of degree D is built, or off the
+        generators' leads when they are pairwise coprime, and then no
+        row is built at all;
       * Bezout: the first D with d_D > d^nv, d the largest total degree
         of a generator; the colength is then infinite.
     The Bezout stop rests on this. Let J have a finite colength u. Over
@@ -772,7 +840,10 @@ def colength(
         colength is d_D = dim O/(J + m^(D+1)); the elimination stops
         there, having built no part of a row above degree D, and none of
         degree D when the leads of degree D - 1 already have every
-        monomial of degree D among their multiples;
+        monomial of degree D among their multiples. When the leads of
+        the generators are pairwise coprime they generate every lead
+        (product criterion and Valabrega-Valla, at _pivot_profile), so
+        each d_D is read off them and no row is built at all;
       * Bezout: the same elimination reaches a degree D with d_D > d^n,
         d the largest total degree of a generator and n the number of
         variables, and the colength is infinite, since a finite one is

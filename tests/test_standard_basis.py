@@ -788,6 +788,116 @@ def test_dormant_rows_keep_every_count_on_random_dense_ideals(profile_runs):
     assert stops == {"seal", "Bezout", "budget"}
 
 
+def _lead(row, nv):
+    """The exponents of a row's lead: of its terms of least degree, the
+    first in lex order with the last variable most significant."""
+    return min(exponent_dict(row, nv), key=lambda e: (sum(e), e[::-1]))
+
+
+def _coprime_lead_ideal(rng):
+    """1 to 4 variables and 1 to 4 generators whose leads over Q are
+    pairwise coprime: each lead a product of powers of its own variables
+    (x*y beside z^2, not only pure powers), with terms of its degree
+    after it and terms of higher degree. A variable can be left out of
+    every lead; a constant generator comes now and then; and a lead
+    coefficient is sometimes 6 or 35, so that over F_2, F_3, F_5 or F_7
+    the lead is a later term."""
+    nv = rng.randint(1, 4)
+    ring = XYZW[:nv]
+    order = list(range(nv))
+    rng.shuffle(order)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        mine = [order.pop() for _ in range(min(len(order), rng.randint(1, 2)))]
+        if not mine:
+            break
+        lead = [0] * nv
+        for j in mine:
+            lead[j] = rng.randint(1, 3)
+        lead = tuple(lead)
+        degree = sum(lead)
+        terms = {lead: Fraction(rng.choice((1, -2, 3, 6, 35) if rng.random() < 0.4 else (1, -1, 2, -3)))}
+        same = [e for e in monomials_up_to(ring, degree) if sum(e) == degree and e[::-1] > lead[::-1]]
+        for e in rng.sample(same, min(len(same), rng.randint(0, 2))):
+            terms[e] = Fraction(rng.randint(-3, 3))
+        higher = [e for e in monomials_up_to(ring, degree + 3) if sum(e) > degree]
+        for e in rng.sample(higher, min(len(higher), rng.randint(0, 3))):
+            terms[e] = Fraction(rng.randint(-3, 3))
+        gens.append(Polynomial(ring, {e: c for e, c in terms.items() if c}))
+    if rng.random() < 0.05:
+        gens.append(Polynomial(ring, {(0,) * nv: Fraction(rng.choice((1, 2, 7)))}))
+    rng.shuffle(gens)
+    return ring, gens
+
+
+def test_coprime_leads_give_every_count_without_a_row(profile_runs):
+    # Seeded random ideals whose leads over the field are pairwise coprime:
+    # their counts, read off the leads without a row, are those of one
+    # truncated elimination to degree 10, 9 or 8 (up to 2, 3 or 4
+    # variables), and a finite colength is the product of the leads'
+    # degrees, a lead 1 giving 0. Where a lead coefficient vanishes mod p,
+    # the leads over F_p are the residues', coprime or not.
+    rng = random.Random(2022)
+    fields = (None, 2, 3, 5, 7, 2147483647)
+    seen = dict.fromkeys(["coprime", "ladder", "finite", "infinite", "moved", "mixed", "constant"], 0)
+    for _ in range(40):
+        ring, gens = _coprime_lead_ideal(rng)
+        nv, top = len(ring), {1: 10, 2: 10, 3: 9, 4: 8}[len(ring)]
+        for p in fields:
+            rows = _rows(gens, ring, p)
+            if not rows:
+                continue
+            leads = [_lead(row, nv) for row in rows]
+            if any(a[j] and b[j] for a, b in itertools.combinations(leads, 2) for j in range(nv)):
+                seen["ladder"] += 1
+                continue
+            seen["coprime"] += 1
+            seen["moved"] += p is not None and leads != [_lead(row, nv) for row in _rows(gens, ring)]
+            seen["mixed"] += any(sum(map(bool, t)) > 1 for t in leads)
+            unit = not all(map(any, leads))
+            seen["constant"] += unit
+            where = (p, [str(g) for g in gens])
+            profile_runs.clear()
+            counts = _profile(rows, nv, top, p)
+            assert _truncated_dims(counts, nv) == truncated_quotient_dims(gens, ring, top, p), where
+            assert not any(built for _, built in profile_runs[0]), where
+            powers = {t.index(sum(t)) for t in leads if sum(map(bool, t)) == 1}
+            value = sb._sealed_colength(rows, nv, p)
+            if len(powers) == nv or unit:
+                assert value == math.prod(map(sum, leads)), where
+                seen["finite"] += 1
+            else:
+                assert value is INFINITE, where
+                seen["infinite"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", [sb.RATIONAL, prime_field(2147483647)])
+def test_coprime_leads_reach_the_exponent_limit_without_a_hang(field, profile_runs):
+    # (x^2 + z^30000, y^2) has no axis witness, and its Bezout bound
+    # 30000^3 lies far past the last degree a key can hold. Its leads x^2
+    # and y^2 are coprime, so no row is built and no reduction spends the
+    # budget: the counts are read off the leads, one per degree, until
+    # ResourceLimitError at degree 2^15. Built as rows, the same climb
+    # spends no reduction either, and ran past 20 s.
+    I = ideal(XYZ, "x^2 + z^30000", "y^2")
+    with pytest.raises(ResourceLimitError):
+        colength(I, field)
+    [run] = profile_runs
+    assert len(run) == 2**15 and not any(built for _, built in run)
+
+
+@pytest.mark.parametrize("field", [sb.RATIONAL, prime_field(2147483647)])
+def test_milnor_number_read_off_coprime_leads(field, profile_runs):
+    # The Jacobian ideal of x^5 + y^4 + z^3 + x^2*y^2*z, (5*x^4 + 2*x*y^2*z,
+    # 4*y^3 + 2*x^2*y*z, 3*z^2 + x^2*y^2), has the leads x^4, y^3 and z^2:
+    # mu = 4*3*2 = 24, with no row built
+    g = parse_poly("x^5 + y^4 + z^3 + x^2*y^2*z", XYZ)
+    assert milnor.hypersurface_milnor(g, field=field) == 24
+    [run] = profile_runs
+    assert not any(built for _, built in run)
+
+
 def test_colength_leaves_no_reference_cycle():
     # an elimination is freed by reference counting alone: its nested
     # functions hold no cycle that would keep it alive until a collection
