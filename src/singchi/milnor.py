@@ -1,7 +1,7 @@
 """Milnor numbers of isolated singularities, by colengths.
 
 The hypersurface case is the colength of the Jacobian ideal. A complete
-intersection takes one of four routes, named in its MilnorResult:
+intersection takes one of five routes, named in its MilnorResult:
 
   * "empty": the ideal is the unit ideal, so the germ is empty; mu = 0;
   * "smooth": every generator is split off as a transversal linear one,
@@ -11,8 +11,24 @@ intersection takes one of four routes, named in its MilnorResult:
     `colength` points, as deformations of complete intersections are
     flat, so mu = colength - 1 (Looijenga, "Isolated singular points on
     complete intersections", LMS Lecture Notes 77, 1984);
-  * "chain": fewer generators than variables. For a generic choice of
-    generators f_1, ..., f_m the alternating sum of the colengths
+  * "section": a curve X, cut by k >= 2 generators f in k + 1 variables.
+    Let X_j be its section by the hyperplane {x_j = 0} of a coordinate.
+    If X and X_j are both ICIS, then, with no genericity needed,
+
+        mu(X) + mu(X_j) = dim O / (f, J(f, x_j))
+
+    (Le, Funct. Anal. Appl. 8, 1974; Greuel, Math. Ann. 214, 1975), and
+    J(f, x_j) is the one k x k minor M of Jac(f) in the other variables.
+    The coordinates are tried last first, and the first with a finite
+    section colength c_s = dim O/(f, x_j) is taken; c_p = dim O/(f, M).
+    A finite c_s makes X a complete intersection of dimension 1 and X_j
+    a point, an ICIS with mu = c_s - 1 (points route); a finite c_p
+    puts Sing(X) inside V(f, M) = {0}, so X is an ICIS. Then
+    mu = c_p - c_s + 1, with stages (c_s, c_p). Where no section is
+    finite, or c_p is infinite, the curve takes the chain;
+  * "chain": any other germ with fewer generators than variables. For a
+    generic choice of generators f_1, ..., f_m the alternating sum of the
+    colengths
 
         c_i = dim O / ( (f_1..f_{i-1}) + (i x i minors of Jac(f_1..f_i)) )
 
@@ -55,8 +71,8 @@ class MilnorResult:
     """Milnor number plus an audit of how it was obtained."""
 
     mu: int
-    route: str  # "chain", "points", "smooth", or "empty"
-    stages: tuple  # chain: the stage colengths; points: (colength,); else ()
+    route: str  # "chain", "section", "points", "smooth", or "empty"
+    stages: tuple  # chain: the stage colengths; section: (c_s, c_p); points: (colength,); else ()
     seed: int
 
 
@@ -145,6 +161,21 @@ def _polar_mu(gens, ring, seed, field, max_steps):
     return mu, stages
 
 
+def _section(gens, ring, field, max_steps):
+    """(c_s, c_p) of a curve's first coordinate section of finite colength,
+    last coordinate first (module docstring), or None where there is none
+    or c_p is infinite."""
+    for j in reversed(range(len(ring))):
+        x = Polynomial.variable(ring[j], ring)
+        c_s = colength(IdealPresentation(ring, gens + (x,)), field=field, max_steps=max_steps)
+        if c_s is INFINITE:
+            continue
+        M = determinant(jacobian(gens, ring[:j] + ring[j + 1:]))
+        c_p = colength(IdealPresentation(ring, gens + (M,)), field=field, max_steps=max_steps)
+        return None if c_p is INFINITE else (c_s, c_p)
+    return None
+
+
 def _simplified(I: IdealPresentation):
     """(ring, gens) of I once transversal linear generators are split off
     and zero ones dropped. More generators than variables raise."""
@@ -171,7 +202,8 @@ def icis_milnor(
     dropping generators that become identically zero. A presentation with
     more remaining generators than variables cannot be a complete
     intersection and is rejected; one with as many takes the points
-    route, and one with fewer the polar chain (module docstring).
+    route, a curve with two or more the section route where it certifies,
+    and any other the polar chain (module docstring).
     """
     if is_unit_ideal(I):
         return MilnorResult(0, "empty", (), seed)
@@ -186,6 +218,11 @@ def icis_milnor(
                 "colength do not present a zero-dimensional complete intersection"
             )
         return MilnorResult(c - 1, "points", (c,), seed)
+    if len(gens) >= 2 and len(gens) + 1 == len(ring):
+        stages = _section(gens, ring, field, max_steps)
+        if stages is not None:
+            c_s, c_p = stages
+            return MilnorResult(c_p - c_s + 1, "section", stages, seed)
     polar = _polar_mu(gens, ring, seed, field, max_steps)
     if polar is None:
         raise NotICISError(

@@ -10,6 +10,12 @@ import random
 from fractions import Fraction
 
 from singchi import milnor
+from singchi.multiple_points import (
+    _prefix_ideal,
+    _restricted_ideal,
+    invariant_tuple,
+    multiple_point_ideal,
+)
 from singchi.poly import Polynomial, _exponents, determinant, substitute
 from singchi.standard_basis import DEFAULT_MAX_STEPS, RATIONAL, IdealPresentation
 
@@ -21,13 +27,36 @@ def exponent_dict(nums, n):
     return {_exponents(m, n): c for m, c in nums.items()}
 
 
-def polar_chain(I, seed=1):
+def polar_chain(I, seed=1, field=RATIONAL, max_steps=DEFAULT_MAX_STEPS):
     """(mu, stages) of the polar chain on I's simplified presentation
     mixed by seed, or None when a stage degenerates. icis_milnor sends a
-    zero-dimensional I down the points route instead; this runs the chain
-    on it too, so the two can be compared."""
+    zero-dimensional I down the points route, and a curve down the
+    section route, instead; this runs the chain on it too, so the two can
+    be compared."""
     ring, gens = milnor._simplified(I)
-    return milnor._polar_mu(gens, ring, seed, RATIONAL, DEFAULT_MAX_STEPS)
+    return milnor._polar_mu(gens, ring, seed, field, max_steps)
+
+
+def invariant_spaces(germ):
+    """The spaces invariant_tuple takes a Milnor number of, by the names
+    of InvariantTuple.routes."""
+    d4 = multiple_point_ideal(germ, 4)
+    return {
+        "d2": _prefix_ideal(d4, 2),
+        "d2h": _restricted_ideal(germ, 2, (2,)),
+        "d3": _prefix_ideal(d4, 3),
+        "d3h1": _restricted_ideal(germ, 3, (1, 2)),
+    }
+
+
+def unchained_spaces(germ, seed=1):
+    """The spaces whose Milnor number invariant_tuple(germ, seed), which
+    this runs, takes without the polar chain: on the points route (a
+    zero-dimensional space) or the section route (a curve). Tests run the
+    chain on them too, so that its ideals stay checked."""
+    spaces = invariant_spaces(germ)
+    routes = invariant_tuple(germ, seed=seed).routes
+    return [spaces[name] for name, route in routes if route in ("points", "section")]
 
 
 def random_coeff(rng):
@@ -76,6 +105,28 @@ def random_zero_dim_ideal(rng, nvars=None):
     for _ in range(rng.randint(0, 2)):
         gens.append(random_poly(rng, ring, max_deg=cap, max_terms=2))
     return IdealPresentation(ring, tuple(gens)), bound
+
+
+def random_curve(rng, nvars):
+    """nvars - 1 generators in nvars variables, the last one t:
+    x_i^e + c*t^m for each other variable x_i, plus noise of order above
+    e. Their leading forms at t = 0 are pure powers, so the section by
+    t = 0 is finite. That the curve is an ICIS is not built in. In four
+    variables the degrees stay lower, which keeps the colengths small."""
+    ring = ("x", "y", "z", "w")[:nvars]
+    t = ring[-1]
+    e_top, top = {3: (3, 5), 4: (2, 4)}[nvars]
+    gens = []
+    for v in ring[:-1]:
+        e = rng.randint(2, e_top)
+        p = Polynomial(ring, {tuple(e if w == v else 0 for w in ring): Fraction(1)})
+        p = p + Polynomial(
+            ring, {tuple(rng.randint(e, top) if w == t else 0 for w in ring): random_coeff(rng)}
+        )
+        if rng.random() < 0.7:
+            p = p + random_poly(rng, ring, max_deg=min(e + 2, top), max_terms=2, min_deg=e + 1)
+        gens.append(p)
+    return IdealPresentation(ring, tuple(gens))
 
 
 def random_monomial_ideal(rng, nvars=None):

@@ -360,6 +360,24 @@ def test_points_route_is_all_that_differs_from_the_chain(capsys, argv):
     assert hashlib.sha256(masked.encode()).hexdigest() == CHAIN_ROUTE_SHA256[argv]
 
 
+# The reports of curves as they read when the polar chain computed their
+# Milnor number: the route value, "route" in mps and "d3" in image-chi, is
+# all that differs.
+SECTION_ROUTE_SHA256 = {
+    ("mps", "II", "--k", "3"): "62ea3506760feb36d053eaf0adde0f0208a839440b23e7a04c9388beb953d7d5",
+    ("image-chi", "S_{4,6}"): "751a03942284171cf2ca9e62b639e75fd1559791ccba8ff53ab30dd679b6340d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SECTION_ROUTE_SHA256), ids=" ".join)
+def test_section_route_is_all_that_differs_from_the_chain(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert out.count(':"section"') == 1
+    masked = out.replace(':"section"', ':"chain"')
+    assert hashlib.sha256(masked.encode()).hexdigest() == SECTION_ROUTE_SHA256[argv]
+
+
 def test_pretty_changes_layout_not_payload(capsys):
     compact = invoke(capsys, "image-chi", "B_2")
     pretty = invoke(capsys, "image-chi", "B_2", "--pretty")

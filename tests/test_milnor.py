@@ -2,6 +2,7 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from singchi.errors import (
@@ -12,20 +13,31 @@ from singchi.errors import (
     ResourceLimitError,
 )
 import singchi.milnor as milnor
-from singchi.catalog import ACCEPTANCE_ROWS, resolve_row
+import singchi.multiple_points as multiple_points
+from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
 from singchi.milnor import MilnorResult, _minor_ideal, hypersurface_milnor, icis_milnor, point_count
 from singchi.multiple_points import _restricted_ideal, invariant_tuple
-from singchi.poly import parse_poly
+from singchi.poly import Polynomial, parse_poly
 import singchi.standard_basis as sb
 from singchi.standard_basis import (
     INFINITE,
+    RATIONAL,
     IdealPresentation,
     colength,
     ideal,
+    prime_field,
 )
 
-from corpus import generic_linear_change, polar_chain, random_poly
+from corpus import (
+    generic_linear_change,
+    invariant_spaces,
+    polar_chain,
+    random_curve,
+    random_poly,
+    unchained_spaces,
+)
 from test_catalog import FAST_ROWS, QUAD_ROWS
+from test_multiple_points import SCALED_ROWS
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -191,9 +203,10 @@ def _mixed_chain(mixed, ring, field, max_steps):
 
 def test_last_stage_minors_of_unmixed_generators(monkeypatch):
     # minors(A*g) = det(A)*minors(g): every chain invariant_tuple runs on
-    # the catalog rows, and the chain on each row's d3h1 space, which
-    # invariant_tuple sends down the points route, gives the stages of the
-    # all-mixed chain
+    # the catalog rows, and the chain on each space that invariant_tuple
+    # sends down the points route (d3h1) or the section route (the curve
+    # D^3 of the quadruple rows, V, VII and S_{1,2}), gives the stages of
+    # the all-mixed chain
     seen = []
     chain = milnor._chain
 
@@ -205,11 +218,9 @@ def test_last_stage_minors_of_unmixed_generators(monkeypatch):
     monkeypatch.setattr(milnor, "_chain", spy)
     for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS:
         germ = resolve_row(text).germ
-        d3h1 = _restricted_ideal(germ, 3, (1, 2))
         for seed in (1, 2, 3):
-            invariant_tuple(germ, seed=seed)
-            if icis_milnor(d3h1).route == "points":
-                polar_chain(d3h1, seed=seed)
+            for I in unchained_spaces(germ, seed=seed):
+                polar_chain(I, seed=seed)
     assert len(seen) == 234
     assert sum(len(mixed) > 1 for mixed, *_ in seen) == 48
     for mixed, ring, field, max_steps, stages in seen:
@@ -301,6 +312,128 @@ def test_chain_agrees_with_points():
 def test_results_deterministic():
     I = ideal(XY, "x^3", "y^2")
     assert icis_milnor(I) == icis_milnor(I)
+
+
+# -- curves: the section route ----------------------------------------------------
+
+FIELDS = {"rational": RATIONAL, "fp:2147483647": prime_field(2147483647)}
+
+
+def _curve(I):
+    """I's simplified presentation (ring, gens) where it is a curve cut by
+    two or more generators, the section route's input; None otherwise."""
+    if sb.is_unit_ideal(I):
+        return None
+    ring, gens = milnor._simplified(I)
+    return (ring, gens) if len(gens) >= 2 and len(gens) + 1 == len(ring) else None
+
+
+def _assert_sections_match_the_chain(ring, gens, field, every_seed=False):
+    """Every coordinate whose section colength is finite, put last so that
+    the section route takes it, gives the chain's mu at seeds 1..3, where
+    the mixing of one seed may degenerate (unless every_seed), but not of
+    all three; where its c_p is infinite, the curve is no ICIS and the
+    chain degenerates at every seed. An infinite stage or c_p can take a
+    late Bezout stop, so one that runs out of max_steps counts as
+    infinite. Returns the number of coordinates with a finite section."""
+    I = IdealPresentation(ring, gens)
+    chain = []
+    for seed in (1, 2, 3):
+        try:
+            chain.append(polar_chain(I, seed, field, max_steps=20000))
+        except ResourceLimitError:
+            chain.append(None)
+    finite = 0
+    for v in ring:
+        section = IdealPresentation(ring, gens + (Polynomial.variable(v, ring),))
+        c_s = colength(section, field)
+        if c_s is INFINITE:
+            continue
+        finite += 1
+        last = tuple(w for w in ring if w != v) + (v,)
+        J = IdealPresentation(last, tuple(g.with_ring(last) for g in gens))
+        try:
+            r = icis_milnor(J, field=field, max_steps=20000)
+        except (NotICISError, ResourceLimitError):
+            assert chain == [None] * 3, [str(g) for g in gens]
+            continue
+        assert r.route == "section" and r.stages[0] == c_s, (v, [str(g) for g in gens])
+        assert {c[0] for c in chain if c} == {r.mu}, (v, [str(g) for g in gens])
+        assert not every_seed or None not in chain, [str(g) for g in gens]
+    return finite
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("moduli", [DEFAULT_MODULI, ALTERNATE_MODULI])
+def test_every_finite_section_of_a_catalog_curve_gives_the_chains_mu(field, moduli):
+    curves = sections = 0
+    for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS + SCALED_ROWS:
+        for I in invariant_spaces(resolve_row(text, moduli=moduli).germ).values():
+            curve = _curve(I)
+            if curve is not None:
+                curves += 1
+                sections += _assert_sections_match_the_chain(*curve, FIELDS[field], True)
+    # D^3 of I, II, III, IV, V, VII, VIII, S_{1,2} and S_{4,6}, each with
+    # three finite coordinate sections
+    assert (curves, sections) == (9, 27)
+
+
+# derandomized: a curve that is no ICIS can spend seconds over Q before
+# its c_p or a chain stage runs out of max_steps, so the examples are fixed
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from((3, 4)))
+def test_every_finite_section_of_a_random_curve_gives_the_chains_mu(seed, nvars):
+    curve = _curve(random_curve(random.Random(seed), nvars))
+    assert curve is not None
+    for field in FIELDS.values():
+        # the section by the last variable is finite by construction
+        assert _assert_sections_match_the_chain(*curve, field) >= 1
+
+
+@pytest.mark.parametrize("text", QUAD_ROWS)
+def test_triple_points_of_the_quadruple_rows_do_not_depend_on_the_seed(text, monkeypatch):
+    # invariant_tuple takes Milnor numbers of d2, d2h, d3 and d3h1, in that
+    # order; the curve d3 reads the same result at every seed
+    results = []
+
+    def spy(I, **kwargs):
+        results.append(icis_milnor(I, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(multiple_points, "icis_milnor", spy)
+    germ = resolve_row(text).germ
+    first, *others = [invariant_tuple(germ, seed=seed) for seed in (1, 2, 3)]
+    assert others == [first, first]
+    d3 = results[2::4]
+    assert [r.seed for r in d3] == [1, 2, 3]
+    assert {(r.mu, r.route, r.stages) for r in d3} == {(d3[0].mu, "section", d3[0].stages)}
+
+
+def test_a_curve_with_no_finite_coordinate_section_takes_the_chain():
+    # four lines, and each coordinate plane holds one of them
+    I = ideal(XYZ, "x*y", "z*(x + y + z)")
+    assert _assert_sections_match_the_chain(*_curve(I), RATIONAL) == 0
+    for seed in (1, 2, 3):
+        mu, stages = polar_chain(I, seed)
+        assert icis_milnor(I, seed=seed) == MilnorResult(5, "chain", stages, seed)
+        assert mu == 5
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ("x^2", "y^2"),  # a double line: its section by z = 0 is finite, c_p is not
+        ("x*y", "x*z"),  # a plane and a line: no coordinate section is finite
+    ],
+)
+def test_a_curve_that_is_no_icis_keeps_the_chains_message(gens):
+    with pytest.raises(NotICISError) as info:
+        icis_milnor(ideal(XYZ, *gens))
+    assert str(info.value) == (
+        "the polar chain of the generators mixed by seed 1 degenerates; the "
+        "singularity is probably not isolated or not a complete intersection, "
+        "or the mixing is not generic: try another seed"
+    )
 
 
 # -- point counts ---------------------------------------------------------------

@@ -32,7 +32,6 @@ from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, r
 from singchi.multiple_points import (
     _prefix_ideal,
     _restricted_ideal,
-    invariant_tuple,
     multiple_point_ideal,
 )
 
@@ -43,6 +42,7 @@ from corpus import (
     random_monomial_ideal,
     random_poly,
     random_zero_dim_ideal,
+    unchained_spaces,
 )
 from oracles import (
     brute_colength,
@@ -574,10 +574,11 @@ def test_seal_ladder_on_and_past_its_caps(ring, gens, degree, dense, profile_run
 @functools.cache
 def _catalog_colength_ideals(rows=FAST_ROWS):
     """The ideals whose colengths invariant_tuple takes on the catalog
-    rows (polar-chain stages and point counts), as left by
-    eliminate_linear_generators, where generators and variables are left.
-    The stages of the polar chain on each row's d3h1 space are added:
-    invariant_tuple takes that zero-dimensional space's colength instead."""
+    rows (polar-chain stages, the section and polar ideals of each curve
+    and point counts), as left by eliminate_linear_generators, where
+    generators and variables are left. The stages of the polar chain on
+    each space that invariant_tuple sends down the points route (d3h1) or
+    the section route (a curve) are added."""
     stages = []
     measure = milnor.colength
 
@@ -590,11 +591,8 @@ def _catalog_colength_ideals(rows=FAST_ROWS):
     milnor.colength = recording
     try:
         for text in rows:
-            germ = resolve_row(text).germ
-            invariant_tuple(germ)
-            d3h1 = _restricted_ideal(germ, 3, (1, 2))
-            if not sb.is_unit_ideal(d3h1):
-                polar_chain(d3h1)
+            for I in unchained_spaces(resolve_row(text).germ):
+                polar_chain(I)
     finally:
         milnor.colength = measure
     return tuple(stages)
