@@ -249,7 +249,7 @@ def _cmd_mps(args) -> dict:
         except ValueError:
             raise UsageError(f"--partition expects integers, got {args.partition!r}")
         ideal = partition_restricted_ideal(germ, args.k, partition)
-    nonempty = not is_unit_ideal(ideal)
+    nonempty = not is_unit_ideal(ideal, args.field_obj)
     mu = route = error = None
     try:
         result = icis_milnor(

@@ -205,7 +205,7 @@ def icis_milnor(
     route, a curve with two or more the section route where it certifies,
     and any other the polar chain (module docstring).
     """
-    if is_unit_ideal(I):
+    if is_unit_ideal(I, field):
         return MilnorResult(0, "empty", (), seed)
     ring, gens = _simplified(I)
     if not gens:

@@ -40,7 +40,6 @@ from .standard_basis import (
     DEFAULT_MAX_STEPS,
     IdealPresentation,
     RATIONAL,
-    is_unit_ideal,
 )
 
 
@@ -113,11 +112,13 @@ def _node_names(f: MapGerm, k: int) -> tuple:
     return names
 
 
-def _ideal(f: MapGerm, nodes, ring) -> IdealPresentation:
-    """Divided differences of p and q over the prefixes nodes[:j], j >= 2."""
+def _ideal(f: MapGerm, nodes, ring, below=()) -> IdealPresentation:
+    """Divided differences of p and q over the prefixes nodes[:j], j >= 2;
+    below holds those over the first len(below) // 2 prefixes, already
+    built in ring."""
     z = f.source_vars[-1]
-    gens = []
-    for j in range(2, len(nodes) + 1):
+    gens = list(below)
+    for j in range(2 + len(below) // 2, len(nodes) + 1):
         for g in (f.hyperplane_part, f.deep_part):
             gens.append(divided_difference(g, z, nodes[:j]).with_ring(ring))
     return IdealPresentation(ring, tuple(gens))
@@ -209,6 +210,25 @@ class InvariantTuple:
         }
 
 
+def _first_empty(f: MapGerm, field) -> int:
+    """The least k <= 4 for which D^k is the unit ideal over field, or 5.
+
+    The constant term of g[z_1..z_j] is c_(j-1)(0), the coefficient of
+    z^(j-1) in g, as h_(m-j+1) has one only for m = j - 1. So D^k is the
+    unit ideal exactly when p or q has a pure power z^(j-1), 2 <= j <= k,
+    with a nonzero coefficient, over prime_field(p) a nonzero residue (a
+    coefficient whose denominator p divides is read as nonzero: it is a
+    term of D^2's generators, whose unit test raises BadPrimeError first).
+    validate_corank1 leaves no term z, so D^2 is never the unit ideal."""
+    z = f.source_vars[-1]
+    for k in (3, 4):
+        for g in (f.hyperplane_part, f.deep_part):
+            c = g.coefficient(tuple(k - 1 if v == z else 0 for v in g.ring))
+            if c and (field is RATIONAL or c.numerator % field):
+                return k
+    return 5
+
+
 def invariant_tuple(
     f: MapGerm,
     seed: int = 1,
@@ -217,11 +237,20 @@ def invariant_tuple(
 ) -> InvariantTuple:
     """All multiple point invariants of a germ (C^3, 0) -> (C^4, 0).
 
-    D^4 is built once, and D^2, D^3 are its generator prefixes.
+    Which spaces are empty is read off p and q first (_first_empty), and
+    no generator of an empty space is built: each gets what the unit ideal
+    gets, the route "empty", mu 0, and no quadruple point. The deepest
+    nonempty space among D^2, D^3, D^4 is built once, and the lower ones are
+    its generator prefixes; d3h1, empty exactly when D^3 is, as it has the
+    same constant terms, is D^2's generators and two more.
     """
-    d4 = multiple_point_ideal(f, 4)  # the one check of the normal form
+    validate_corank1(f)
+    nodes = _node_names(f, 4)
     if f.dim != 3:
         raise BadParamsError(f"invariant tuple is defined for 3-dimensional sources, got {f.dim}")
+    empty = _first_empty(f, field)
+    deepest = min(empty - 1, 4)
+    top = _ideal(f, nodes[:deepest], f.source_vars[:-1] + nodes[:deepest])
 
     def mu(space: str, I: IdealPresentation) -> MilnorResult:
         try:
@@ -229,19 +258,22 @@ def invariant_tuple(
         except SingchiError as exc:
             raise type(exc)(f"{space}: {exc}") from exc
 
-    d2 = _prefix_ideal(d4, 2)
+    d2 = _prefix_ideal(top, 2)
     d2h = _restricted_ideal(f, 2, (2,))
-    d3 = _prefix_ideal(d4, 3)
-    d3h1 = _restricted_ideal(f, 3, (1, 2))
 
     r_d2 = mu("double points", d2)
     r_d2h = mu("diagonal double points", d2h)
-    r_d3 = mu("triple points", d3)
-    r_d3h1 = mu("triple points with two nodes identified", d3h1)
-    try:
-        ordered_quads = point_count(d4, field=field, max_steps=max_steps)
-    except SingchiError as exc:
-        raise type(exc)(f"quadruple points: {exc}") from exc
+    r_d3 = r_d3h1 = MilnorResult(0, "empty", (), seed)
+    if empty > 3:
+        r_d3 = mu("triple points", _prefix_ideal(top, 3))
+        d3h1 = _ideal(f, (nodes[0], nodes[1], nodes[1]), d2.ring, d2.gens)
+        r_d3h1 = mu("triple points with two nodes identified", d3h1)
+    ordered_quads = 0
+    if empty > 4:
+        try:
+            ordered_quads = point_count(top, field=field, max_steps=max_steps)
+        except SingchiError as exc:
+            raise type(exc)(f"quadruple points: {exc}") from exc
     # The quadruple point scheme carries a free action permuting the four
     # node coordinates, so the ordered count is 24 per actual point.
     if ordered_quads % 24 != 0:
@@ -253,9 +285,9 @@ def invariant_tuple(
         mu_d2h=r_d2h.mu,
         mu_d3=r_d3.mu,
         mu_d3h1=r_d3h1.mu,
-        d2_nonempty=not is_unit_ideal(d2),
-        d3_nonempty=not is_unit_ideal(d3),
-        d4_nonempty=not is_unit_ideal(d4),
+        d2_nonempty=empty > 2,
+        d3_nonempty=empty > 3,
+        d4_nonempty=empty > 4,
         quad_points=ordered_quads // 24,
         routes=(
             ("d2", r_d2.route),

@@ -170,7 +170,9 @@ def _covers(leads, nv, D):
 def _coprime_profile(degrees, nv):
     """counts[D], D = 0, 1, 2, ..., of a monomial ideal in nv >= 1
     variables generated by pairwise coprime monomials of these degrees:
-    the number of its monomials of degree D (see _pivot_profile).
+    the number of its monomials of degree D. These are the dimensions in
+    degree D of every ideal generated by a regular sequence of forms of
+    these degrees, which share its Hilbert series (see _pivot_profile).
 
     By inclusion-exclusion over the nonempty sets S of generators, whose
     lcm is their product, of degree e_S, the counts are the coefficients
@@ -190,6 +192,55 @@ def _coprime_profile(degrees, nv):
             x = sums[j] = sums[j] + x
         yield x
     raise ResourceLimitError(f"degree {_LIMIT} passes the exponent width of a key")
+
+
+#: The prime mod which the tangent cones of generators over Q are compared
+#: (_transversal): 2^31 - 1.
+_CONE_PRIME = 2**31 - 1
+
+
+def _transversal(cones, p=None):
+    """Whether two binary forms share no linear factor: over Z/p when p is
+    given, and else over Q, where False may also mean that this test could
+    not tell (see below). cones holds each form as its degree and its terms,
+    (key, entry) pairs in two variables x, y, with integer entries.
+
+    A common linear factor is a common zero in the projective line. The
+    forms vanish at (1:0) exactly when both lack the pure power x^a of
+    their degree a. Every other zero lies in the chart y = 1, where one
+    Euclid gcd of f(x, 1) and g(x, 1) finds a shared one: O(a*b) field
+    operations. Over Q the test runs on the entries mod q = 2^31 - 1. Forms
+    with no common zero mod q have a homogeneous resultant that is nonzero
+    mod q, so nonzero over Z, and they share no factor over Q either. A form
+    that vanishes mod q, or a factor that they share only mod q, gives
+    False, which costs only the rows the caller then builds."""
+    q = _CONE_PRIME if p is None else p
+    chart, pure = [], False
+    for a, terms in cones:
+        # the coefficients of f(x, 1), lowest first, x^a last
+        u = [0] * (a + 1)
+        for e, c in terms:
+            u[e & _MASK] = c % q
+        while u and not u[-1]:
+            u.pop()
+        if not u:
+            return False
+        pure = pure or len(u) == a + 1
+        chart.append(u)
+    if not pure:
+        return False
+    f, g = chart
+    while g:
+        # f <- f mod g
+        inv = pow(g[-1], -1, q)
+        while len(f) >= len(g):
+            c, n = f.pop() * inv % q, len(f) - len(g) + 1
+            for i, v in enumerate(g[:-1]):
+                f[n + i] = (f[n + i] - c * v) % q
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
 
 
 def _pivot_profile(gens, nv, p=None, budget=None):
@@ -219,12 +270,17 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     a lead (x_j^D has no other divisor of degree D - 1). From there on no
     row is built, and counts[D] is the number of monomials of degree D.
 
-    When the generators' leads t_i are pairwise coprime, no row is built
-    at all: every count is read off the t_i (_coprime_profile). Here t_i
-    is the smallest key in the lowest part g_i* of g_i, its initial form,
-    of degree e_i. The argument has four steps.
+    When the initial forms of the generators are a regular sequence, no
+    row is built at all: every count is that of a regular sequence of
+    their degrees (_coprime_profile). Here g_i* is the lowest part of g_i,
+    its initial form, of degree e_i, and t_i its lead, its smallest key.
+    Two cases are recognised: the leads t_i are pairwise coprime, or there
+    are two generators in two variables whose initial forms share no
+    linear factor, transversal tangent cones (_transversal). The argument
+    has four steps.
       1. counts[D] = dim in(J)_D, in(J) the ideal of the leads of J, by
-         the paragraphs above.
+         the paragraphs above; this is the Hilbert function of the ideal
+         of the initial forms of J.
       2. On the forms of one degree, order monomials by key, smaller
          first: keys add under products, so with the degree this is a
          monomial order, and t_i leads g_i*. Buchberger's product
@@ -236,16 +292,27 @@ def _pivot_profile(gens, nv, p=None, budget=None):
          whose leads are one are one too: their ideal and the monomial
          one share a Hilbert series, prod (1 - z^e_i) / (1 - z)^n, which
          is the one of a regular sequence of those degrees. So the g_i*
-         are a regular sequence in the graded ring k[x] of O.
+         are a regular sequence in the graded ring k[x] of O. In k[x, y]
+         two binary forms are a regular sequence exactly when they are
+         coprime, that is share no linear factor over the algebraic
+         closure, where every binary form splits into lines. Over Q that
+         is read mod q = 2^31 - 1: forms with no common zero mod q have a
+         homogeneous resultant that is nonzero mod q, so nonzero, and no
+         common zero over Q-bar either. Where the test mod q cannot tell,
+         the rows are built.
       4. By Valabrega-Valla ("Form rings and regular sequences", Nagoya
          Math. J. 72, 1978), the initial forms of J are then the ideal
-         (g_1*, ..., g_k*). The lead of f in J is the lead of its initial
-         form, so in(J) = (t_1, ..., t_k).
+         (g_1*, ..., g_k*), whose Hilbert series is prod (1 - z^e_i) /
+         (1 - z)^n; with coprime leads the lead of f in J is the lead of
+         its initial form, so in(J) = (t_1, ..., t_k).
     A constant generator has the lead 1 and makes every count full. The
     colength is finite exactly when a lead is 1 or each variable has a
     pure power among the leads, which are then x_j^(e_j), one per
-    variable: it is prod e_i. Over Z/p the leads are those of the
-    residues, which may differ from the leads over Q.
+    variable: it is prod e_i. Two transversal cones of degrees a and b
+    give the colength a*b, the intersection multiplicity of two plane
+    curves with no common tangent (Fulton, Algebraic Curves, 3.3). Over
+    Z/p the initial forms are those of the residues, which may differ from
+    those over Q.
 
     The elimination is degree-major and has no truncation bound. A row is
     kept as what made it: a generator index i, a shift x^a, and the
@@ -381,8 +448,10 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         else:
             a = pow(a, -1, p)
         parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree, (t, a, rest, ops)))
-    if coprime:
-        # the leads generate the initial ideal (see above): no row is built
+    cones = nv == len(parts) == 2 and [(order, by_degree[order]) for order, _, by_degree, _ in parts]
+    if coprime or cones and _transversal(cones, p):
+        # the counts are those of a regular sequence of initial forms of
+        # these degrees (see above): no row is built
         yield from _coprime_profile([order for order, *_ in parts], nv)
         return
     # A pivot: (generator index i, shift key a, operations, degrees, origin).
@@ -792,8 +861,9 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
       * seal: the first degree D >= 1 that fills; d_D is then the
         colength, by Nakayama. The fill is often read off the leads of
         degree D - 1, and then no row of degree D is built, or off the
-        generators' leads when they are pairwise coprime, and then no
-        row is built at all;
+        generators' initial forms when their leads are pairwise coprime
+        or, for two generators in two variables, when their tangent
+        cones share no line, and then no row is built at all;
       * Bezout: the first D with d_D > d^nv, d the largest total degree
         of a generator; the colength is then infinite.
     The Bezout stop rests on this. Let J have a finite colength u. Over
@@ -827,8 +897,9 @@ def colength(
 ):
     """Dimension of the local quotient ring by I; INFINITE when unbounded.
 
-    Unit ideals have colength 0. Variables a generator cuts transversally
-    are split off first, which leaves the quotient unchanged.
+    Unit ideals over field (is_unit_ideal) have colength 0. Variables a
+    generator cuts transversally are split off first, which leaves the
+    quotient unchanged.
 
     Everything returned is exact for the requested field, and every
     answer carries one of three certificates:
@@ -843,7 +914,11 @@ def colength(
         monomial of degree D among their multiples. When the leads of
         the generators are pairwise coprime they generate every lead
         (product criterion and Valabrega-Valla, at _pivot_profile), so
-        each d_D is read off them and no row is built at all;
+        each d_D is read off them and no row is built at all. So too for
+        two generators in two variables whose initial forms, of degrees
+        a and b, share no linear factor: they are a regular sequence, so
+        they generate the initial ideal, and the colength is a*b (tested
+        over Q by a gcd mod 2^31 - 1, at _pivot_profile);
       * Bezout: the same elimination reaches a degree D with d_D > d^n,
         d the largest total degree of a generator and n the number of
         variables, and the colength is infinite, since a finite one is
@@ -862,7 +937,7 @@ def colength(
     raised when they exceed it. The colength does not depend on the local
     ordering.
     """
-    if is_unit_ideal(I):
+    if is_unit_ideal(I, field):
         return 0
     J, _ = eliminate_linear_generators(I, field)
     nvars = len(J.ring)
@@ -876,14 +951,22 @@ def colength(
     return _sealed_colength(gens, nvars, field, max_steps)
 
 
-def is_unit_ideal(I: IdealPresentation) -> bool:
-    """Whether I is the whole local ring.
+def is_unit_ideal(I: IdealPresentation, field=RATIONAL) -> bool:
+    """Whether I is the whole local ring over field.
 
     A generator with nonzero value at the origin is invertible in the local
     ring; conversely if every generator vanishes at the origin the ideal
-    sits inside the maximal ideal. No basis computation is needed.
+    sits inside the maximal ideal. No basis computation is needed. Over
+    prime_field(p) the values are residues mod p: BadPrimeError comes first
+    when p divides the denominator of a generator, and a constant term that
+    p divides is zero.
     """
-    return any(0 in g.nums for g in I.gens)
+    if field is RATIONAL:
+        return any(0 in g.nums for g in I.gens)
+    for g in I.gens:
+        if g.den % field == 0:
+            _residue(g, field)
+    return any(g.nums.get(0, 0) % field for g in I.gens)
 
 
 def eliminate_linear_generators(I: IdealPresentation, field=RATIONAL):

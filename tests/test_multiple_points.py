@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from singchi.catalog import ACCEPTANCE_ROWS, resolve_row
+import singchi.multiple_points as mp
+from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
 from singchi.errors import (
     BadParamsError,
     NotCorankOneError,
@@ -15,6 +16,7 @@ from singchi.errors import (
 from singchi.milnor import icis_milnor
 from singchi.multiple_points import (
     InvariantTuple,
+    _first_empty,
     _prefix_ideal,
     invariant_tuple,
     map_germ,
@@ -22,11 +24,11 @@ from singchi.multiple_points import (
     partition_restricted_ideal,
     validate_corank1,
 )
-from singchi.poly import Polynomial, parse_poly, substitute
-from singchi.standard_basis import is_unit_ideal
+from singchi.poly import Polynomial, divided_difference, parse_poly, substitute
+from singchi.standard_basis import is_unit_ideal, prime_field
 
 from oracles import in_ideal
-from test_catalog import QUAD_ROWS
+from test_catalog import FAST_ROWS, QUAD_ROWS
 
 
 def multiple_point_indicator(f, k):
@@ -335,3 +337,57 @@ def test_invariant_tuple_as_dict_round_trip():
 
 def test_invariant_tuple_deterministic():
     assert invariant_tuple(Q2) == invariant_tuple(Q2)
+
+
+# ----------------------------------------------------------- empty spaces
+
+
+@pytest.mark.parametrize("field", [None, 2147483647])
+def test_empty_spaces_are_read_off_the_pure_powers_of_z(field):
+    # D^k is the unit ideal from the least j with a pure power z^(j-1) in p
+    # or q onward, and d3h1 exactly when D^3 is: on every catalog row, at
+    # both moduli sets, the rule agrees with the unit test of the spaces
+    # themselves, and the rows cover D^3 empty, D^4 empty and neither
+    seen = set()
+    for name in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS + SCALED_ROWS:
+        for moduli in (DEFAULT_MODULI, ALTERNATE_MODULI):
+            f = resolve_row(name, moduli=moduli).germ
+            empty = _first_empty(f, field)
+            seen.add(empty)
+            for k in (2, 3, 4):
+                assert is_unit_ideal(multiple_point_ideal(f, k), field) == (k >= empty), (name, moduli, k)
+            assert is_unit_ideal(partition_restricted_ideal(f, 3, (1, 2)), field) == (empty <= 3), name
+    assert seen == {3, 4, 5}
+
+
+def test_a_pure_power_that_p_divides_leaves_its_space_nonempty_mod_p():
+    # Row I with 5*z^3 added to q: over Q the term makes D^4 the unit ideal,
+    # over F_5 it vanishes, and the germ has row I's invariants there
+    row = resolve_row("I").germ
+    z = Polynomial.variable(row.source_vars[-1], row.source_vars)
+    f = mp.MapGerm(row.source_vars, row.components[:-1] + (row.deep_part + 5 * z**3,))
+    five = prime_field(5)
+    assert is_unit_ideal(multiple_point_ideal(f, 4))
+    assert not is_unit_ideal(multiple_point_ideal(f, 4), five)
+    over_q = invariant_tuple(f)
+    assert over_q.d3_nonempty and not over_q.d4_nonempty and over_q.quad_points == 0
+    mod_five = invariant_tuple(f, field=five)
+    assert mod_five == invariant_tuple(row, field=five)
+    assert mod_five.d4_nonempty and mod_five.quad_points > 0
+
+
+def test_invariant_tuple_builds_no_generator_of_an_empty_space(monkeypatch):
+    # D^3 empty (A_1): D^2 and d2h, 2 each; D^4 empty (P_1): D^3 4, d2h 2,
+    # and d3h1 2 more than D^2's; none empty (row I): D^4 6, d2h 2, d3h1 2.
+    # Building D^4, d2h and d3h1 in full took 12 on each.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return divided_difference(*args)
+
+    monkeypatch.setattr(mp, "divided_difference", counting)
+    for f, n in ((A1, 4), (P1, 8), (resolve_row("I").germ, 10)):
+        calls.clear()
+        invariant_tuple(f)
+        assert len(calls) == n

@@ -142,6 +142,29 @@ def test_unit_ideal():
     assert len(basis.gens) == 1 and basis.gens[0] == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unit_ideal_reads_residues(p):
+    # A constant term that p divides is zero over F_p, so the ideal is
+    # (x^2, y) there, with colength 2, and icis_milnor reads a point of
+    # multiplicity 2; a constant term prime to p keeps it the unit ideal.
+    # A generator whose denominator p divides raises BadPrimeError before
+    # any constant term is read, even beside a unit.
+    field = prime_field(p)
+    I = ideal(XY, f"{p} + x^2", "y")
+    assert is_unit_ideal(I) and not is_unit_ideal(I, field)
+    assert colength(I) == 0 and colength(I, field) == 2
+    assert milnor.icis_milnor(I, field=field) == milnor.MilnorResult(1, "points", (2,), 1)
+    U = ideal(XY, f"{p + 1} + x^2", "y")
+    assert is_unit_ideal(U, field) and colength(U, field) == 0
+    assert milnor.icis_milnor(U, field=field).route == "empty"
+    for gens in ((f"1/{p} + x^2", "y"), ("1 + x", f"1/{p}*x^2")):
+        J = ideal(XY, *gens)
+        assert is_unit_ideal(J) and colength(J) == 0
+        for call in (is_unit_ideal, colength, lambda J, field: milnor.icis_milnor(J, field=field)):
+            with pytest.raises(BadPrimeError):
+                call(J, field)
+
+
 def test_maximal_ideal():
     assert colength(ideal(XY, "2*x", "2*y")) == 1
     assert colength(ideal(XY, "x", "y")) == 1
@@ -658,17 +681,143 @@ def test_seal_read_off_the_leads_of_the_degree_below(p, profile_runs):
             colength(D4, field, max_steps=steps - 1)
 
 
-@pytest.mark.parametrize("p, value, steps", [(None, 169, 91), (5, INFINITE, 63), (2147483647, 169, 91)])
+@pytest.mark.parametrize("p, value, steps", [(None, 25, 25), (5, 25, 15), (2147483647, 25, 25)])
 def test_rows_start_from_the_pivots_of_the_degree_below(p, value, steps):
-    # The double-point chain stage of P_13 with colength 169 (infinite over
-    # F_5) takes 91 reductions (63 over F_5) when a row starts as x_j times
-    # the pivot its parent row became, where rows built as shifts of their
-    # generators took 819 (105 over F_5).
-    [J] = [J for J in _catalog_colength_ideals(("P_13",)) if colength(J) == 169]
+    # The chain stage of P_3^4 with colength 25, two cubic cones that share
+    # a line, takes 25 reductions (15 over F_5) when a row starts as x_j
+    # times the pivot its parent row became, where rows built as shifts of
+    # their generators took 55 (45 over F_5).
+    [J] = [J for J in _catalog_colength_ideals(("P_3^4",)) if colength(J) == 25]
     field = sb.RATIONAL if p is None else prime_field(p)
     assert colength(J, field, max_steps=steps) == value
     with pytest.raises(ResourceLimitError):
         colength(J, field, max_steps=steps - 1)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_transversal_tangent_cones_build_no_row(p, profile_runs):
+    # The double-point chain stage of P_13, two binary forms of degree 13
+    # with no common line, has colength 13*13 = 169, read off its cones with
+    # no row built. Over F_5 the forms share a factor: the ladder reads the
+    # stage infinite, with 63 reductions where rows built as shifts of their
+    # generators took 105.
+    [J] = [J for J in _catalog_colength_ideals(("P_13",)) if colength(J) == 169]
+    field = sb.RATIONAL if p is None else prime_field(p)
+    if p == 5:
+        assert colength(J, field, max_steps=63) == INFINITE
+        with pytest.raises(ResourceLimitError):
+            colength(J, field, max_steps=62)
+        return
+    profile_runs.clear()
+    assert colength(J, field, max_steps=0) == 169
+    [run] = profile_runs
+    assert not any(built for _, built in run)
+
+
+def _binary_form(rng, degree, scale=1):
+    """A binary form in x, y of this degree, with small integer entries
+    times scale, and x^degree among its terms, with the entry +-scale."""
+    terms = {(i, degree - i): rng.randint(-3, 3) for i in range(degree)}
+    terms[degree, 0] = rng.choice([-1, 1])
+    return Polynomial(XY, {e: scale * c for e, c in terms.items()})
+
+
+def _tail(rng, low, high):
+    """One to three terms of degrees low..high with small integer entries."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(low, high)
+        i = rng.randint(0, d)
+        terms[i, d - i] = rng.choice([-2, -1, 1, 2])
+    return Polynomial(XY, terms)
+
+
+def _cone_pair(rng, kind, scale):
+    """Two plane germs whose tangent cones are, by kind: random; made to
+    share a random line; made to share the line y = 0, the zero (1:0);
+    random, the first times scale; or random, both times a common
+    component."""
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    if kind in ("tangent", "infinity"):
+        line = Polynomial(XY, {(1, 0): 1, (0, 1): rng.randint(-3, 3)})
+        if kind == "infinity":
+            line = P("y")
+        a, b = max(a, 2), max(b, 2)
+        f, g = line * _binary_form(rng, a - 1), line * _binary_form(rng, b - 1)
+    else:
+        f, g = _binary_form(rng, a, scale if kind == "scaled" else 1), _binary_form(rng, b)
+    f, g = f + _tail(rng, a + 1, a + 2), g + _tail(rng, b + 1, b + 2)
+    if kind == "component":
+        h = _binary_form(rng, 1) + _tail(rng, 2, 2)
+        f, g = h * f, h * g
+    return f, g
+
+
+def _resultant_mod(f, g, q):
+    """The resultant of binary forms f, g (int dicts of exponent tuples,
+    homogeneous of degrees a, b) mod q: the determinant of their Sylvester
+    matrix, by elimination mod q."""
+    a, b = (sum(next(iter(h))) for h in (f, g))
+    rows = [[f.get((a - j + i, j - i), 0) % q if 0 <= j - i <= a else 0 for j in range(a + b)] for i in range(b)]
+    rows += [[g.get((b - j + i, j - i), 0) % q if 0 <= j - i <= b else 0 for j in range(a + b)] for i in range(a)]
+    det = 1
+    for c in range(a + b):
+        r = next((r for r in range(c, a + b) if rows[r][c]), None)
+        if r is None:
+            return 0
+        rows[c], rows[r] = rows[r], rows[c]
+        det = det * rows[c][c] % q
+        inv = pow(rows[c][c], -1, q)
+        for r in range(c + 1, a + b):
+            t = rows[r][c] * inv % q
+            rows[r] = [(x - t * y) % q for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 2147483647])
+def test_tangent_cone_closed_form_matches_truncation_oracle(p, profile_runs):
+    # Seeded plane germs (f, g): with cones that share no line the colength
+    # is read off them with no row built; random cones, cones forced to
+    # share a line or the zero (1:0), a first cone times p (or, over Q,
+    # times 2^31 - 1, which the cone test reads as zero) and germs with a
+    # common component. No row is built exactly where the leads are
+    # coprime or the resultant of the cones is nonzero mod p (mod 2^31 - 1
+    # over Q); every run matches the truncation oracle up to its stop.
+    rng = random.Random(p or 0)
+    q = p or sb._CONE_PRIME
+    kinds = ("random", "random", "tangent", "infinity", "scaled", "component")
+    closed, ladder = 0, 0
+    for n in range(60):
+        kind = kinds[n % len(kinds)]
+        gens = _cone_pair(rng, kind, q)
+        if kind == "component":
+            assert colength(ideal(XY, *gens), p) == INFINITE, gens
+            continue
+        rows = _rows(gens, XY, p)
+        profile_runs.clear()
+        got = sb._sealed_colength(rows, 2, p)
+        [run] = profile_runs
+        read = _truncated_dims([count for count, _ in run], 2)
+        where = (p, kind, [str(g) for g in gens])
+        assert read == truncated_quotient_dims(gens, XY, len(read) - 1, p), where
+        assert got == (read[-1] if read[-1] == read[-2] else INFINITE), where
+        if len(rows) < 2:
+            continue
+        cones = []
+        for row in rows:
+            terms = exponent_dict(row, 2)
+            order = min(map(sum, terms))
+            cones.append({e: c for e, c in terms.items() if sum(e) == order})
+        # a lead is the term of its cone with the lowest power of y
+        (x1, y1), (x2, y2) = (min(cone, key=lambda e: e[::-1]) for cone in cones)
+        coprime = not (x1 and x2 or y1 and y2)
+        no_row = not any(built for _, built in run)
+        assert no_row == (coprime or _resultant_mod(*cones, q) != 0), where
+        closed += no_row
+        ladder += not no_row
+        if kind in ("tangent", "infinity") or kind == "scaled" and p is None:
+            assert not no_row, where
+    assert closed and ladder
 
 
 @pytest.mark.parametrize("p", [None, 5, 2147483647])
@@ -1016,9 +1165,11 @@ def _bezout_bound(I):
 
 def test_finite_colengths_are_within_bezout():
     # u <= d^n, the bound the ladder's Bezout stop rests on, for every
-    # finite colength of the corpora and of the acceptance rows' stage
-    # ideals; u is checked against a Mora staircase wherever Mora finishes
-    ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals(ACCEPTANCE_ROWS)]
+    # finite colength of the corpora and of the acceptance and fast rows'
+    # stage ideals; u is checked against a Mora staircase wherever Mora
+    # finishes
+    ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals(ACCEPTANCE_ROWS),
+              *_catalog_colength_ideals()]
     finite = staircases = 0
     for I in ideals:
         u = colength(I)
