@@ -176,10 +176,10 @@ def _section(gens, ring, field, max_steps):
     return None
 
 
-def _simplified(I: IdealPresentation):
-    """(ring, gens) of I once transversal linear generators are split off
-    and zero ones dropped. More generators than variables raise."""
-    J, _ = eliminate_linear_generators(I)
+def _simplified(I: IdealPresentation, field):
+    """(ring, gens) of I over field once transversal linear generators are
+    split off and zero ones dropped. More generators than variables raise."""
+    J, _ = eliminate_linear_generators(I, field)
     gens = tuple(g for g in J.gens if not g.is_zero)
     if len(gens) > len(J.ring):
         raise NotICISError(
@@ -207,7 +207,7 @@ def icis_milnor(
     """
     if is_unit_ideal(I, field):
         return MilnorResult(0, "empty", (), seed)
-    ring, gens = _simplified(I)
+    ring, gens = _simplified(I, field)
     if not gens:
         return MilnorResult(0, "smooth", (), seed)
     if len(gens) == len(ring):

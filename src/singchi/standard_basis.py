@@ -2,9 +2,11 @@
 
 Colengths take one route over every field. An infinite colength is
 certified first by a witness, a coordinate axis on which every generator
-vanishes, read off the exponents. Everything else is decided by the
-dimensions of the truncated quotients O/m^(D+1), from one row reduction
-on plain integers: fraction-free over Q, where a pivot is stripped of the
+vanishes, read off the exponents. Next the generators' initial forms
+decide where they are certified to be a regular sequence
+(_initial_colength). Everything else is decided by the dimensions of the
+truncated quotients O/m^(D+1), from one row reduction on plain
+integers: fraction-free over Q, where a pivot is stripped of the
 content of its lowest degree and its higher degrees carry a denominator,
 and reduced mod p over Z/p. The elimination has no truncation bound: it
 builds each degree's part of its rows only when it reaches that degree,
@@ -167,33 +169,6 @@ def _covers(leads, nv, D):
                for m in {s + x for s in free for x in units})
 
 
-def _coprime_profile(degrees, nv):
-    """counts[D], D = 0, 1, 2, ..., of a monomial ideal in nv >= 1
-    variables generated by pairwise coprime monomials of these degrees:
-    the number of its monomials of degree D. These are the dimensions in
-    degree D of every ideal generated by a regular sequence of forms of
-    these degrees, which share its Hilbert series (see _pivot_profile).
-
-    By inclusion-exclusion over the nonempty sets S of generators, whose
-    lcm is their product, of degree e_S, the counts are the coefficients
-    of the sum of (-1)^(|S|+1) z^e_S, which is 1 - prod (1 - z^e_i),
-    times 1/(1 - z)^nv, whose coefficient of z^k counts the monomials of
-    degree k: nv running sums. ResourceLimitError comes at D = 2^15, as
-    in _pivot_profile."""
-    signs = [1]
-    for e in degrees:
-        signs = [a - b for a, b in itertools.zip_longest(signs, [0] * e + signs, fillvalue=0)]
-    series = [-s for s in signs]
-    series[0] += 1
-    sums = [0] * nv
-    for D in range(_LIMIT):
-        x = series[D] if D < len(series) else 0
-        for j in range(nv):
-            x = sums[j] = sums[j] + x
-        yield x
-    raise ResourceLimitError(f"degree {_LIMIT} passes the exponent width of a key")
-
-
 #: The prime mod which the tangent cones of generators over Q are compared
 #: (_transversal): 2^31 - 1.
 _CONE_PRIME = 2**31 - 1
@@ -213,7 +188,7 @@ def _transversal(cones, p=None):
     with no common zero mod q have a homogeneous resultant that is nonzero
     mod q, so nonzero over Z, and they share no factor over Q either. A form
     that vanishes mod q, or a factor that they share only mod q, gives
-    False, which costs only the rows the caller then builds."""
+    False, which costs only the rows the ladder then builds."""
     q = _CONE_PRIME if p is None else p
     chart, pure = [], False
     for a, terms in cones:
@@ -243,6 +218,73 @@ def _transversal(cones, p=None):
     return len(f) == 1
 
 
+def _initial_colength(gens, nv, p=None):
+    """The colength of the ideal J generated by gens (as _pivot_profile
+    takes them) where the initial forms of the generators certify it: an
+    int or INFINITE, and None where they do not. No row is built.
+
+    Here g_i* is the lowest part of g_i, its initial form, of degree e_i,
+    and t_i its lead, its smallest key. Two cases certify that the g_i*
+    are a regular sequence: the leads t_i are pairwise coprime, or there
+    are two generators in two variables whose initial forms share no
+    linear factor, transversal tangent cones (_transversal). The argument
+    has four steps.
+      1. The leads of J are its initial ideal in(J) for the local degree
+         ordering (_pivot_profile), so the colength is the number of
+         monomials outside in(J), and dim in(J)_D is the Hilbert function
+         of the ideal of the initial forms of J.
+      2. On the forms of one degree, order monomials by key, smaller
+         first: keys add under products, so with the degree this is a
+         monomial order, and t_i leads g_i*. Buchberger's product
+         criterion holds for every monomial order: with coprime leads,
+         the S-polynomial of g_i* and g_j* reduces to zero. So the g_i*
+         are a Groebner basis, and (g_1*, ..., g_k*) has the lead ideal
+         (t_1, ..., t_k).
+      3. Coprime monomials are a regular sequence, and homogeneous forms
+         whose leads are one are one too: their ideal and the monomial
+         one share a Hilbert series, prod (1 - z^e_i) / (1 - z)^n, which
+         is the one of a regular sequence of those degrees. So the g_i*
+         are a regular sequence in the graded ring k[x] of O. In k[x, y]
+         two binary forms are a regular sequence exactly when they are
+         coprime, that is share no linear factor over the algebraic
+         closure, where every binary form splits into lines. Over Q that
+         is read mod q = 2^31 - 1: forms with no common zero mod q have a
+         homogeneous resultant that is nonzero mod q, so nonzero, and no
+         common zero over Q-bar either. Where the test mod q cannot tell,
+         the ladder decides.
+      4. By Valabrega-Valla ("Form rings and regular sequences", Nagoya
+         Math. J. 72, 1978), the initial forms of J are then the ideal
+         (g_1*, ..., g_k*), and the quotient has the Hilbert series
+         prod (1 - z^e_i) / (1 - z)^n; with coprime leads the lead of f
+         in J is the lead of its initial form, so in(J) = (t_1, ..., t_k).
+    With k = n generators that series is prod (1 + z + ... + z^(e_i - 1)),
+    and the colength is its value at 1, prod e_i: with coprime leads these
+    are pure powers x_j^(e_j), one per variable, and two transversal cones
+    of degrees a and b give a*b, the intersection multiplicity of two plane
+    curves with no common tangent (Fulton, Algebraic Curves, 3.3). With
+    k < n the series has a pole at 1, and the colength is infinite. A
+    constant generator has the lead 1 and e_i = 0, which makes the series,
+    and the colength, 0. Over Z/p the initial forms are those of the
+    residues, which may differ from those over Q.
+    """
+    ones, used, coprime, cones = _ones(nv), 0, True, []
+    for gen in gens:
+        degrees = _degrees(gen, nv)
+        e = min(degrees)
+        cones.append((e, [(key, c) for (key, c), t in zip(gen.items(), degrees) if t == e]))
+        # Bit 15 of each field that the lead has nonzero: every exponent is
+        # below 2^15, so adding 2^15 - 1 to a field carries into its bit 15
+        # exactly when the field is nonzero. The leads are pairwise coprime
+        # while no lead meets those of the generators before it.
+        fields = min(cones[-1][1])[0] + ones * (_LIMIT - 1) & ones << _BITS - 1
+        coprime = coprime and not used & fields
+        used |= fields
+    if not (coprime or nv == len(cones) == 2 and _transversal(cones, p)):
+        return None
+    orders = [e for e, _ in cones]
+    return INFINITE if len(orders) < nv and all(orders) else math.prod(orders)
+
+
 def _pivot_profile(gens, nv, p=None, budget=None):
     """Pivots per degree of the image of J in the truncations O/m^(D+1):
     yields counts[D], the number of pivots in degree D, for D = 0, 1, 2,
@@ -269,50 +311,6 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     checks this (_covers) before it builds a row, once every x_j^(D-1) is
     a lead (x_j^D has no other divisor of degree D - 1). From there on no
     row is built, and counts[D] is the number of monomials of degree D.
-
-    When the initial forms of the generators are a regular sequence, no
-    row is built at all: every count is that of a regular sequence of
-    their degrees (_coprime_profile). Here g_i* is the lowest part of g_i,
-    its initial form, of degree e_i, and t_i its lead, its smallest key.
-    Two cases are recognised: the leads t_i are pairwise coprime, or there
-    are two generators in two variables whose initial forms share no
-    linear factor, transversal tangent cones (_transversal). The argument
-    has four steps.
-      1. counts[D] = dim in(J)_D, in(J) the ideal of the leads of J, by
-         the paragraphs above; this is the Hilbert function of the ideal
-         of the initial forms of J.
-      2. On the forms of one degree, order monomials by key, smaller
-         first: keys add under products, so with the degree this is a
-         monomial order, and t_i leads g_i*. Buchberger's product
-         criterion holds for every monomial order: with coprime leads,
-         the S-polynomial of g_i* and g_j* reduces to zero. So the g_i*
-         are a Groebner basis, and (g_1*, ..., g_k*) has the lead ideal
-         (t_1, ..., t_k).
-      3. Coprime monomials are a regular sequence, and homogeneous forms
-         whose leads are one are one too: their ideal and the monomial
-         one share a Hilbert series, prod (1 - z^e_i) / (1 - z)^n, which
-         is the one of a regular sequence of those degrees. So the g_i*
-         are a regular sequence in the graded ring k[x] of O. In k[x, y]
-         two binary forms are a regular sequence exactly when they are
-         coprime, that is share no linear factor over the algebraic
-         closure, where every binary form splits into lines. Over Q that
-         is read mod q = 2^31 - 1: forms with no common zero mod q have a
-         homogeneous resultant that is nonzero mod q, so nonzero, and no
-         common zero over Q-bar either. Where the test mod q cannot tell,
-         the rows are built.
-      4. By Valabrega-Valla ("Form rings and regular sequences", Nagoya
-         Math. J. 72, 1978), the initial forms of J are then the ideal
-         (g_1*, ..., g_k*), whose Hilbert series is prod (1 - z^e_i) /
-         (1 - z)^n; with coprime leads the lead of f in J is the lead of
-         its initial form, so in(J) = (t_1, ..., t_k).
-    A constant generator has the lead 1 and makes every count full. The
-    colength is finite exactly when a lead is 1 or each variable has a
-    pure power among the leads, which are then x_j^(e_j), one per
-    variable: it is prod e_i. Two transversal cones of degrees a and b
-    give the colength a*b, the intersection multiplicity of two plane
-    curves with no common tangent (Fulton, Algebraic Curves, 3.3). Over
-    Z/p the initial forms are those of the residues, which may differ from
-    those over Q.
 
     The elimination is degree-major and has no truncation bound. A row is
     kept as what made it: a generator index i, a shift x^a, and the
@@ -418,12 +416,6 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         budget = [math.inf]
     # deg a is the top field of a*ones: no field sum of a reaches 2^15
     ones, top = _ones(nv), _BITS * (nv - 1)
-    # Bit 15 of each field that a lead so far has nonzero: every exponent
-    # is below 2^15, so adding 2^15 - 1 to a field carries into its bit 15
-    # exactly when the field is nonzero. The leads are pairwise coprime
-    # while no lead meets those of the generators before it.
-    carry, guard = ones * (_LIMIT - 1), ones << _BITS - 1
-    used, coprime = 0, True
     # per generator: its order, its degrees as a bit mask, its terms by degree
     # as (key, entry), and what a row x^a*g_i is when its first column a + t
     # has no pivot: t, its lead entry (its inverse mod p), its other terms,
@@ -435,9 +427,6 @@ def _pivot_profile(gens, nv, p=None, budget=None):
             by_degree.setdefault(t, []).append((e, c))
         rest = dict(by_degree[min(by_degree)])
         t = min(rest)
-        fields = t + carry & guard
-        coprime = coprime and not used & fields
-        used |= fields
         a, ops = rest.pop(t), ()
         if p is None:
             c = math.gcd(a, *rest.values())
@@ -448,12 +437,6 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         else:
             a = pow(a, -1, p)
         parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree, (t, a, rest, ops)))
-    cones = nv == len(parts) == 2 and [(order, by_degree[order]) for order, _, by_degree, _ in parts]
-    if coprime or cones and _transversal(cones, p):
-        # the counts are those of a regular sequence of initial forms of
-        # these degrees (see above): no row is built
-        yield from _coprime_profile([order for order, *_ in parts], nv)
-        return
     # A pivot: (generator index i, shift key a, operations, degrees, origin).
     # Bit D of degrees is clear where the D-slice is known to be zero: every
     # degree of the row's start and of the pivots the operations name is set.
@@ -860,10 +843,7 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     the first of two stops decides, with d_D = dim O/(J + m^(D+1)):
       * seal: the first degree D >= 1 that fills; d_D is then the
         colength, by Nakayama. The fill is often read off the leads of
-        degree D - 1, and then no row of degree D is built, or off the
-        generators' initial forms when their leads are pairwise coprime
-        or, for two generators in two variables, when their tangent
-        cones share no line, and then no row is built at all;
+        degree D - 1, and then no row of degree D is built;
       * Bezout: the first D with d_D > d^nv, d the largest total degree
         of a generator; the colength is then infinite.
     The Bezout stop rests on this. Let J have a finite colength u. Over
@@ -902,23 +882,23 @@ def colength(
     quotient unchanged.
 
     Everything returned is exact for the requested field, and every
-    answer carries one of three certificates:
+    answer carries one of four certificates, tried in this order:
       * witness: a variable x_i of which no term of any generator is a
         pure power, so J vanishes on the x_i-axis and the colength is
         infinite; it reads exponents only;
+      * initial forms: the generators' lowest parts, of degrees e_i, are
+        a regular sequence, certified by pairwise coprime leads or, for
+        two generators in two variables, by tangent cones that share no
+        line (over Q by a gcd mod 2^31 - 1); the colength is then
+        prod e_i for as many generators as variables and infinite for
+        fewer, and no row is built (the argument is at
+        _initial_colength);
       * seal: one degree-by-degree elimination, with no truncation
         bound, fills degree D, so m^D lies in J by Nakayama and the
         colength is d_D = dim O/(J + m^(D+1)); the elimination stops
         there, having built no part of a row above degree D, and none of
         degree D when the leads of degree D - 1 already have every
-        monomial of degree D among their multiples. When the leads of
-        the generators are pairwise coprime they generate every lead
-        (product criterion and Valabrega-Valla, at _pivot_profile), so
-        each d_D is read off them and no row is built at all. So too for
-        two generators in two variables whose initial forms, of degrees
-        a and b, share no linear factor: they are a regular sequence, so
-        they generate the initial ideal, and the colength is a*b (tested
-        over Q by a gcd mod 2^31 - 1, at _pivot_profile);
+        monomial of degree D among their multiples;
       * Bezout: the same elimination reaches a degree D with d_D > d^n,
         d the largest total degree of a generator and n the number of
         variables, and the colength is infinite, since a finite one is
@@ -948,7 +928,8 @@ def colength(
         gens = [_scaled(d) for d in gens]
     if _axis_witness((e for d in gens for e in d), nvars) is not None:
         return INFINITE
-    return _sealed_colength(gens, nvars, field, max_steps)
+    value = _initial_colength(gens, nvars, field)
+    return _sealed_colength(gens, nvars, field, max_steps) if value is None else value
 
 
 def is_unit_ideal(I: IdealPresentation, field=RATIONAL) -> bool:

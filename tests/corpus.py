@@ -33,7 +33,7 @@ def polar_chain(I, seed=1, field=RATIONAL, max_steps=DEFAULT_MAX_STEPS):
     zero-dimensional I down the points route, and a curve down the
     section route, instead; this runs the chain on it too, so the two can
     be compared."""
-    ring, gens = milnor._simplified(I)
+    ring, gens = milnor._simplified(I, field)
     return milnor._polar_mu(gens, ring, seed, field, max_steps)
 
 

@@ -145,6 +145,22 @@ def test_empty_germ():
     assert r.mu == 0 and r.route == "empty"
 
 
+def test_linear_generators_are_split_off_over_the_field():
+    # 5*x + y^2 is linear over Q, and its germ is smooth; over F_5 it is
+    # y^2, a double line, which is no isolated singularity. Splitting x off
+    # (5*x + y^2 + z^2, x^2 + y*z) over Q leaves denominators that 5
+    # divides; over F_5 nothing is split off, and the residue ideal (y^2 +
+    # z^2, x^2 + y*z), typed in directly, gives the same result.
+    F5 = prime_field(5)
+    I = ideal(XY, "5*x + y^2")
+    assert icis_milnor(I) == MilnorResult(0, "smooth", (), 1)
+    with pytest.raises(NotICISError):
+        icis_milnor(I, field=F5)
+    r = icis_milnor(ideal(XYZ, "5*x + y^2 + z^2", "x^2 + y*z"), field=F5)
+    assert r == icis_milnor(ideal(XYZ, "y^2 + z^2", "x^2 + y*z"), field=F5)
+    assert (r.mu, r.route, r.stages) == (5, "section", (4, 8))
+
+
 def test_single_generator_matches_hypersurface():
     r = icis_milnor(ideal(XY, "x^3 + y^2"))
     assert r.mu == 2 and r.route == "chain"
@@ -324,7 +340,7 @@ def _curve(I):
     two or more generators, the section route's input; None otherwise."""
     if sb.is_unit_ideal(I):
         return None
-    ring, gens = milnor._simplified(I)
+    ring, gens = milnor._simplified(I, RATIONAL)
     return (ring, gens) if len(gens) >= 2 and len(gens) + 1 == len(ring) else None
 
 

@@ -624,8 +624,10 @@ def _catalog_colength_ideals(rows=FAST_ROWS):
 def test_seal_ladder_matches_stepping_oracle(profile_runs):
     # every corpus, redundant presentations included, over three fields,
     # with the oracle stepping to degree 9 at most; the elimination runs on
-    # past 9 alone. On each field some of the runs seal from the leads of
-    # the degree below, building no row at the seal degree, and some do not.
+    # past 9 alone. On each field some of the cases are decided without
+    # building their stop degree, and some are not: colength reads them
+    # off the initial forms, or the ladder seals from the leads of the
+    # degree below, building no row at the seal degree.
     ideals = [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]
     cases = [(I.gens, I.ring) for I in ideals]
     cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
@@ -637,7 +639,7 @@ def test_seal_ladder_matches_stepping_oracle(profile_runs):
             if result is None:
                 continue
             stop, value, built = result
-            early[p] += not built
+            early[p] += not built or sb._initial_colength(_rows(gens, ring, p), len(ring), p) is not None
             if value is None:
                 past += 1
             else:
@@ -698,7 +700,7 @@ def test_rows_start_from_the_pivots_of_the_degree_below(p, value, steps):
 def test_transversal_tangent_cones_build_no_row(p, profile_runs):
     # The double-point chain stage of P_13, two binary forms of degree 13
     # with no common line, has colength 13*13 = 169, read off its cones with
-    # no row built. Over F_5 the forms share a factor: the ladder reads the
+    # no ladder run. Over F_5 the forms share a factor: the ladder reads the
     # stage infinite, with 63 reductions where rows built as shifts of their
     # generators took 105.
     [J] = [J for J in _catalog_colength_ideals(("P_13",)) if colength(J) == 169]
@@ -710,8 +712,7 @@ def test_transversal_tangent_cones_build_no_row(p, profile_runs):
         return
     profile_runs.clear()
     assert colength(J, field, max_steps=0) == 169
-    [run] = profile_runs
-    assert not any(built for _, built in run)
+    assert profile_runs == []
 
 
 def _binary_form(rng, degree, scale=1):
@@ -753,6 +754,16 @@ def _cone_pair(rng, kind, scale):
     return f, g
 
 
+def _initial_forms(rows, nv):
+    """The lowest part of each row, as a dict of exponent tuples."""
+    forms = []
+    for row in rows:
+        terms = exponent_dict(row, nv)
+        order = min(map(sum, terms))
+        forms.append({e: c for e, c in terms.items() if sum(e) == order})
+    return forms
+
+
 def _resultant_mod(f, g, q):
     """The resultant of binary forms f, g (int dicts of exponent tuples,
     homogeneous of degrees a, b) mod q: the determinant of their Sylvester
@@ -777,12 +788,13 @@ def _resultant_mod(f, g, q):
 @pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 2147483647])
 def test_tangent_cone_closed_form_matches_truncation_oracle(p, profile_runs):
     # Seeded plane germs (f, g): with cones that share no line the colength
-    # is read off them with no row built; random cones, cones forced to
-    # share a line or the zero (1:0), a first cone times p (or, over Q,
-    # times 2^31 - 1, which the cone test reads as zero) and germs with a
-    # common component. No row is built exactly where the leads are
-    # coprime or the resultant of the cones is nonzero mod p (mod 2^31 - 1
-    # over Q); every run matches the truncation oracle up to its stop.
+    # is read off them; random cones, cones forced to share a line or the
+    # zero (1:0), a first cone times p (or, over Q, times 2^31 - 1, which
+    # the cone test reads as zero) and germs with a common component. The
+    # initial forms decide exactly where the leads are coprime or the
+    # resultant of the cones is nonzero mod p (mod 2^31 - 1 over Q), with
+    # the ladder's value; every ladder run matches the truncation oracle up
+    # to its stop.
     rng = random.Random(p or 0)
     q = p or sb._CONE_PRIME
     kinds = ("random", "random", "tangent", "infinity", "scaled", "component")
@@ -803,20 +815,17 @@ def test_tangent_cone_closed_form_matches_truncation_oracle(p, profile_runs):
         assert got == (read[-1] if read[-1] == read[-2] else INFINITE), where
         if len(rows) < 2:
             continue
-        cones = []
-        for row in rows:
-            terms = exponent_dict(row, 2)
-            order = min(map(sum, terms))
-            cones.append({e: c for e, c in terms.items() if sum(e) == order})
+        cones = _initial_forms(rows, 2)
         # a lead is the term of its cone with the lowest power of y
         (x1, y1), (x2, y2) = (min(cone, key=lambda e: e[::-1]) for cone in cones)
         coprime = not (x1 and x2 or y1 and y2)
-        no_row = not any(built for _, built in run)
-        assert no_row == (coprime or _resultant_mod(*cones, q) != 0), where
-        closed += no_row
-        ladder += not no_row
+        decided = sb._initial_colength(rows, 2, p)
+        assert (decided is not None) == (coprime or _resultant_mod(*cones, q) != 0), where
+        assert decided in (None, got), where
+        closed += decided is not None
+        ladder += decided is None
         if kind in ("tangent", "infinity") or kind == "scaled" and p is None:
-            assert not no_row, where
+            assert decided is None, where
     assert closed and ladder
 
 
@@ -977,13 +986,18 @@ def _coprime_lead_ideal(rng):
     return ring, gens
 
 
-def test_coprime_leads_give_every_count_without_a_row(profile_runs):
+def test_coprime_leads_give_every_count_without_a_row():
     # Seeded random ideals whose leads over the field are pairwise coprime:
-    # their counts, read off the leads without a row, are those of one
-    # truncated elimination to degree 10, 9 or 8 (up to 2, 3 or 4
-    # variables), and a finite colength is the product of the leads'
-    # degrees, a lead 1 giving 0. Where a lead coefficient vanishes mod p,
-    # the leads over F_p are the residues', coprime or not.
+    # the initial forms decide exactly these, and two-variable pairs with
+    # transversal cones, and no others. Their colength is the product of
+    # the leads' degrees where every variable has a pure power among the
+    # leads, a lead 1 giving 0, and infinite otherwise. The ladder's counts
+    # are those of one truncated elimination to degree 10, 9 or 8 (up to 2,
+    # 3 or 4 variables); it seals at the same finite colength, and on an
+    # infinite one it has not sealed by then (its Bezout stop takes more
+    # than 3 s on some four-variable ideals here, which have an axis
+    # witness). Where a lead coefficient vanishes mod p, the leads over F_p
+    # are the residues', coprime or not.
     rng = random.Random(2022)
     fields = (None, 2, 3, 5, 7, 2147483647)
     seen = dict.fromkeys(["coprime", "ladder", "finite", "infinite", "moved", "mixed", "constant"], 0)
@@ -995,7 +1009,12 @@ def test_coprime_leads_give_every_count_without_a_row(profile_runs):
             if not rows:
                 continue
             leads = [_lead(row, nv) for row in rows]
+            decided = sb._initial_colength(rows, nv, p)
+            where = (p, [str(g) for g in gens])
             if any(a[j] and b[j] for a, b in itertools.combinations(leads, 2) for j in range(nv)):
+                cones = nv == len(rows) == 2 and _resultant_mod(*_initial_forms(rows, 2), p or sb._CONE_PRIME)
+                assert (decided is not None) == bool(cones), where
+                assert not cones or decided == sb._sealed_colength(rows, nv, p), where
                 seen["ladder"] += 1
                 continue
             seen["coprime"] += 1
@@ -1003,19 +1022,43 @@ def test_coprime_leads_give_every_count_without_a_row(profile_runs):
             seen["mixed"] += any(sum(map(bool, t)) > 1 for t in leads)
             unit = not all(map(any, leads))
             seen["constant"] += unit
-            where = (p, [str(g) for g in gens])
-            profile_runs.clear()
-            counts = _profile(rows, nv, top, p)
-            assert _truncated_dims(counts, nv) == truncated_quotient_dims(gens, ring, top, p), where
-            assert not any(built for _, built in profile_runs[0]), where
+            dims = _truncated_dims(_profile(rows, nv, top, p), nv)
+            assert dims == truncated_quotient_dims(gens, ring, top, p), where
             powers = {t.index(sum(t)) for t in leads if sum(map(bool, t)) == 1}
-            value = sb._sealed_colength(rows, nv, p)
             if len(powers) == nv or unit:
-                assert value == math.prod(map(sum, leads)), where
+                assert decided == sb._sealed_colength(rows, nv, p) == math.prod(map(sum, leads)), where
                 seen["finite"] += 1
             else:
-                assert value is INFINITE, where
+                assert decided is INFINITE and all(a < b for a, b in zip(dims, dims[1:])), where
                 seen["infinite"] += 1
+    assert all(seen.values()), seen
+
+
+def test_initial_forms_decide_as_the_ladder_does():
+    # Wherever the initial forms decide an ideal that colength hands them,
+    # one with no axis witness, the ladder run to its stop gives the same
+    # colength: on the profile, witness, redundant and catalog corpora and
+    # on the coprime and cone sweeps, over Q, F_5 and F_2147483647. Finite
+    # and infinite answers both occur, and some ideals are left to the
+    # ladder.
+    cases = [(I.gens, I.ring) for I in [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]]
+    cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
+    rng = random.Random(2022)
+    cases += [_coprime_lead_ideal(rng)[::-1] for _ in range(40)]
+    rng = random.Random(0)
+    kinds = ("random", "random", "tangent", "infinity", "scaled", "component")
+    cases += [(_cone_pair(rng, kinds[n % len(kinds)], sb._CONE_PRIME), XY) for n in range(60)]
+    seen = dict.fromkeys(["finite", "infinite", "ladder"], 0)
+    for gens, ring in cases:
+        nv = len(ring)
+        for p in (None, 5, 2147483647):
+            rows = _rows(gens, ring, p)
+            if not rows or sb._axis_witness((e for row in rows for e in row), nv) is not None:
+                continue
+            value = sb._initial_colength(rows, nv, p)
+            if value is not None:
+                assert value == sb._sealed_colength(rows, nv, p), (p, [str(g) for g in gens])
+            seen["ladder" if value is None else "infinite" if value is INFINITE else "finite"] += 1
     assert all(seen.values()), seen
 
 
@@ -1023,26 +1066,23 @@ def test_coprime_leads_give_every_count_without_a_row(profile_runs):
 def test_coprime_leads_reach_the_exponent_limit_without_a_hang(field, profile_runs):
     # (x^2 + z^30000, y^2) has no axis witness, and its Bezout bound
     # 30000^3 lies far past the last degree a key can hold. Its leads x^2
-    # and y^2 are coprime, so no row is built and no reduction spends the
-    # budget: the counts are read off the leads, one per degree, until
-    # ResourceLimitError at degree 2^15. Built as rows, the same climb
-    # spends no reduction either, and ran past 20 s.
+    # and y^2 are coprime, so its initial forms are a regular sequence of
+    # two forms in three variables, and colength reads it infinite with no
+    # ladder run. The ladder would climb without a reduction to
+    # ResourceLimitError at degree 2^15, which ran past 20 s built as rows.
     I = ideal(XYZ, "x^2 + z^30000", "y^2")
-    with pytest.raises(ResourceLimitError):
-        colength(I, field)
-    [run] = profile_runs
-    assert len(run) == 2**15 and not any(built for _, built in run)
+    assert colength(I, field) is INFINITE
+    assert profile_runs == []
 
 
 @pytest.mark.parametrize("field", [sb.RATIONAL, prime_field(2147483647)])
 def test_milnor_number_read_off_coprime_leads(field, profile_runs):
     # The Jacobian ideal of x^5 + y^4 + z^3 + x^2*y^2*z, (5*x^4 + 2*x*y^2*z,
     # 4*y^3 + 2*x^2*y*z, 3*z^2 + x^2*y^2), has the leads x^4, y^3 and z^2:
-    # mu = 4*3*2 = 24, with no row built
+    # mu = 4*3*2 = 24, with no ladder run
     g = parse_poly("x^5 + y^4 + z^3 + x^2*y^2*z", XYZ)
     assert milnor.hypersurface_milnor(g, field=field) == 24
-    [run] = profile_runs
-    assert not any(built for _, built in run)
+    assert profile_runs == []
 
 
 def test_colength_leaves_no_reference_cycle():
@@ -1119,11 +1159,14 @@ def test_bad_prime_changes_only_the_prime_field_answer():
 
 
 def test_colength_past_the_ladder(profile_runs):
-    # (x^45, y^2) seals at degree 46: one elimination, read to degree 46
+    # (x^45, y^2) seals at degree 46: one elimination, read to degree 46.
+    # colength reads the same 90 off the coprime leads, with no ladder run.
     I = ideal(XY, "x^45", "y^2")
-    for field in (sb.RATIONAL, prime_field(32003)):
+    for p in (None, 32003):
         profile_runs.clear()
-        assert colength(I, field=field) == 90
+        assert colength(I, field=sb.RATIONAL if p is None else prime_field(p)) == 90
+        assert profile_runs == []
+        assert sb._sealed_colength(_rows(I.gens, XY, p), 2, p) == 90
         assert [len(steps) for steps in profile_runs] == [47]
 
 
