@@ -83,19 +83,29 @@ def _support(nums) -> int:
     return functools.reduce(or_, nums, 0)
 
 
-def _degrees(nums, n: int) -> list:
-    """The total degree of each key of nums in n variables, in order.
+def _degrees(nums, n: int, weights=None) -> list:
+    """The total degree of each key of nums in n variables, in order, or,
+    for positive int weights w_0..w_(n-1), its weighted degree sum w_j*a_j.
 
-    A key times ones, a 1 in every field, carries the sum of its fields in
-    its top field, exactly while no prefix sum of the fields reaches 2^16.
-    Each field of the keys' OR is the largest of that field, so when the
-    OR's fields sum below 2^16 every key reads exactly; otherwise every
-    key is unpacked.
+    A key times c = sum w_j*2^(16*(n-1-j)) (ones, a 1 in every field, for
+    the total degree) carries sum w_j*a_j in its top field. Field q of the
+    product, up to the top one, sums a_j*w_k over distinct j <= q, so it is
+    at most the largest weight times the prefix sum a_0 + ... + a_q, and
+    every field reads exactly while that stays below 2^16. Each field of
+    the keys' OR is the largest of that field, so when the OR's fields sum,
+    times the largest weight, below 2^16 every key reads exactly;
+    otherwise every key is unpacked.
     """
-    if sum(_exponents(_support(nums), n)) >> _BITS:
-        return [sum(_exponents(m, n)) for m in nums]
-    ones, top = _ones(n), _BITS * max(n - 1, 0)
-    return [m * ones >> top & _MASK for m in nums]
+    top = _BITS * max(n - 1, 0)
+    if weights is None:
+        big, c = 1, _ones(n)
+    else:
+        big, c = max(weights), sum(w << top - _BITS * j for j, w in enumerate(weights))
+    if sum(_exponents(_support(nums), n)) * big >> _BITS:
+        if weights is None:
+            return [sum(_exponents(m, n)) for m in nums]
+        return [sum(a * w for a, w in zip(_exponents(m, n), weights)) for m in nums]
+    return [m * c >> top & _MASK for m in nums]
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,21 +3,22 @@
 Colengths take one route over every field. An infinite colength is
 certified first by a witness, a coordinate axis on which every generator
 vanishes, read off the exponents. Next the generators' initial forms
-decide where they are certified to be a regular sequence
-(_initial_colength). Everything else is decided by the dimensions of the
-truncated quotients O/m^(D+1), from one row reduction on plain
-integers: fraction-free over Q, where a pivot is stripped of the
-content of its lowest degree and its higher degrees carry a denominator,
-and reduced mod p over Z/p. The elimination has no truncation bound: it
-builds each degree's part of its rows only when it reaches that degree,
-and stops at the first D where Nakayama seals the quotient (the colength
-is finite), or where the truncated dimension passes the Bezout bound d^n
-that every finite colength of generators of degree <= d in n variables
-obeys (it is infinite). Nothing past that degree is computed. Before
-any of this, variables that a generator cuts transversally are split off
-(eliminate_linear_generators). No standard basis is computed: Mora's
-tangent cone algorithm is kept only as an independent oracle in the
-test suite.
+decide where they are certified to be a regular sequence, for the total
+degree or for weights read off the generators' pure powers, as for a
+semi-quasihomogeneous germ (_initial_colength). Everything else is
+decided by the dimensions of the truncated quotients O/m^(D+1), from one
+row reduction on plain integers: fraction-free over Q, where a pivot is
+stripped of the content of its lowest degree and its higher degrees
+carry a denominator, and reduced mod p over Z/p. The elimination has no
+truncation bound: it builds each degree's part of its rows only when it
+reaches that degree, and stops at the first D where Nakayama seals the
+quotient (the colength is finite), or where the truncated dimension
+passes the Bezout bound d^n that every finite colength of generators of
+degree <= d in n variables obeys (it is infinite). Nothing past that
+degree is computed. Before any of this, variables that a generator cuts
+transversally are split off (eliminate_linear_generators). No standard
+basis is computed: Mora's tangent cone algorithm is kept only as an
+independent oracle in the test suite.
 
 Everything here is exact. The default coefficient field is the rationals,
 RATIONAL. A prime field Z/p can be requested instead, as prime_field(p),
@@ -127,22 +128,42 @@ def _scaled(d):
 # ---------------------------------------------------------------------------
 
 
-def _axis_witness(keys, nvars):
-    """The first i such that no monomial key in keys is a power of x_i
-    alone (1 included), or None. A pure power is a key with exactly one
-    nonzero field.
+def _pure_powers(gens):
+    """Per generator (a collection of monomial keys), the lowest exponent e
+    of each variable x_j of which it has a pure power x_j^e, as a dict
+    {j: e}; None when a generator has a constant term. A pure power is a
+    key with exactly one nonzero field.
 
-    For the terms of J's generators this certifies an infinite colength:
-    every generator vanishes on the x_i-axis, so O/J maps onto C{x_i}.
+    This one scan over the keys serves the axis witness (_axis_witness) and
+    the weights of the initial forms (_initial_colength).
     """
-    on_axis = set()
-    for m in keys:
-        if not m:
-            return None
-        i = (m.bit_length() - 1) // _BITS
-        if not m & (1 << _BITS * i) - 1:
-            on_axis.add(i)
-    return next((i for i in range(nvars) if i not in on_axis), None)
+    powers = []
+    for keys in gens:
+        low = {}
+        for m in keys:
+            if not m:
+                return None
+            i = (m.bit_length() - 1) // _BITS
+            if not m & (1 << _BITS * i) - 1:
+                e = m >> _BITS * i
+                if low.get(i, e) >= e:
+                    low[i] = e
+        powers.append(low)
+    return powers
+
+
+def _axis_witness(powers, nvars):
+    """The first i such that no generator has a pure power of x_i, for the
+    pure powers of _pure_powers, or None (always when a generator has a
+    constant term).
+
+    For J's generators this certifies an infinite colength: every generator
+    vanishes on the x_i-axis, so O/J maps onto C{x_i}.
+    """
+    if powers is None:
+        return None
+    seen = set().union(*powers)
+    return None if len(seen) == nvars else next(i for i in range(nvars) if i not in seen)
 
 
 @functools.lru_cache(maxsize=256)
@@ -218,70 +239,140 @@ def _transversal(cones, p=None):
     return len(f) == 1
 
 
-def _initial_colength(gens, nv, p=None):
-    """The colength of the ideal J generated by gens (as _pivot_profile
-    takes them) where the initial forms of the generators certify it: an
-    int or INFINITE, and None where they do not. No row is built.
+def _matched_weights(powers, nv):
+    """Weights for the initial forms of n generators in n variables with
+    the pure powers powers (_pure_powers), or None: the ints w_j = L/(e_j +
+    1), L the lcm of the e_j + 1, of the matching of the generators to pure
+    powers x_j^(e_j) of distinct variables under which each generator's
+    own pure power is its lowest pure power in weighted degree, ties going
+    to the smaller key. None where no matching passes, or where its
+    weights are uniform, the total degree again.
 
-    Here g_i* is the lowest part of g_i, its initial form, of degree e_i,
-    and t_i its lead, its smallest key. Two cases certify that the g_i*
-    are a regular sequence: the leads t_i are pairwise coprime, or there
-    are two generators in two variables whose initial forms share no
-    linear factor, transversal tangent cones (_transversal). The argument
-    has four steps.
-      1. The leads of J are its initial ideal in(J) for the local degree
-         ordering (_pivot_profile), so the colength is the number of
-         monomials outside in(J), and dim in(J)_D is the Hilbert function
-         of the ideal of the initial forms of J.
-      2. On the forms of one degree, order monomials by key, smaller
-         first: keys add under products, so with the degree this is a
-         monomial order, and t_i leads g_i*. Buchberger's product
-         criterion holds for every monomial order: with coprime leads,
-         the S-polynomial of g_i* and g_j* reduces to zero. So the g_i*
-         are a Groebner basis, and (g_1*, ..., g_k*) has the lead ideal
-         (t_1, ..., t_k).
-      3. Coprime monomials are a regular sequence, and homogeneous forms
-         whose leads are one are one too: their ideal and the monomial
-         one share a Hilbert series, prod (1 - z^e_i) / (1 - z)^n, which
-         is the one of a regular sequence of those degrees. So the g_i*
-         are a regular sequence in the graded ring k[x] of O. In k[x, y]
-         two binary forms are a regular sequence exactly when they are
-         coprime, that is share no linear factor over the algebraic
-         closure, where every binary form splits into lines. Over Q that
-         is read mod q = 2^31 - 1: forms with no common zero mod q have a
-         homogeneous resultant that is nonzero mod q, so nonzero, and no
-         common zero over Q-bar either. Where the test mod q cannot tell,
-         the ladder decides.
-      4. By Valabrega-Valla ("Form rings and regular sequences", Nagoya
-         Math. J. 72, 1978), the initial forms of J are then the ideal
-         (g_1*, ..., g_k*), and the quotient has the Hilbert series
-         prod (1 - z^e_i) / (1 - z)^n; with coprime leads the lead of f
-         in J is the lead of its initial form, so in(J) = (t_1, ..., t_k).
-    With k = n generators that series is prod (1 + z + ... + z^(e_i - 1)),
-    and the colength is its value at 1, prod e_i: with coprime leads these
-    are pure powers x_j^(e_j), one per variable, and two transversal cones
-    of degrees a and b give a*b, the intersection multiplicity of two plane
-    curves with no common tangent (Fulton, Algebraic Curves, 3.3). With
-    k < n the series has a pole at 1, and the colength is infinite. A
-    constant generator has the lead 1 and e_i = 0, which makes the series,
-    and the colength, 0. Over Z/p the initial forms are those of the
-    residues, which may differ from those over Q.
+    Exponents alone decide this, and no term is read. At most one matching
+    can pass, and a greedy walk finds it: take the pure powers by
+    exponent, then by variable, and match each to its generator while
+    both are free. Let M pass, and let x_j^e in g_i be the first pure
+    power the walk takes. In M, g_i is matched to some x_k^d with d >= e,
+    and x_j to an exponent E_j >= e, so x_j^e has the weighted degree
+    e/(E_j + 1) <= e/(e + 1) <= d/(d + 1). Equality needs E_j = d = e,
+    and then j < k, so the key of x_j^e is the smaller. So x_k^d is
+    lowest only if k = j, and the same holds of the generators and
+    variables left.
     """
-    ones, used, coprime, cones = _ones(nv), 0, True, []
+    match, exps = {}, [0] * nv
+    for e, j, i in sorted((e, j, i) for i, pw in enumerate(powers) for j, e in pw.items()):
+        if not exps[j] and i not in match:
+            match[i], exps[j] = j, e
+    if len(match) < nv or len(set(exps)) == 1:
+        return None
+    for i, j in match.items():
+        e = exps[j]
+        for k, f in powers[i].items():
+            # x_k^f lies above x_j^e: f/(E_k + 1) > e/(e + 1), or equal
+            # with j < k
+            d = f * (e + 1) - e * (exps[k] + 1)
+            if d < 0 or not d and k < j:
+                return None
+    top = math.lcm(*(e + 1 for e in exps))
+    return tuple(top // (e + 1) for e in exps)
+
+
+def _initial_forms(gens, nv, weights=None):
+    """Each generator's initial form for the weights (None: the total
+    degree), as its least weighted degree and its terms of that degree,
+    (key, entry) pairs; and whether their leads, the smallest keys of the
+    forms, are pairwise coprime."""
+    ones, used, coprime, forms = _ones(nv), 0, True, []
     for gen in gens:
-        degrees = _degrees(gen, nv)
+        degrees = _degrees(gen, nv, weights)
         e = min(degrees)
-        cones.append((e, [(key, c) for (key, c), t in zip(gen.items(), degrees) if t == e]))
+        forms.append((e, [(key, c) for (key, c), t in zip(gen.items(), degrees) if t == e]))
         # Bit 15 of each field that the lead has nonzero: every exponent is
         # below 2^15, so adding 2^15 - 1 to a field carries into its bit 15
         # exactly when the field is nonzero. The leads are pairwise coprime
         # while no lead meets those of the generators before it.
-        fields = min(cones[-1][1])[0] + ones * (_LIMIT - 1) & ones << _BITS - 1
+        fields = min(forms[-1][1])[0] + ones * (_LIMIT - 1) & ones << _BITS - 1
         coprime = coprime and not used & fields
         used |= fields
-    if not (coprime or nv == len(cones) == 2 and _transversal(cones, p)):
+    return forms, coprime
+
+
+def _initial_colength(gens, nv, p, powers):
+    """The colength of the ideal J generated by gens (as _pivot_profile
+    takes them) where the initial forms of the generators certify it: an
+    int or INFINITE, and None where they do not. powers are the
+    generators' pure powers (_pure_powers). No row is built.
+
+    Give each variable x_j a positive integer weight w_j, and x^a the
+    weighted degree sum w_j*a_j. Here g_i* is the lowest weighted part of
+    g_i, its initial form, and t_i its lead, its smallest key. Three cases
+    certify that the g_i* are a regular sequence, tried in this order:
+      * w = (1, ..., 1), the total degree, and the leads t_i are pairwise
+        coprime;
+      * w = (1, ..., 1), and there are two generators in two variables
+        whose initial forms share no linear factor, transversal tangent
+        cones (_transversal);
+      * as many generators as variables, weights read off their pure
+        powers (_matched_weights), and the leads t_i are pairwise coprime.
+        For the Jacobian ideal of a semi-quasihomogeneous germ of weights
+        1/(e_j + 1) those are its weights.
+    The argument has four steps.
+      1. The weighted degree filters O, and so O/J. The graded ring of O
+         is k[x], graded by weighted degree, and that of O/J is
+         k[x]/in_w(J), where in_w(J) is spanned by the initial forms of
+         the elements of J. Each graded part is finite, and the two have
+         the same dimension, finite or not.
+      2. On the forms of one weighted degree, order monomials by key,
+         smaller first: keys add under products, so with the weighted
+         degree this is a monomial order, and t_i leads g_i*. Buchberger's
+         product criterion holds for every monomial order: with coprime
+         leads, the S-polynomial of g_i* and g_j* reduces to zero. So the
+         g_i* are a Groebner basis, and (g_1*, ..., g_k*) has the lead
+         ideal (t_1, ..., t_k).
+      3. Coprime monomials are a regular sequence, and weighted
+         homogeneous forms whose leads are one are one too: their ideal
+         and the monomial one share a Hilbert series, prod (1 - z^d_i) /
+         prod (1 - z^w_j) with d_i the weighted degree of g_i*, which is
+         the one of a regular sequence of those degrees. So the g_i* are a
+         regular sequence in k[x]. In k[x, y] two binary forms are a
+         regular sequence exactly when they are coprime, that is share no
+         linear factor over the algebraic closure, where every binary form
+         splits into lines. Over Q that is read mod q = 2^31 - 1: forms
+         with no common zero mod q have a homogeneous resultant that is
+         nonzero mod q, so nonzero, and no common zero over Q-bar either.
+         Where the test mod q cannot tell, the ladder decides.
+      4. By Valabrega-Valla ("Form rings and regular sequences", Nagoya
+         Math. J. 72, 1978), with the weight filtration in place of the
+         powers of m, in_w(J) is then (g_1*, ..., g_k*), and by step 1 the
+         colength is the dimension of k[x]/(g_1*, ..., g_k*), which by
+         step 2 is the number of monomials outside (t_1, ..., t_k).
+    With k = n generators and coprime leads, none of them 1, each t_i is a
+    pure power x_j^(e_i) of a variable of its own, and the colength is
+    prod e_i; two transversal cones of degrees a and b give a*b, the
+    intersection multiplicity of two plane curves with no common tangent
+    (Fulton, Algebraic Curves, 3.3). For a Jacobian ideal and the weights
+    of a semi-quasihomogeneous germ that product is Arnold's Milnor number
+    prod (1/w_j - 1) (V. I. Arnold, "Normal forms of functions in
+    neighbourhoods of degenerate critical points", Russian Math. Surveys
+    29, 1974; Kouchnirenko, "Polyedres de Newton et nombres de Milnor",
+    Invent. Math. 32, 1976, for Newton polyhedra). With k < n the monomial
+    quotient keeps a free variable, and the colength is infinite. A
+    constant generator has the lead 1, which makes the colength 0. Over
+    Z/p the initial forms are those of the residues, which may differ from
+    those over Q.
+    """
+    forms, coprime = _initial_forms(gens, nv)
+    if not coprime and nv == len(gens) == 2:
+        coprime = _transversal(forms, p)
+    orders = [e for e, _ in forms]
+    if not coprime and powers and len(gens) == nv and all(powers):
+        weights = _matched_weights(powers, nv)
+        if weights:
+            forms, coprime = _initial_forms(gens, nv, weights)
+            # the leads are then pure powers, so these are their exponents
+            orders = _degrees([min(terms)[0] for _, terms in forms], nv)
+    if not coprime:
         return None
-    orders = [e for e, _ in cones]
     return INFINITE if len(orders) < nv and all(orders) else math.prod(orders)
 
 
@@ -886,13 +977,17 @@ def colength(
       * witness: a variable x_i of which no term of any generator is a
         pure power, so J vanishes on the x_i-axis and the colength is
         infinite; it reads exponents only;
-      * initial forms: the generators' lowest parts, of degrees e_i, are
-        a regular sequence, certified by pairwise coprime leads or, for
-        two generators in two variables, by tangent cones that share no
-        line (over Q by a gcd mod 2^31 - 1); the colength is then
-        prod e_i for as many generators as variables and infinite for
-        fewer, and no row is built (the argument is at
-        _initial_colength);
+      * initial forms: the generators' lowest parts, in total degree or
+        in a weighted degree, are a regular sequence, certified by
+        pairwise coprime leads or, for two generators in two variables,
+        by tangent cones that share no line (over Q by a gcd mod
+        2^31 - 1). The weights, tried after the total degree with as many
+        generators as variables, are w_j = 1/(e_j + 1) for pure powers
+        x_j^(e_j) matched to the generators, read off the exponents. The
+        colength is then the product of the leads' degrees for as many
+        generators as variables (coprime leads are then pure powers, one
+        per variable), and infinite for fewer, and no row is built (the
+        argument is at _initial_colength);
       * seal: one degree-by-degree elimination, with no truncation
         bound, fills degree D, so m^D lies in J by Nakayama and the
         colength is d_D = dim O/(J + m^(D+1)); the elimination stops
@@ -926,9 +1021,10 @@ def colength(
         return INFINITE if nvars else 1
     if field is RATIONAL:
         gens = [_scaled(d) for d in gens]
-    if _axis_witness((e for d in gens for e in d), nvars) is not None:
+    powers = _pure_powers(gens)
+    if _axis_witness(powers, nvars) is not None:
         return INFINITE
-    value = _initial_colength(gens, nvars, field)
+    value = _initial_colength(gens, nvars, field, powers)
     return _sealed_colength(gens, nvars, field, max_steps) if value is None else value
 
 

@@ -97,8 +97,8 @@ def test_nonisolated_off_the_axes_is_never_finite(text, seed):
     # the axis witness is silent and the answer rests on the ladder's
     # Bezout stop
     g = generic_linear_change(ideal(XYZ, text), seed).gens[0]
-    jacobian_keys = [m for v in XYZ for m in g.partial(v).nums]
-    assert sb._axis_witness(jacobian_keys, len(XYZ)) is None
+    jacobian = [g.partial(v).nums for v in XYZ]
+    assert sb._axis_witness(sb._pure_powers(jacobian), len(XYZ)) is None
     with pytest.raises((NonIsolatedError, ResourceLimitError)):
         hypersurface_milnor(g, max_steps=20000)
 

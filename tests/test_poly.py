@@ -187,21 +187,28 @@ NEAR_GUARD = (0, 1, 4, 2**14, 2**15 - 2, 2**15 - 1)
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_total_degrees_read_off_keys_are_exact(n):
-    # one multiply sums a key's fields only while no prefix sum reaches
-    # 2^16: x^32767*y^32767*z^4 would read as degree 2, so such keys
-    # are unpacked, alone or beside keys that would read exactly
+    # one multiply sums a key's fields, each times its weight, only while
+    # no prefix sum times the largest weight reaches 2^16:
+    # x^32767*y^32767*z^4 would read as degree 2, so such keys are
+    # unpacked, alone or beside keys that would read exactly
     ring = ("x", "y", "z", "w")[:n]
     exps = list(product(NEAR_GUARD, repeat=n))
     assert (2**15 - 1, 2**15 - 1, 4) + (0,) * (n - 3) in exps
     keys = [_key(exp, n) for exp in exps]
-    for exp, key in zip(exps, keys):
-        assert _degrees({key: 1}, n) == [sum(exp)]
+    for w in (None, (3, 1, 4, 2)[:n]):
+
+        def degree(exp):
+            return sum(a * b for a, b in zip(exp, w or (1,) * n))
+
+        for exp, key in zip(exps, keys):
+            assert _degrees({key: 1}, n, w) == [degree(exp)]
+        assert _degrees(dict.fromkeys(keys, 1), n, w) == [degree(exp) for exp in exps]
+        if n == 3:
+            for (e1, k1), (e2, k2) in combinations(zip(exps, keys), 2):
+                assert _degrees({k1: 1, k2: 1}, n, w) == [degree(e1), degree(e2)]
+    for exp in exps:
         assert Polynomial(ring, {exp: 1}).degree() == sum(exp)
-    assert _degrees(dict.fromkeys(keys, 1), n) == [sum(exp) for exp in exps]
     assert Polynomial(ring, dict.fromkeys(exps, 1)).degree() == n * (2**15 - 1)
-    if n == 3:
-        for (e1, k1), (e2, k2) in combinations(zip(exps, keys), 2):
-            assert _degrees({k1: 1, k2: 1}, n) == [sum(e1), sum(e2)]
 
 
 def test_with_ring_shares_terms_on_extensions_and_prefixes():

@@ -286,6 +286,12 @@ def _rows(gens, ring, p=None):
     return [r for g in gens if (r := sb._residue(g, p))]
 
 
+def _initial_colength(rows, nv, p=None):
+    """What colength reads off the initial forms of the rows: an int,
+    INFINITE, or None, where the ladder decides."""
+    return sb._initial_colength(rows, nv, p, sb._pure_powers(rows))
+
+
 #: The highest degree the pivot profile tests read to, per number of
 #: variables.
 _PROFILE_BOUND = {1: 9, 2: 7, 3: 4}
@@ -639,7 +645,7 @@ def test_seal_ladder_matches_stepping_oracle(profile_runs):
             if result is None:
                 continue
             stop, value, built = result
-            early[p] += not built or sb._initial_colength(_rows(gens, ring, p), len(ring), p) is not None
+            early[p] += not built or _initial_colength(_rows(gens, ring, p), len(ring), p) is not None
             if value is None:
                 past += 1
             else:
@@ -792,9 +798,9 @@ def test_tangent_cone_closed_form_matches_truncation_oracle(p, profile_runs):
     # zero (1:0), a first cone times p (or, over Q, times 2^31 - 1, which
     # the cone test reads as zero) and germs with a common component. The
     # initial forms decide exactly where the leads are coprime or the
-    # resultant of the cones is nonzero mod p (mod 2^31 - 1 over Q), with
-    # the ladder's value; every ladder run matches the truncation oracle up
-    # to its stop.
+    # resultant of the cones is nonzero mod p (mod 2^31 - 1 over Q), or
+    # where the weighted leads decide, with the ladder's value; every
+    # ladder run matches the truncation oracle up to its stop.
     rng = random.Random(p or 0)
     q = p or sb._CONE_PRIME
     kinds = ("random", "random", "tangent", "infinity", "scaled", "component")
@@ -819,13 +825,14 @@ def test_tangent_cone_closed_form_matches_truncation_oracle(p, profile_runs):
         # a lead is the term of its cone with the lowest power of y
         (x1, y1), (x2, y2) = (min(cone, key=lambda e: e[::-1]) for cone in cones)
         coprime = not (x1 and x2 or y1 and y2)
-        decided = sb._initial_colength(rows, 2, p)
-        assert (decided is not None) == (coprime or _resultant_mod(*cones, q) != 0), where
+        decided = _initial_colength(rows, 2, p)
+        transversal = coprime or _resultant_mod(*cones, q) != 0
+        assert (decided is not None) == (transversal or _weighted_leads(rows, 2) is not None), where
         assert decided in (None, got), where
         closed += decided is not None
         ladder += decided is None
         if kind in ("tangent", "infinity") or kind == "scaled" and p is None:
-            assert decided is None, where
+            assert not transversal, where
     assert closed and ladder
 
 
@@ -986,18 +993,144 @@ def _coprime_lead_ideal(rng):
     return ring, gens
 
 
+def _weighted_leads(rows, nv):
+    """The exponents e_j of a matching of the n rows to distinct variables
+    that makes each matched pure power the lead of its row's weighted
+    initial form, under the weights w_j = 1/(e_j + 1), where x_j^(e_j) is
+    the lowest pure power of x_j in the row matched to x_j; None where no
+    matching does. A lead is the term of least weighted degree, then the
+    first with the last variable most significant. Every matching is
+    tried, in Fractions, on exponent tuples: the weighted certificate of
+    _initial_colength by brute force."""
+    if len(rows) != nv:
+        return None
+    terms = [exponent_dict(row, nv) for row in rows]
+    for match in itertools.permutations(range(nv)):
+        pure = [min((t[j] for t in terms[i] if t[j] == sum(t) > 0), default=None) for i, j in enumerate(match)]
+        if None in pure:
+            continue
+        exps = [0] * nv
+        for j, e in zip(match, pure):
+            exps[j] = e
+        w = [Fraction(1, e + 1) for e in exps]
+
+        def lead(ts):
+            return min(ts, key=lambda t: (sum(a * b for a, b in zip(t, w)), t[::-1]))
+
+        if all(lead(terms[i]) == tuple(exps[j] if k == j else 0 for k in range(nv)) for i, j in enumerate(match)):
+            return exps
+    return None
+
+
+def _expected_decision(rows, nv, p):
+    """Whether the initial forms decide: coprime leads in total degree,
+    two transversal cones in two variables, or the weighted leads of
+    _weighted_leads."""
+    leads = [_lead(row, nv) for row in rows]
+    if not any(a[j] and b[j] for a, b in itertools.combinations(leads, 2) for j in range(nv)):
+        return True
+    if nv == len(rows) == 2 and _resultant_mod(*_initial_forms(rows, 2), p or sb._CONE_PRIME):
+        return True
+    return _weighted_leads(rows, nv) is not None
+
+
+#: The largest exponent of a pure power in the semi-quasihomogeneous sweep,
+#: per number of variables, and the degree to which the truncation oracle
+#: runs on it: every colength that the sweep's initial forms decide seals
+#: by then.
+_SQH_EXPONENT = {2: 6, 3: 4, 4: 2}
+_SQH_TOP = {2: 12, 3: 10, 4: 6}
+
+
+def _semi_quasihomogeneous_ideal(rng):
+    """2 to 4 generators in as many variables: g_i = c*x_j^(e_j), for a
+    random matching of generators to variables, plus one to three terms of
+    higher weighted degree for the weights w_j = 1/(e_j + 1), other pure
+    powers among them. A third of the generators also get a term of
+    exactly the weighted degree of x_j^(e_j), before it or after it in key
+    order: a tie at the boundary, which sends the ideal to the ladder when
+    that term leads. Now and then c is 6, 10, 14 or 35, so that the pure
+    power vanishes mod 2, 3, 5 or 7."""
+    nv = rng.randint(2, 4)
+    ring = XYZW[:nv]
+    exps = [rng.randint(1, _SQH_EXPONENT[nv]) for _ in range(nv)]
+    weight = [Fraction(1, e + 1) for e in exps]
+    monos = [t for t in itertools.product(*(range(e + 2) for e in exps)) if 0 < sum(t) <= max(exps) + 2]
+    degree = {t: sum(a * w for a, w in zip(t, weight)) for t in monos}
+    gens = []
+    for j in rng.sample(range(nv), nv):
+        pure = tuple(exps[j] if k == j else 0 for k in range(nv))
+        low = Fraction(exps[j], exps[j] + 1)
+        above = [t for t in monos if degree[t] > low]
+        terms = {t: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for t in rng.sample(above, min(len(above), rng.randint(1, 3)))}
+        ties = [t for t in monos if degree[t] == low and t != pure]
+        if ties and rng.random() < 0.34:
+            terms[rng.choice(ties)] = Fraction(rng.choice((-1, 1, 2)))
+        terms[pure] = Fraction(rng.choice((6, 10, 14, 35) if rng.random() < 0.2 else (1, -1, 2, -3)))
+        gens.append(Polynomial(ring, terms))
+    return ring, gens
+
+
+@functools.cache
+def _semi_quasihomogeneous_sweep(count=60):
+    rng = random.Random(2027)
+    return tuple(_semi_quasihomogeneous_ideal(rng) for _ in range(count))
+
+
+def test_weighted_initial_forms_give_semi_quasihomogeneous_colengths():
+    # Seeded semi-quasihomogeneous ideals over Q, F_2, F_3, F_5, F_7 and
+    # F_2147483647: the initial forms decide exactly where total-degree
+    # leads are coprime, two cones are transversal, or the weighted leads
+    # are the matched pure powers, and there give prod e_j when the
+    # weights decide. Each value decided is the one where the truncation
+    # oracle's d_D stop growing by its top degree, and the ladder's. Ties
+    # at the boundary whose term leads, and pure powers whose coefficient
+    # p divides, leave the ideal to the ladder or to other weights. Some
+    # of those residues are infinite, and a ladder run to their Bezout
+    # stop takes seconds in four variables, so it is not made here.
+    seen = dict.fromkeys(["weighted", "ladder", "residue"], 0)
+    for ring, gens in _semi_quasihomogeneous_sweep():
+        nv = len(ring)
+        for p in (None, 2, 3, 5, 7, 2147483647):
+            rows = _rows(gens, ring, p)
+            where = (p, [str(g) for g in gens])
+            seen["residue"] += p is not None and any(g.nums.keys() != r.keys() for g, r in zip(gens, rows))
+            if len(rows) < nv:
+                continue
+            decided = _initial_colength(rows, nv, p)
+            assert (decided is not None) == _expected_decision(rows, nv, p), where
+            if decided is None:
+                seen["ladder"] += 1
+                continue
+            dims = truncated_quotient_dims(gens, ring, _SQH_TOP[nv], p)
+            assert dims[-1] == dims[-2] == decided == sb._sealed_colength(rows, nv, p), where
+            exps = _weighted_leads(rows, nv)
+            if exps is not None:
+                assert decided == math.prod(exps), where
+                seen["weighted"] += not sb._initial_forms(rows, nv)[1]
+    assert all(seen.values()), seen
+    # Ties at the boundary, weights (1/3, 1/6): x*y^2 ties with x^2 after
+    # it in key order, and x^2, y^5 lead, where the total-degree leads x^2
+    # and x^3 meet; x*y^3 ties with y^5 before it, leads, and meets x^2.
+    for gens, value in ((("x^2 + x*y^2", "y^5 + x^3"), 10), (("x^2 + y^7", "y^5 + x*y^3"), None)):
+        rows = _rows(ideal(XY, *gens).gens, XY)
+        assert _initial_colength(rows, 2) == value, gens
+        assert sb._sealed_colength(rows, 2) == 10, gens
+
+
 def test_coprime_leads_give_every_count_without_a_row():
     # Seeded random ideals whose leads over the field are pairwise coprime:
-    # the initial forms decide exactly these, and two-variable pairs with
-    # transversal cones, and no others. Their colength is the product of
-    # the leads' degrees where every variable has a pure power among the
-    # leads, a lead 1 giving 0, and infinite otherwise. The ladder's counts
-    # are those of one truncated elimination to degree 10, 9 or 8 (up to 2,
-    # 3 or 4 variables); it seals at the same finite colength, and on an
-    # infinite one it has not sealed by then (its Bezout stop takes more
-    # than 3 s on some four-variable ideals here, which have an axis
-    # witness). Where a lead coefficient vanishes mod p, the leads over F_p
-    # are the residues', coprime or not.
+    # the initial forms decide exactly these, two-variable pairs with
+    # transversal cones and ideals whose weighted leads decide, and no
+    # others. Their colength is the product of the leads' degrees where
+    # every variable has a pure power among the leads, a lead 1 giving 0,
+    # and infinite otherwise. The ladder's counts are those of one
+    # truncated elimination to degree 10, 9 or 8 (up to 2, 3 or 4
+    # variables); it seals at the same finite colength, and on an infinite
+    # one it has not sealed by then (its Bezout stop takes more than 3 s on
+    # some four-variable ideals here, which have an axis witness). Where a
+    # lead coefficient vanishes mod p, the leads over F_p are the
+    # residues', coprime or not.
     rng = random.Random(2022)
     fields = (None, 2, 3, 5, 7, 2147483647)
     seen = dict.fromkeys(["coprime", "ladder", "finite", "infinite", "moved", "mixed", "constant"], 0)
@@ -1009,12 +1142,12 @@ def test_coprime_leads_give_every_count_without_a_row():
             if not rows:
                 continue
             leads = [_lead(row, nv) for row in rows]
-            decided = sb._initial_colength(rows, nv, p)
+            decided = _initial_colength(rows, nv, p)
             where = (p, [str(g) for g in gens])
             if any(a[j] and b[j] for a, b in itertools.combinations(leads, 2) for j in range(nv)):
                 cones = nv == len(rows) == 2 and _resultant_mod(*_initial_forms(rows, 2), p or sb._CONE_PRIME)
-                assert (decided is not None) == bool(cones), where
-                assert not cones or decided == sb._sealed_colength(rows, nv, p), where
+                assert (decided is not None) == (bool(cones) or _weighted_leads(rows, nv) is not None), where
+                assert decided is None or decided == sb._sealed_colength(rows, nv, p), where
                 seen["ladder"] += 1
                 continue
             seen["coprime"] += 1
@@ -1038,9 +1171,9 @@ def test_initial_forms_decide_as_the_ladder_does():
     # Wherever the initial forms decide an ideal that colength hands them,
     # one with no axis witness, the ladder run to its stop gives the same
     # colength: on the profile, witness, redundant and catalog corpora and
-    # on the coprime and cone sweeps, over Q, F_5 and F_2147483647. Finite
-    # and infinite answers both occur, and some ideals are left to the
-    # ladder.
+    # on the coprime, cone and semi-quasihomogeneous sweeps, over Q, F_5
+    # and F_2147483647. Finite and infinite answers both occur, and some
+    # ideals are left to the ladder.
     cases = [(I.gens, I.ring) for I in [*_profile_corpus(), *_witness_corpus(), *_catalog_colength_ideals()]]
     cases += [(gens, I.ring) for I in _profile_corpus() for gens in _redundant_presentations(I)]
     rng = random.Random(2022)
@@ -1048,14 +1181,15 @@ def test_initial_forms_decide_as_the_ladder_does():
     rng = random.Random(0)
     kinds = ("random", "random", "tangent", "infinity", "scaled", "component")
     cases += [(_cone_pair(rng, kinds[n % len(kinds)], sb._CONE_PRIME), XY) for n in range(60)]
+    cases += [(gens, ring) for ring, gens in _semi_quasihomogeneous_sweep()]
     seen = dict.fromkeys(["finite", "infinite", "ladder"], 0)
     for gens, ring in cases:
         nv = len(ring)
         for p in (None, 5, 2147483647):
             rows = _rows(gens, ring, p)
-            if not rows or sb._axis_witness((e for row in rows for e in row), nv) is not None:
+            if not rows or sb._axis_witness(sb._pure_powers(rows), nv) is not None:
                 continue
-            value = sb._initial_colength(rows, nv, p)
+            value = _initial_colength(rows, nv, p)
             if value is not None:
                 assert value == sb._sealed_colength(rows, nv, p), (p, [str(g) for g in gens])
             seen["ladder" if value is None else "infinite" if value is INFINITE else "finite"] += 1
@@ -1085,6 +1219,42 @@ def test_milnor_number_read_off_coprime_leads(field, profile_runs):
     assert profile_runs == []
 
 
+#: Isolated germs x^a + y^b + z^c plus two terms of weighted degree above
+#: 1, with (a, b, c): their Jacobian ideals have no coprime leads in total
+#: degree, so the ladder used to build rows for them. The first three have
+#: coprime leads under another order of the variables.
+_WEIGHTED_GERMS = (
+    ("-2*x^2 + 3*y^4 - 3*z^5 - 2*y^4*z^4 + x^2*y*z^2", (2, 4, 5)),
+    ("3*x^4 + y^3 - 3*z^4 + y^3*z^4 - 2*x^2*y*z", (4, 3, 4)),
+    ("2*x^6 - 3*y^3 + 2*z^6 + 2*x^4*y*z + x^6*y^3*z", (6, 3, 6)),
+    ("x^4 - y^5 - 3*z^6 - x*y^5*z + 3*x^2*y*z^2", (4, 5, 6)),
+    ("-x^5 + y^5 - z^2 - 2*y*z^2 - x^5*y^4*z^2", (5, 5, 2)),
+    ("x^2 + 3*y^2 - 2*z^6 + 3*y^2*z^4 - x^2*y^2*z", (2, 2, 6)),
+    ("-2*x^3 + 2*y^6 - z^2 - 2*x*y^5*z^2 + 2*x^2*y*z", (3, 6, 2)),
+    ("x^3 + 3*y^6 - z^5 + y^6*z^2 - 2*x*y*z^3", (3, 6, 5)),
+    ("3*x^4 - 2*y^2 - 3*z^6 + x*y^2*z^2 + 3*x^2*y^2", (4, 2, 6)),
+    ("2*x^3 - 2*y^4 - 2*z^6 - 2*x*y^3*z^5 + x^3*z", (3, 4, 6)),
+    ("2*x^5 + 3*y^2 - 3*z^3 + 2*x*y*z - 2*x^5*y^2", (5, 2, 3)),
+    ("-3*x^2 - 3*y^5 + z^3 + 2*y*z^3 - 3*x*y^2*z^3", (2, 5, 3)),
+    ("-2*x^2 + 2*y^4 - 3*z^2 - 2*y*z^2 + 3*x*y*z^2", (2, 4, 2)),
+    ("3*x^5 - 3*y^5 - z^2 + x*z^2 + 3*x^5*y*z^2", (5, 5, 2)),
+)
+
+
+@pytest.mark.parametrize("field", [sb.RATIONAL, prime_field(2147483647)])
+def test_milnor_number_read_off_weighted_initial_forms(field, profile_runs):
+    # Arnold's theorem: a semi-quasihomogeneous germ of weights 1/a, 1/b,
+    # 1/c has mu = (a-1)(b-1)(c-1). Its Jacobian ideal's weighted initial
+    # forms are the pure powers x^(a-1), y^(b-1), z^(c-1), and colength
+    # reads mu off them with no ladder run.
+    for text, (a, b, c) in _WEIGHTED_GERMS:
+        g = parse_poly(text, XYZ)
+        rows = _rows([g.partial(v) for v in XYZ], XYZ, field)
+        assert not sb._initial_forms(rows, 3)[1], text
+        assert milnor.hypersurface_milnor(g, field=field) == (a - 1) * (b - 1) * (c - 1), text
+    assert profile_runs == []
+
+
 def test_colength_leaves_no_reference_cycle():
     # an elimination is freed by reference counting alone: its nested
     # functions hold no cycle that would keep it alive until a collection
@@ -1104,8 +1274,8 @@ def _assert_witness_sound(I):
     """When the axis witness names x_i, every generator vanishes on the
     x_i-axis and rational Mora agrees that the colength is infinite.
     Returns whether a witness was found."""
-    keys = [m for g in I.gens for m in g.with_ring(I.ring).nums]
-    i = sb._axis_witness(keys, len(I.ring))
+    keys = [g.with_ring(I.ring).nums for g in I.gens]
+    i = sb._axis_witness(sb._pure_powers(keys), len(I.ring))
     if i is None:
         return False
     off_axis = {v: Polynomial.zero(I.ring) for j, v in enumerate(I.ring) if j != i}
@@ -1250,8 +1420,8 @@ def test_bezout_infinite_agrees_with_mora():
     finished = 0
     for I in _nonisolated_jacobians():
         J = eliminate_linear_generators(I)[0]
-        keys = [m for g in J.gens for m in g.nums]
-        assert sb._axis_witness(keys, len(J.ring)) is None, str(I.gens)
+        keys = [g.nums for g in J.gens]
+        assert sb._axis_witness(sb._pure_powers(keys), len(J.ring)) is None, str(I.gens)
         assert colength(I) is INFINITE, str(I.gens)
         assert colength(I, field=prime_field(32003)) is INFINITE, str(I.gens)
         try:
