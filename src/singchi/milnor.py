@@ -21,6 +21,9 @@ intersection takes one of five routes, named in its MilnorResult:
     J(f, x_j) is the one k x k minor M of Jac(f) in the other variables.
     The coordinates are tried last first, and the first with a finite
     section colength c_s = dim O/(f, x_j) is taken; c_p = dim O/(f, M).
+    c_s is read off f restricted to x_j = 0, the terms that contain x_j
+    dropped, over the other variables: what splitting the generator x_j
+    off would leave.
     A finite c_s makes X a complete intersection of dimension 1 and X_j
     a point, an ICIS with mu = c_s - 1 (points route); a finite c_p
     puts Sing(X) inside V(f, M) = {0}, so X is an ICIS. Then
@@ -55,12 +58,13 @@ from .errors import (
     NotICISError,
     NotZeroDimensionalError,
 )
-from .poly import Polynomial, determinant, jacobian
+from .poly import _BITS, _MASK, Polynomial, _reduced, determinant, jacobian
 from .standard_basis import (
     DEFAULT_MAX_STEPS,
     INFINITE,
     IdealPresentation,
     RATIONAL,
+    _split_colength,
     colength,
     eliminate_linear_generators,
     is_unit_ideal,
@@ -161,13 +165,24 @@ def _polar_mu(gens, ring, seed, field, max_steps):
     return mu, stages
 
 
+def _restricted(gens, ring, j):
+    """The curve's section by {x_j = 0}, over the ring without x_j: each
+    generator with the terms that contain x_j dropped. This is the
+    presentation that splitting the generator x_j off leaves, as x_j = 0
+    is then substituted."""
+    at = _BITS * j
+    out = ring[:j] + ring[j + 1:]
+    section = (_reduced(ring, {m: a for m, a in g.nums.items() if not m >> at & _MASK}, g.den)
+               for g in gens)
+    return IdealPresentation(out, tuple(g.with_ring(out) for g in section))
+
+
 def _section(gens, ring, field, max_steps):
     """(c_s, c_p) of a curve's first coordinate section of finite colength,
     last coordinate first (module docstring), or None where there is none
     or c_p is infinite."""
     for j in reversed(range(len(ring))):
-        x = Polynomial.variable(ring[j], ring)
-        c_s = colength(IdealPresentation(ring, gens + (x,)), field=field, max_steps=max_steps)
+        c_s = colength(_restricted(gens, ring, j), field=field, max_steps=max_steps)
         if c_s is INFINITE:
             continue
         M = determinant(jacobian(gens, ring[:j] + ring[j + 1:]))
@@ -176,10 +191,10 @@ def _section(gens, ring, field, max_steps):
     return None
 
 
-def _simplified(I: IdealPresentation, field):
-    """(ring, gens) of I over field once transversal linear generators are
-    split off and zero ones dropped. More generators than variables raise."""
-    J, _ = eliminate_linear_generators(I, field)
+def _generators(J: IdealPresentation):
+    """(ring, gens) of J, a presentation with its transversal linear
+    generators split off, once zero generators are dropped. More
+    generators than variables raise."""
     gens = tuple(g for g in J.gens if not g.is_zero)
     if len(gens) > len(J.ring):
         raise NotICISError(
@@ -207,11 +222,18 @@ def icis_milnor(
     """
     if is_unit_ideal(I, field):
         return MilnorResult(0, "empty", (), seed)
-    ring, gens = _simplified(I, field)
+    return _split_milnor(eliminate_linear_generators(I, field)[0], seed, field, max_steps)
+
+
+def _split_milnor(J: IdealPresentation, seed, field, max_steps) -> MilnorResult:
+    """icis_milnor of J, a presentation as eliminate_linear_generators
+    returns it over field, not the unit ideal: the routes after the
+    simplification, with no generator scanned again."""
+    ring, gens = _generators(J)
     if not gens:
         return MilnorResult(0, "smooth", (), seed)
     if len(gens) == len(ring):
-        c = colength(IdealPresentation(ring, gens), field=field, max_steps=max_steps)
+        c = _split_colength(IdealPresentation(ring, gens), field, max_steps)
         if c is INFINITE:
             raise NotICISError(
                 f"{len(gens)} generators in {len(ring)} variables with infinite "

@@ -25,6 +25,7 @@ slices, emptiness indicators, and the quadruple point count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -33,13 +34,15 @@ from .errors import (
     NotNormalFormError,
     QuadrupleOrbitError,
     SingchiError,
+    UnknownVariableError,
 )
-from .milnor import MilnorResult, icis_milnor, point_count
-from .poly import Polynomial, divided_difference, parse_poly
+from .milnor import MilnorResult, _split_milnor, icis_milnor, point_count
+from .poly import _BITS, Polynomial, _check_ring, divided_difference, parse_poly
 from .standard_basis import (
     DEFAULT_MAX_STEPS,
     IdealPresentation,
     RATIONAL,
+    _Elimination,
 )
 
 
@@ -85,19 +88,20 @@ def validate_corank1(f: MapGerm) -> None:
         raise NotNormalFormError(
             f"expected {n + 1} components for a map from {n}-space, got {len(f.components)}"
         )
+    _check_ring(f.source_vars)
     for i, v in enumerate(f.source_vars[:-1]):
-        expected = Polynomial.variable(v, f.source_vars)
-        if f.components[i] != expected:
-            raise NotNormalFormError(
-                f"component {i} must be the coordinate {v!r}, got {f.components[i]}"
-            )
+        c = f.components[i]
+        # the coordinate v is the one term v, over whatever ring c has
+        if not (c.den == 1 and v in c.ring and c.nums == {1 << _BITS * c.ring.index(v): 1}):
+            raise NotNormalFormError(f"component {i} must be the coordinate {v!r}, got {c}")
     z = f.source_vars[-1]
     for g in (f.hyperplane_part, f.deep_part):
-        if g.constant_term():
+        if 0 in g.nums:
             raise NotNormalFormError(f"component {g} does not vanish at the origin")
     for g in (f.hyperplane_part, f.deep_part):
-        lin = g.partial(z).constant_term()
-        if lin:
+        if z not in g.ring:
+            raise UnknownVariableError(f"variable {z!r} not in ring {g.ring}")
+        if 1 << _BITS * g.ring.index(z) in g.nums:
             raise NotCorankOneError(
                 f"component {g} is regular in {z!r} at the origin; the germ has corank 0"
             )
@@ -122,14 +126,6 @@ def _ideal(f: MapGerm, nodes, ring, below=()) -> IdealPresentation:
         for g in (f.hyperplane_part, f.deep_part):
             gens.append(divided_difference(g, z, nodes[:j]).with_ring(ring))
     return IdealPresentation(ring, tuple(gens))
-
-
-def _prefix_ideal(I: IdealPresentation, k: int) -> IdealPresentation:
-    """D^k from a deeper D^K: the generators over the prefixes up to k
-    involve only z_1..z_k, so they are the first 2(k-1) of D^K's."""
-    deeper = len(I.gens) // 2 + 1
-    ring = I.ring[: len(I.ring) - (deeper - k)]
-    return IdealPresentation(ring, tuple(g.with_ring(ring) for g in I.gens[: 2 * (k - 1)]))
 
 
 def multiple_point_ideal(f: MapGerm, k: int) -> IdealPresentation:
@@ -223,8 +219,8 @@ def _first_empty(f: MapGerm, field) -> int:
     z = f.source_vars[-1]
     for k in (3, 4):
         for g in (f.hyperplane_part, f.deep_part):
-            c = g.coefficient(tuple(k - 1 if v == z else 0 for v in g.ring))
-            if c and (field is RATIONAL or c.numerator % field):
+            num = g.nums.get((k - 1) << _BITS * g.ring.index(z))
+            if num and (field is RATIONAL or num // math.gcd(num, g.den) % field):
                 return k
     return 5
 
@@ -242,7 +238,11 @@ def invariant_tuple(
     gets, the route "empty", mu 0, and no quadruple point. The deepest
     nonempty space among D^2, D^3, D^4 is built once, and the lower ones are
     its generator prefixes; d3h1, empty exactly when D^3 is, as it has the
-    same constant terms, is D^2's generators and two more.
+    same constant terms, is D^2's generators and two more. So one
+    elimination of linear generators serves them all, extended by each
+    space's further generators in turn (eliminate_linear_generators says
+    why each space gets what eliminating it alone gives). Each space's
+    error keeps its class and is prefixed with the space's name.
     """
     validate_corank1(f)
     nodes = _node_names(f, 4)
@@ -251,29 +251,39 @@ def invariant_tuple(
     empty = _first_empty(f, field)
     deepest = min(empty - 1, 4)
     top = _ideal(f, nodes[:deepest], f.source_vars[:-1] + nodes[:deepest])
+    # D^k has the first 2(k - 1) generators of top and the first 2 + k
+    # variables of its ring. One elimination of linear generators runs in
+    # top's ring and is extended space by space: D^2's, then a copy by
+    # d3h1's two more generators, and the original by D^3's and D^4's;
+    # d2h, no prefix of top, is eliminated on its own
+    state = _Elimination(top.ring, field)
 
-    def mu(space: str, I: IdealPresentation) -> MilnorResult:
+    def within(space: str, run, *args):
         try:
-            return icis_milnor(I, seed=seed, field=field, max_steps=max_steps)
+            return run(*args)
         except SingchiError as exc:
             raise type(exc)(f"{space}: {exc}") from exc
 
-    d2 = _prefix_ideal(top, 2)
-    d2h = _restricted_ideal(f, 2, (2,))
+    def mu(elimination: _Elimination, gens, nvars: int) -> MilnorResult:
+        elimination.extend(gens)
+        return _split_milnor(elimination.presentation(nvars), seed, field, max_steps)
 
-    r_d2 = mu("double points", d2)
-    r_d2h = mu("diagonal double points", d2h)
+    def count(gens) -> int:
+        state.extend(gens)
+        return point_count(state.presentation(), field=field, max_steps=max_steps)
+
+    r_d2 = within("double points", mu, state, top.gens[:2], 4)
+    d2h = _restricted_ideal(f, 2, (2,))
+    r_d2h = within("diagonal double points", icis_milnor, d2h, seed, field, max_steps)
     r_d3 = r_d3h1 = MilnorResult(0, "empty", (), seed)
     if empty > 3:
-        r_d3 = mu("triple points", _prefix_ideal(top, 3))
-        d3h1 = _ideal(f, (nodes[0], nodes[1], nodes[1]), d2.ring, d2.gens)
-        r_d3h1 = mu("triple points with two nodes identified", d3h1)
+        below = state.copy()
+        r_d3 = within("triple points", mu, state, top.gens[2:4], 5)
+        d3h1 = _ideal(f, (nodes[0], nodes[1], nodes[1]), top.ring[:4], top.gens[:2])
+        r_d3h1 = within("triple points with two nodes identified", mu, below, d3h1.gens[2:], 4)
     ordered_quads = 0
     if empty > 4:
-        try:
-            ordered_quads = point_count(top, field=field, max_steps=max_steps)
-        except SingchiError as exc:
-            raise type(exc)(f"quadruple points: {exc}") from exc
+        ordered_quads = within("quadruple points", count, top.gens[4:])
     # The quadruple point scheme carries a free action permuting the four
     # node coordinates, so the ordered count is 24 per actual point.
     if ordered_quads % 24 != 0:

@@ -55,6 +55,8 @@ class IdealPresentation:
 
     def __post_init__(self):
         for g in self.gens:
+            if g.ring == self.ring:
+                continue
             for v in g.ring:
                 if v not in self.ring and g.degree_in(v) > 0:
                     raise ValueError(f"generator uses {v!r} outside ring {self.ring}")
@@ -970,7 +972,9 @@ def colength(
 
     Unit ideals over field (is_unit_ideal) have colength 0. Variables a
     generator cuts transversally are split off first, which leaves the
-    quotient unchanged.
+    quotient unchanged (eliminate_linear_generators); everything below
+    runs on the presentation that leaves (_split_colength), which a
+    caller already holding one eliminated takes directly.
 
     Everything returned is exact for the requested field, and every
     answer carries one of four certificates, tried in this order:
@@ -1014,7 +1018,15 @@ def colength(
     """
     if is_unit_ideal(I, field):
         return 0
-    J, _ = eliminate_linear_generators(I, field)
+    return _split_colength(eliminate_linear_generators(I, field)[0], field, max_steps)
+
+
+def _split_colength(J: IdealPresentation, field, max_steps):
+    """colength of J, a presentation as eliminate_linear_generators returns
+    it over field: not the unit ideal, no transversal linear generator
+    left, and over prime_field(p) residues mod p. colength runs this on
+    the elimination it makes; a caller that holds an eliminated
+    presentation already runs it directly, and scans no generator again."""
     nvars = len(J.ring)
     gens = [g.nums for g in J.gens if g.nums]
     if not gens:
@@ -1062,54 +1074,118 @@ def eliminate_linear_generators(I: IdealPresentation, field=RATIONAL):
     too. The generators returned are then residues, with coefficients in
     [0, p).
 
+    This is one extension of a fresh _Elimination, whose loop always takes
+    the lowest-index generator that cuts a variable transversally, and of
+    its variables the first. So a presentation whose generators begin with
+    those of another, over a ring that begins with the other's, is
+    eliminated by extending the other's state with its remaining
+    generators, with the same choices in the same order.
+    """
+    state = _Elimination(tuple(I.ring), field)
+    state.extend(I.gens)
+    return state.presentation(), [state.ring[i] for i, _, _ in state.subs]
+
+
+def _substituted(h, at, c, value, p):
+    """h with the variable of key field `at` replaced by value/c.
+
     The elimination runs on the generators' numerators. With value = -r,
     Horner on the parts h_j of h by the power of v (acc = h_k, then
     acc*value + c^(k-j)*h_j for j = k-1 down to 0) gives c^k*h(v =
     value/c); over h's denominator times c^k that is exactly h(v = -r/c).
-    Mod p, value is -r/c itself, and c^(k-j) is 1.
+    Mod p, value is -r/c itself, and c^(k-j) is 1. A generator free of v
+    is returned as it is, unsplit.
     """
-    ring = tuple(I.ring)
-    p = field
-    gens = [g.with_ring(ring) for g in I.gens]
-    if p is not RATIONAL:
-        gens = [_poly(ring, _residue(g, p)) for g in gens]
-    live = list(range(len(ring)))
-    audit = []
-    while True:
-        # x_i is transversal in a generator whose one term involving x_i is x_i
-        hits = ((gi, g, i) for gi, g in enumerate(gens) for i in live if 1 << _BITS * i in g.nums)
-        found = next(((gi, i) for gi, g, i in hits
-                      if sum(1 for m in g.nums if m & _MASK << _BITS * i) == 1), None)
-        if found is None:
-            break
-        gi, i = found
-        at = _BITS * i
-        num = gens.pop(gi).nums
-        c = num[1 << at]
-        value = {m: -a for m, a in num.items() if m != 1 << at}
+    if not _support(h.nums) >> at & _MASK:
+        return h
+    parts = {}
+    for m, a in h.nums.items():
+        parts.setdefault(m >> at & _MASK, {})[m & ~(_MASK << at)] = a
+    k = max(parts)
+    acc, s = parts[k], 1
+    for j in range(k - 1, -1, -1):
+        s *= c
+        step = {m: s * a for m, a in parts.get(j, {}).items()}
+        _mul_into(step, acc, value)
+        if p is RATIONAL:
+            acc = {m: a for m, a in step.items() if a}
+        else:
+            acc = {m: r for m, a in step.items() if (r := a % p)}
+    return _reduced(h.ring, acc, h.den * s)
+
+
+class _Elimination:
+    """The greedy loop of eliminate_linear_generators, kept so that it can
+    be resumed: the generators so far, over one ring, the indices of its
+    live variables, and the substitutions made, in order, as (index of
+    the variable, c, value).
+
+    extend appends generators: each first gets the recorded substitutions,
+    in order, as if it had been there from the start, and then the loop
+    resumes on all of them. Each generator is substituted on its own, so
+    the state after extending with A and then B is the one after
+    extending a fresh state with A + B whenever the loop on A + B makes
+    A's choices first, as it does when A is a prefix (see
+    eliminate_linear_generators).
+    """
+
+    __slots__ = ("ring", "field", "gens", "live", "subs")
+
+    def __init__(self, ring, field):
+        self.ring, self.field = ring, field
+        self.gens, self.live, self.subs = [], list(range(len(ring))), []
+
+    def copy(self) -> "_Elimination":
+        other = _Elimination(self.ring, self.field)
+        other.gens, other.live, other.subs = list(self.gens), list(self.live), list(self.subs)
+        return other
+
+    def extend(self, new) -> None:
+        ring, p, gens, live = self.ring, self.field, self.gens, self.live
+        new = [g.with_ring(ring) for g in new]
         if p is not RATIONAL:
-            inv = pow(c, -1, p)
-            value = {m: a * inv % p for m, a in value.items()}
-            c = 1
-        for hi, h in enumerate(gens):
-            # a generator free of x_i is left as it is, unsplit
-            if not _support(h.nums) >> at & _MASK:
-                continue
-            parts = {}
-            for m, a in h.nums.items():
-                parts.setdefault(m >> at & _MASK, {})[m & ~(_MASK << at)] = a
-            k = max(parts)
-            acc, s = parts[k], 1
-            for j in range(k - 1, -1, -1):
-                s *= c
-                step = {m: s * a for m, a in parts.get(j, {}).items()}
-                _mul_into(step, acc, value)
-                if p is RATIONAL:
-                    acc = {m: a for m, a in step.items() if a}
-                else:
-                    acc = {m: r for m, a in step.items() if (r := a % p)}
-            gens[hi] = _reduced(ring, acc, h.den * s)
-        live.remove(i)
-        audit.append(ring[i])
-    out = tuple(ring[i] for i in live)
-    return IdealPresentation(out, tuple(g.with_ring(out) for g in gens)), audit
+            new = [_poly(ring, _residue(g, p)) for g in new]
+        for i, c, value in self.subs:
+            new = [_substituted(h, _BITS * i, c, value, p) for h in new]
+        gens += new
+        while True:
+            found = _linear_pivot(gens, live)
+            if found is None:
+                return
+            gi, i = found
+            at = _BITS * i
+            num = gens.pop(gi).nums
+            c = num[1 << at]
+            value = {m: -a for m, a in num.items() if m != 1 << at}
+            if p is not RATIONAL:
+                inv = pow(c, -1, p)
+                value = {m: a * inv % p for m, a in value.items()}
+                c = 1
+            gens[:] = [_substituted(h, at, c, value, p) for h in gens]
+            live.remove(i)
+            self.subs.append((i, c, value))
+
+    def presentation(self, n=None) -> IdealPresentation:
+        """The generators so far over the live variables among the ring's
+        first n (all of them by default), which must hold every variable
+        the generators use."""
+        ring, live = self.ring, self.live
+        if n is not None and n < len(ring):
+            live = [i for i in live if i < n]
+        if len(live) == len(ring):
+            return IdealPresentation(ring, tuple(self.gens))
+        out = tuple(map(ring.__getitem__, live))
+        return IdealPresentation(out, tuple(g.with_ring(out) for g in self.gens))
+
+
+def _linear_pivot(gens, live):
+    """(gi, i) of the first generator, and its first live variable x_i, such
+    that the one term of gens[gi] involving x_i is x_i; None if none is."""
+    for gi, g in enumerate(gens):
+        nums = g.nums
+        for i in live:
+            if 1 << _BITS * i in nums:
+                mask = _MASK << _BITS * i
+                if sum(1 for m in nums if m & mask) == 1:
+                    return gi, i
+    return None

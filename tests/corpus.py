@@ -11,13 +11,17 @@ from fractions import Fraction
 
 from singchi import milnor
 from singchi.multiple_points import (
-    _prefix_ideal,
     _restricted_ideal,
     invariant_tuple,
     multiple_point_ideal,
 )
 from singchi.poly import Polynomial, _exponents, determinant, substitute
-from singchi.standard_basis import DEFAULT_MAX_STEPS, RATIONAL, IdealPresentation
+from singchi.standard_basis import (
+    DEFAULT_MAX_STEPS,
+    RATIONAL,
+    IdealPresentation,
+    eliminate_linear_generators,
+)
 
 
 def exponent_dict(nums, n):
@@ -33,8 +37,24 @@ def polar_chain(I, seed=1, field=RATIONAL, max_steps=DEFAULT_MAX_STEPS):
     zero-dimensional I down the points route, and a curve down the
     section route, instead; this runs the chain on it too, so the two can
     be compared."""
-    ring, gens = milnor._simplified(I, field)
+    ring, gens = simplified(I, field)
     return milnor._polar_mu(gens, ring, seed, field, max_steps)
+
+
+def simplified(I, field=RATIONAL):
+    """(ring, gens) of I as icis_milnor routes it: its transversal linear
+    generators split off and zero ones dropped (NotICISError for more
+    generators than variables)."""
+    return milnor._generators(eliminate_linear_generators(I, field)[0])
+
+
+def prefix_ideal(I, k):
+    """D^k from a deeper D^K: the generators over the prefixes up to k
+    involve only z_1..z_k, so they are the first 2(k-1) of D^K's, over
+    the first variables of its ring."""
+    deeper = len(I.gens) // 2 + 1
+    ring = I.ring[: len(I.ring) - (deeper - k)]
+    return IdealPresentation(ring, tuple(g.with_ring(ring) for g in I.gens[: 2 * (k - 1)]))
 
 
 def invariant_spaces(germ):
@@ -42,9 +62,9 @@ def invariant_spaces(germ):
     of InvariantTuple.routes."""
     d4 = multiple_point_ideal(germ, 4)
     return {
-        "d2": _prefix_ideal(d4, 2),
+        "d2": prefix_ideal(d4, 2),
         "d2h": _restricted_ideal(germ, 2, (2,)),
-        "d3": _prefix_ideal(d4, 3),
+        "d3": prefix_ideal(d4, 3),
         "d3h1": _restricted_ideal(germ, 3, (1, 2)),
     }
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from singchi.errors import (
+    BadPrimeError,
     NonIsolatedError,
     NotAtOriginError,
     NotICISError,
@@ -34,6 +35,7 @@ from corpus import (
     polar_chain,
     random_curve,
     random_poly,
+    simplified,
     unchained_spaces,
 )
 from test_catalog import FAST_ROWS, QUAD_ROWS
@@ -186,23 +188,28 @@ def test_chain_stages_stable_across_seeds():
 
 
 def test_zero_dimensional_space_takes_one_colength(monkeypatch):
-    # as many generators as variables: mu = colength - 1, with no chain
+    # as many generators as variables: mu = colength - 1, with no chain;
+    # the one colength is taken of the presentation already eliminated,
+    # which no second elimination scans
     calls = []
     monkeypatch.setattr(milnor, "_chain", lambda *args: calls.append(args))
-    counted = milnor.colength
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return counted(*args, **kwargs)
-
-    monkeypatch.setattr(milnor, "colength", counting)
+    for name in ("colength", "eliminate_linear_generators", "_split_colength"):
+        monkeypatch.setattr(milnor, name, _counting(getattr(milnor, name), name, calls))
     I = ideal(("x", "y", "z"), "x^3", "y^2", "z - x*y")
     assert icis_milnor(I, seed=7) == MilnorResult(5, "points", (6,), 7)
-    assert len(calls) == 1
+    assert calls == ["eliminate_linear_generators", "_split_colength"]
     calls.clear()
     with pytest.raises(NotICISError, match="infinite colength"):
         icis_milnor(ideal(XY, "x*y", "x^2"))
-    assert len(calls) == 1
+    assert calls == ["eliminate_linear_generators", "_split_colength"]
+
+
+def _counting(fn, name, calls):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 def _mixed_chain(mixed, ring, field, max_steps):
@@ -340,7 +347,7 @@ def _curve(I):
     two or more generators, the section route's input; None otherwise."""
     if sb.is_unit_ideal(I):
         return None
-    ring, gens = milnor._simplified(I, RATIONAL)
+    ring, gens = simplified(I, RATIONAL)
     return (ring, gens) if len(gens) >= 2 and len(gens) + 1 == len(ring) else None
 
 
@@ -406,21 +413,74 @@ def test_every_finite_section_of_a_random_curve_gives_the_chains_mu(seed, nvars)
         assert _assert_sections_match_the_chain(*curve, field) >= 1
 
 
+def _section_curves(field):
+    """(ring, gens) of every curve the section route sees, over field, in
+    the catalog at both moduli and in random_curve at a few seeds, and two
+    more: one whose section by z = 0 leaves the linear generator y + x^3,
+    and four lines, whose every coordinate section is infinite."""
+    spaces = [
+        I
+        for moduli in (DEFAULT_MODULI, ALTERNATE_MODULI)
+        for text in ACCEPTANCE_ROWS + FAST_ROWS + QUAD_ROWS + SCALED_ROWS
+        for I in invariant_spaces(resolve_row(text, moduli=moduli).germ).values()
+    ]
+    spaces += [random_curve(random.Random(seed), nvars) for seed in range(4) for nvars in (3, 4)]
+    spaces += [ideal(XYZ, "y + y*z + x^3", "x^2 - z^2"), ideal(XYZ, "x*y", "z*(x + y + z)")]
+    for I in spaces:
+        try:
+            if sb.is_unit_ideal(I, field):
+                continue
+            ring, gens = simplified(I, field)
+        except (BadPrimeError, NotICISError):
+            continue
+        if len(gens) >= 2 and len(gens) + 1 == len(ring):
+            yield ring, gens
+
+
+def _colength_or_error(I, field):
+    try:
+        return colength(I, field, max_steps=20000)
+    except ResourceLimitError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, prime_field(5), prime_field(2147483647)],
+                         ids=["rational", "fp:5", "fp:2147483647"])
+def test_a_section_by_restriction_is_the_section_by_elimination(field):
+    # _section drops the terms in x_j, where colength once split the
+    # generator x_j off: the same presentation once the linear generators
+    # it leaves are split off too, and the same c_s
+    sections = 0
+    for ring, gens in _section_curves(field):
+        for j, v in enumerate(ring):
+            restricted = milnor._restricted(gens, ring, j)
+            cut = IdealPresentation(ring, gens + (Polynomial.variable(v, ring),))
+            J, audit = sb.eliminate_linear_generators(restricted, field)
+            K, want = sb.eliminate_linear_generators(cut, field)
+            assert (J.ring, [v] + audit) == (K.ring, want)
+            assert [(g.nums, g.den) for g in J.gens] == [(g.nums, g.den) for g in K.gens]
+            assert _colength_or_error(restricted, field) == _colength_or_error(cut, field)
+            sections += 1
+    assert sections == 2 * 3 * 9 + 4 * (3 + 4) + 2 * 3
+
+
 @pytest.mark.parametrize("text", QUAD_ROWS)
 def test_triple_points_of_the_quadruple_rows_do_not_depend_on_the_seed(text, monkeypatch):
-    # invariant_tuple takes Milnor numbers of d2, d2h, d3 and d3h1, in that
-    # order; the curve d3 reads the same result at every seed
+    # invariant_tuple takes Milnor numbers of d2, d3 and d3h1, in that
+    # order, off one elimination of linear generators, and of d2h through
+    # icis_milnor; the curve d3 reads the same result at every seed
     results = []
+    split_milnor = milnor._split_milnor
 
-    def spy(I, **kwargs):
-        results.append(icis_milnor(I, **kwargs))
+    def spy(*args):
+        results.append(split_milnor(*args))
         return results[-1]
 
-    monkeypatch.setattr(multiple_points, "icis_milnor", spy)
+    monkeypatch.setattr(multiple_points, "_split_milnor", spy)
     germ = resolve_row(text).germ
     first, *others = [invariant_tuple(germ, seed=seed) for seed in (1, 2, 3)]
     assert others == [first, first]
-    d3 = results[2::4]
+    d3 = results[1::3]
     assert [r.seed for r in d3] == [1, 2, 3]
     assert {(r.mu, r.route, r.stages) for r in d3} == {(d3[0].mu, "section", d3[0].stages)}
 

@@ -3,6 +3,7 @@ generators, partition slices, and the n = 3 invariant tuple on germs
 whose invariants were worked out by hand."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,12 +13,14 @@ from singchi.errors import (
     BadParamsError,
     NotCorankOneError,
     NotNormalFormError,
+    NotZeroDimensionalError,
+    ResourceLimitError,
+    UnknownVariableError,
 )
 from singchi.milnor import icis_milnor
 from singchi.multiple_points import (
     InvariantTuple,
     _first_empty,
-    _prefix_ideal,
     invariant_tuple,
     map_germ,
     multiple_point_ideal,
@@ -25,8 +28,9 @@ from singchi.multiple_points import (
     validate_corank1,
 )
 from singchi.poly import Polynomial, divided_difference, parse_poly, substitute
-from singchi.standard_basis import is_unit_ideal, prime_field
+from singchi.standard_basis import eliminate_linear_generators, is_unit_ideal, prime_field
 
+from corpus import prefix_ideal
 from oracles import in_ideal
 from test_catalog import FAST_ROWS, QUAD_ROWS
 
@@ -93,6 +97,64 @@ def test_validate_needs_two_source_variables():
         validate_corank1(f)
 
 
+def _validate_by_calculus(f):
+    """validate_corank1 by the public calculus: components compared with
+    Polynomial.variable, and the z-linear term read off the partial."""
+    n = f.dim
+    if n < 2 or len(f.components) != n + 1:
+        return validate_corank1(f)
+    for i, v in enumerate(f.source_vars[:-1]):
+        if f.components[i] != Polynomial.variable(v, f.source_vars):
+            raise NotNormalFormError(f"component {i} must be the coordinate {v!r}, got {f.components[i]}")
+    z = f.source_vars[-1]
+    for g in (f.hyperplane_part, f.deep_part):
+        if g.constant_term():
+            raise NotNormalFormError(f"component {g} does not vanish at the origin")
+    for g in (f.hyperplane_part, f.deep_part):
+        if g.partial(z).constant_term():
+            raise NotCorankOneError(f"component {g} is regular in {z!r} at the origin; the germ has corank 0")
+
+
+def _outcome(check, f):
+    try:
+        check(f)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_reads_keys_as_the_calculus_does():
+    # the same error class and message, or none, on every catalog row and
+    # on components over rings of their own
+    X, XZ, ZYX = ("x",), ("x", "z"), ("z", "y", "x")
+    germs = [resolve_row(name).germ for name in ACCEPTANCE_ROWS + QUAD_ROWS + SCALED_ROWS]
+    germs += [
+        mp.MapGerm(XYZ, (parse_poly("x", X), parse_poly("y", ZYX), parse_poly("z^2", XZ), parse_poly("x*z + z^3", ZYX))),
+        mp.MapGerm(XYZ, (parse_poly("x", ZYX), parse_poly("y", X + ("y",)), parse_poly("z^2 + z*y", ZYX), parse_poly("z^3", XZ))),
+        mp.MapGerm(XYZ, (parse_poly("x", X), parse_poly("y", ("y",)), parse_poly("x^2", X), parse_poly("z^3", XZ))),
+        mp.MapGerm(XYZ, (parse_poly("2*x", XYZ), parse_poly("y", XYZ), parse_poly("z^2", XYZ), parse_poly("z^3", XYZ))),
+        mp.MapGerm(XYZ, (parse_poly("x", XYZ) * Fraction(1, 2), parse_poly("y", XYZ), parse_poly("z^2", XYZ), parse_poly("z^3", XYZ))),
+        mp.MapGerm(XYZ, (parse_poly("x", X), parse_poly("y", XZ + ("y",)), parse_poly("z^2", XZ), parse_poly("z^3", XZ))),
+        mp.MapGerm(XYZ, (parse_poly("x", XZ), parse_poly("x", XZ), parse_poly("z^2", XZ), parse_poly("z^3", XZ))),
+        mp.MapGerm(XYZ, (parse_poly("x", XYZ), parse_poly("y", XYZ), parse_poly("z^2", XYZ) + parse_poly("z", XYZ) * Fraction(1, 3), parse_poly("z^3", XYZ))),
+        mp.MapGerm(XYZ, (parse_poly("x", XYZ), parse_poly("y", XYZ), parse_poly("z^2", XYZ) - Fraction(1, 2), parse_poly("z^3", XYZ))),
+        mp.MapGerm(("x", "x", "z"), (parse_poly("x", XZ), parse_poly("x", XZ), parse_poly("z^2", XZ), parse_poly("z^3", XZ))),
+        A1, P1, Q2, B2,
+        map_germ(XYZ, ("y", "x", "z^2", "z^3")),
+        map_germ(XYZ, ("x", "x + y", "z^2", "z^3")),
+        map_germ(XYZ, ("x", "y", "z^2 + 1", "z^3")),
+        map_germ(XYZ, ("x", "y", "z + z^2", "z^3")),
+        map_germ(XYZ, ("x", "y", "z^2", "z - x*z")),
+        map_germ(XYZ, ("x", "y", "z^2")),
+        map_germ(("z",), ("z^2", "z^3")),
+    ]
+    outcomes = [_outcome(validate_corank1, f) for f in germs]
+    assert outcomes == [_outcome(_validate_by_calculus, f) for f in germs]
+    assert {o[0] for o in outcomes if o} == {
+        NotNormalFormError, NotCorankOneError, UnknownVariableError, ValueError,
+    }
+
+
 # ------------------------------------------------------------------- spaces
 
 
@@ -122,7 +184,8 @@ def test_generator_count_grows_two_per_level():
         assert len(I.gens) == 2 * (k - 1)
         assert I.ring == ("x", "y") + tuple(f"z{i}" for i in range(1, k + 1))
     # D^(k-1) is a generator prefix of D^k, ring and all: invariant_tuple
-    # builds D^2 and D^3 this way from D^4.
+    # reads D^2 and D^3 this way off D^4's generators, and extends one
+    # elimination from each to the next.
     for name in ACCEPTANCE_ROWS:
         f = resolve_row(name).germ
         for k in (3, 4, 5):
@@ -176,7 +239,7 @@ def test_generators_round_trip_through_the_public_surface():
         f = resolve_row(name).germ
         d4 = multiple_point_ideal(f, 4)
         for k in (2, 3, 4):
-            for I in (multiple_point_ideal(f, k), _prefix_ideal(d4, k)):
+            for I in (multiple_point_ideal(f, k), prefix_ideal(d4, k)):
                 for g in I.gens:
                     assert Polynomial(g.ring, g.terms) == g, (name, k, str(g))
                     assert parse_poly(str(g), g.ring) == g, (name, k, str(g))
@@ -374,6 +437,60 @@ def test_a_pure_power_that_p_divides_leaves_its_space_nonempty_mod_p():
     mod_five = invariant_tuple(f, field=five)
     assert mod_five == invariant_tuple(row, field=five)
     assert mod_five.d4_nonempty and mod_five.quad_points > 0
+
+
+def test_a_pure_power_whose_denominator_p_divides_leaves_its_space_empty_mod_p():
+    # q = z^2/5 + x*z/25 keeps the numerator 5 of z^2 over the denominator
+    # 25; the coefficient 1/5 is no residue, so D^3 is read as the unit
+    # ideal, and its unit test would raise BadPrimeError
+    f = germ("z^3", "1/5*z^2 + 1/25*x*z")
+    assert (f.deep_part.nums[2 << 32], f.deep_part.den) == (5, 25)
+    assert _first_empty(f, prime_field(5)) == _first_empty(f, None) == 3
+
+
+@pytest.mark.parametrize(
+    "row,moduli,field,max_steps,error,space",
+    [
+        ("D_5", DEFAULT_MODULI, None, 0, ResourceLimitError, "double points"),
+        ("I", DEFAULT_MODULI, None, 20, ResourceLimitError, "triple points"),
+        ("IV", DEFAULT_MODULI, None, 20, ResourceLimitError, "triple points"),
+        ("I", DEFAULT_MODULI, None, 60, ResourceLimitError, "quadruple points"),
+        ("IV", DEFAULT_MODULI, None, 50, ResourceLimitError, "quadruple points"),
+        ("II", ALTERNATE_MODULI, 2, 10**6, NotZeroDimensionalError, "quadruple points"),
+    ],
+)
+def test_invariant_tuple_names_the_space_that_fails(row, moduli, field, max_steps, error, space):
+    # each space's error keeps its class and gains the space's name; row
+    # I's triple points exhaust 20 row reductions and its quadruple points
+    # 60, where every space before them is done
+    f = resolve_row(row, moduli=moduli).germ
+    with pytest.raises(error) as info:
+        invariant_tuple(f, field=field, max_steps=max_steps)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"{space}: ")
+    assert not str(info.value)[len(space) + 2:].startswith(("double", "triple", "quadruple"))
+
+
+def test_triple_points_with_two_nodes_identified_are_named_when_they_fail(monkeypatch):
+    # no budget stops d3h1 of a catalog row alone, as it takes no ladder
+    # there, so its Milnor number, the third invariant_tuple takes off the
+    # one elimination (after d2 and d3), is made to run out
+    split_milnor = mp._split_milnor
+    calls = []
+
+    def third_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ResourceLimitError("row reduction budget exhausted")
+        return split_milnor(*args)
+
+    monkeypatch.setattr(mp, "_split_milnor", third_fails)
+    f = resolve_row("I").germ
+    with pytest.raises(ResourceLimitError) as info:
+        invariant_tuple(f)
+    assert str(info.value) == "triple points with two nodes identified: row reduction budget exhausted"
+    spaces = (multiple_point_ideal(f, 2), multiple_point_ideal(f, 3), partition_restricted_ideal(f, 3, (1, 2)))
+    assert [J.ring for J, *_ in calls] == [eliminate_linear_generators(I)[0].ring for I in spaces]
 
 
 def test_invariant_tuple_builds_no_generator_of_an_empty_space(monkeypatch):

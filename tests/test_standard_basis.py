@@ -30,7 +30,6 @@ from singchi.standard_basis import (
 
 from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
 from singchi.multiple_points import (
-    _prefix_ideal,
     _restricted_ideal,
     multiple_point_ideal,
 )
@@ -39,6 +38,7 @@ from corpus import (
     exponent_dict,
     generic_linear_change,
     polar_chain,
+    prefix_ideal,
     random_monomial_ideal,
     random_poly,
     random_zero_dim_ideal,
@@ -62,6 +62,7 @@ from oracles import (
     truncated_quotient_dims,
 )
 from test_catalog import FAST_ROWS, QUAD_ROWS
+from test_multiple_points import SCALED_ROWS
 from test_poly import NEAR_GUARD
 
 XY = ("x", "y")
@@ -1588,14 +1589,51 @@ def test_elimination_matches_substitution_on_catalog_spaces(moduli):
         f = resolve_row(text, moduli=moduli).germ
         d4 = multiple_point_ideal(f, 4)
         for I in (
-            _prefix_ideal(d4, 2),
-            _prefix_ideal(d4, 3),
+            prefix_ideal(d4, 2),
+            prefix_ideal(d4, 3),
             d4,
             _restricted_ideal(f, 2, (2,)),
             _restricted_ideal(f, 3, (1, 2)),
         ):
             eliminated += len(_assert_same_elimination(I)[1])
     assert eliminated
+
+
+def _assert_same_presentation(state, ring, fresh):
+    """state, read over the first len(ring) variables of its ring, is the
+    from-scratch elimination fresh = (presentation, audit): the same ring,
+    audit order, generators and denominators."""
+    J, audit = fresh
+    K = state.presentation(len(ring))
+    assert (K.ring, [state.ring[i] for i, _, _ in state.subs]) == (J.ring, audit)
+    assert [(g.ring, g.nums, g.den) for g in K.gens] == [(g.ring, g.nums, g.den) for g in J.gens]
+
+
+@pytest.mark.parametrize("field", [sb.RATIONAL, prime_field(2147483647)], ids=["rational", "fp"])
+@pytest.mark.parametrize("moduli", [DEFAULT_MODULI, ALTERNATE_MODULI])
+def test_elimination_extended_space_by_space_is_each_space_from_scratch(moduli, field):
+    # invariant_tuple's one elimination per germ: D^2's generators, then a
+    # copy extended by d3h1's two more, and the original by D^3's and
+    # D^4's; every nonempty space reads what eliminating it alone gives
+    spaces = 0
+    for text in ACCEPTANCE_ROWS + QUAD_ROWS + SCALED_ROWS:
+        f = resolve_row(text, moduli=moduli).germ
+        d4 = multiple_point_ideal(f, 4)
+        state = sb._Elimination(d4.ring, field)
+        for k in (2, 3, 4):
+            I = prefix_ideal(d4, k)
+            if is_unit_ideal(I, field):
+                break
+            if k == 3:
+                d3h1 = _restricted_ideal(f, 3, (1, 2))
+                below = state.copy()
+                below.extend(d3h1.gens[2:])
+                _assert_same_presentation(below, d3h1.ring, eliminate_linear_generators(d3h1, field))
+                spaces += 1
+            state.extend(I.gens[2 * (k - 2):])
+            _assert_same_presentation(state, I.ring, eliminate_linear_generators(I, field))
+            spaces += 1
+    assert spaces > len(ACCEPTANCE_ROWS + QUAD_ROWS + SCALED_ROWS)
 
 
 def _elimination_corpus(count, seed):
