@@ -300,7 +300,7 @@ def _initial_forms(gens, nv, weights=None):
 
 
 def _initial_colength(gens, nv, p, powers):
-    """The colength of the ideal J generated by gens (as _pivot_profile
+    """The colength of the ideal J generated by gens (as _ladder_parts
     takes them) where the initial forms of the generators certify it: an
     int or INFINITE, and None where they do not. powers are the
     generators' pure powers (_pure_powers). No row is built.
@@ -378,19 +378,48 @@ def _initial_colength(gens, nv, p, powers):
     return INFINITE if len(orders) < nv and all(orders) else math.prod(orders)
 
 
-def _pivot_profile(gens, nv, p=None, budget=None):
+def _ladder_parts(gens, nv, p=None):
+    """What _pivot_profile reads of each generator, one part per generator
+    of gens (J's nonzero generators as dicts of poly's monomial keys to
+    plain ints: primitive integer dicts over Q, _scaled, or residues mod p
+    when p is given, _residue). A part holds the generator's order, its
+    degrees as a bit mask, its terms by degree as (key, entry) pairs, and
+    what a row x^a*g_i is when its first column a + t has no pivot: t, its
+    lead entry (its inverse mod p), its other terms, and its operations
+    (the division by the content of its lowest part)."""
+    parts = []
+    for gen in gens:
+        by_degree = {}
+        for (e, c), t in zip(gen.items(), _degrees(gen, nv)):
+            by_degree.setdefault(t, []).append((e, c))
+        rest = dict(by_degree[min(by_degree)])
+        t = min(rest)
+        a, ops = rest.pop(t), ()
+        if p is None:
+            c = math.gcd(a, *rest.values())
+            sign = -1 if a < 0 else 1
+            if sign * c != 1:
+                a, rest = a // (sign * c), {e: v // (sign * c) for e, v in rest.items()}
+                ops = ((sign, 0, -1, c),)
+        else:
+            a = pow(a, -1, p)
+        parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree, (t, a, rest, ops)))
+    return parts
+
+
+def _pivot_profile(parts, nv, p=None, budget=None):
     """Pivots per degree of the image of J in the truncations O/m^(D+1):
     yields counts[D], the number of pivots in degree D, for D = 0, 1, 2,
     ... without end.
 
-    gens are J's nonzero generators as dicts of poly's monomial keys to
-    plain ints: primitive integer dicts over Q (_scaled), or residues
-    mod p when p is given (_residue). The rows are the monomial multiples
-    of the generators, which span exactly the image of J in every
-    truncation, because every unit of the truncated ring is itself a
-    polynomial image. Columns are ordered by degree first, and the leads of
-    an echelon basis are those of its span, so counts[D] depends on J and
-    D alone:
+    parts are those of J's generators g_1, ..., g_k, in the order the
+    elimination enters them, as _ladder_parts makes them for p. The rows
+    are the monomial multiples of the generators, which span exactly the
+    image of J in every truncation, because every unit of the truncated
+    ring is itself a polynomial image. Columns are ordered by degree
+    first, and the leads of an echelon basis are those of its span, so
+    counts[D] depends on J and D alone, and on no order of the
+    generators, which changes only the rows built (see F5 below):
         d_D = dim O/(J + m^(D+1)) = #monomials of degree <= D
                                     - counts[0] - ... - counts[D].
     When the pivots fill degree D, m^D lies in J + m^(D+1), Nakayama
@@ -421,10 +450,13 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     counts[D] is final after it. Most new rows x^a*g_i are pivots at once,
     their first column being free: their slice, lead and division by the
     content are those of the lowest part of g_i, shifted, and are not
-    computed again. The column of x^e is its key (poly), at
-    every degree, as the key of a product is the sum of the keys; columns
-    order lexicographically, the last variable most significant. Keys hold
-    exponents below 2^15, and ResourceLimitError comes before D = 2^15.
+    computed again. Such a pivot keeps that part unshifted, with its shift,
+    and its slice is shifted only when a reduction or a dormant row first
+    reads it, which most such pivots never are. The column of x^e is its
+    key (poly), at every degree, as the key of a product is the sum of the
+    keys; columns order lexicographically, the last variable most
+    significant. Keys hold exponents below 2^15, and ResourceLimitError
+    comes before D = 2^15.
 
     No row x^a*g_i is built when x^a already leads the image of J' =
     (g_1, ..., g_{i-1}) (the F5 criterion: Faugere, ISSAC 2002). If q in
@@ -509,27 +541,6 @@ def _pivot_profile(gens, nv, p=None, budget=None):
         budget = [math.inf]
     # deg a is the top field of a*ones: no field sum of a reaches 2^15
     ones, top = _ones(nv), _BITS * (nv - 1)
-    # per generator: its order, its degrees as a bit mask, its terms by degree
-    # as (key, entry), and what a row x^a*g_i is when its first column a + t
-    # has no pivot: t, its lead entry (its inverse mod p), its other terms,
-    # and its operations (the division by the content of its lowest part)
-    parts = []
-    for gen in gens:
-        by_degree = {}
-        for (e, c), t in zip(gen.items(), _degrees(gen, nv)):
-            by_degree.setdefault(t, []).append((e, c))
-        rest = dict(by_degree[min(by_degree)])
-        t = min(rest)
-        a, ops = rest.pop(t), ()
-        if p is None:
-            c = math.gcd(a, *rest.values())
-            sign = -1 if a < 0 else 1
-            if sign * c != 1:
-                a, rest = a // (sign * c), {e: v // (sign * c) for e, v in rest.items()}
-                ops = ((sign, 0, -1, c),)
-        else:
-            a = pow(a, -1, p)
-        parts.append((min(by_degree), sum(1 << t for t in by_degree), by_degree, (t, a, rest, ops)))
     # A pivot: (generator index i, shift key a, operations, degrees, origin).
     # Bit D of degrees is clear where the D-slice is known to be zero: every
     # degree of the row's start and of the pivots the operations name is set.
@@ -545,14 +556,14 @@ def _pivot_profile(gens, nv, p=None, budget=None):
     leads = {}
     # per generator: (a, operations, degrees, origin) of the rows whose
     # slices so far all cancelled
-    pending = [[] for _ in gens]
+    pending = [[] for _ in parts]
     # per generator: anchor -> [its support at the start of the step, its
     # dormant descendants in signature order, its pending row then, and
     # (the lead of the pivot it became at the step, None while it is
     # pending, -1 once it is zero at every degree; its origin after it)],
     # and dormant row shift -> its anchor, the nearest ancestor that is a
     # pending row
-    dormant = [({}, {}) for _ in gens]
+    dormant = [({}, {}) for _ in parts]
     # generator index -> {a: (pivot index, whether it reduced, lead, lead
     # entry, the rest of its slice)} for the new rows x^a*g_i of degree D
     # that became pivots carrying reductions: the parents at D + 1
@@ -736,7 +747,10 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     # x_j times the pivot the anchor became, its D-slice
                     # the pivot's lead slice
                     if q is None:
-                        a, N, q = here[lead]
+                        a, N, q, at = here[lead]
+                        if at:
+                            N = {at + col: v for col, v in N.items()}
+                            here[lead] = a, N, q, 0
                         known[q, D] = {**N, lead: a if p is None else pow(a, -1, p)}, 1
                         keep(q)
                     row = (shift, [], pivots[q][3] << 1, ((q, t, 1), now and frozenset(m + t for m in now)))
@@ -792,7 +806,10 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                 if N:
                     slices.setdefault(d, {})[k] = (N, den)
         # the lead column of each pivot of degree D -> (lead entry, the other
-        # entries of its D-slice, pivot index)
+        # entries of its D-slice, pivot index, shift): a row that became a
+        # pivot at once holds its generator's lowest part, to be shifted by
+        # x^shift where it is first read, and every other pivot its own
+        # slice, with the shift 0
         here = {}
         for i, (order, degrees, by_degree, (first, entry, rest, scaling)) in enumerate(parts):
             brood, kin = dormant[i]
@@ -833,7 +850,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     # first column has one
                     lead = shift + first
                     if lead not in here:
-                        here[lead] = (entry, {shift + t: c for t, c in rest.items()}, len(pivots))
+                        here[lead] = (entry, rest, len(pivots), shift)
                         leads[lead] = i
                         pivots.append((i, shift, scaling, mask, None))
                         continue
@@ -854,7 +871,10 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                     budget[0] -= 1
                     if budget[0] < 0:
                         raise ResourceLimitError("row reduction budget exhausted")
-                    a, P, q = here[lead]
+                    a, P, q, at = here[lead]
+                    if at:
+                        P = {at + col: v for col, v in P.items()}
+                        here[lead] = a, P, q, 0
                     if p is None:
                         g = math.gcd(a, f)
                         s = a // g
@@ -911,7 +931,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
                         ops.append((sign * pre, 0, -1, c))
                 else:
                     a = pow(a, -1, p)
-                here[lead] = (a, N, len(pivots))
+                here[lead] = (a, N, len(pivots), 0)
                 leads[lead] = i
                 if reduced:
                     origin = widened(i, shift, origin, ops[start:])
@@ -929,7 +949,7 @@ def _pivot_profile(gens, nv, p=None, budget=None):
 
 
 def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
-    """The colength of the ideal J generated by gens (as _pivot_profile
+    """The colength of the ideal J generated by gens (as _ladder_parts
     takes them): an int, or INFINITE.
 
     One elimination, _pivot_profile, is read degree by degree, once, and
@@ -938,7 +958,8 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
         colength, by Nakayama. The fill is often read off the leads of
         degree D - 1, and then no row of degree D is built;
       * Bezout: the first D with d_D > d^nv, d the largest total degree
-        of a generator; the colength is then infinite.
+        of a generator, read off the degrees of its part; the colength
+        is then infinite.
     The Bezout stop rests on this. Let J have a finite colength u. Over
     an infinite field, nv generic combinations of the generators generate
     a reduction K of J (Northcott-Rees, "Reductions of ideals in local
@@ -951,10 +972,32 @@ def _sealed_colength(gens, nv, p=None, max_steps=DEFAULT_MAX_STEPS):
     by degree d^nv. Nothing past the stop degree is computed. The row
     reductions take from one budget of max_steps, and ResourceLimitError
     ends the elimination when it runs out.
+
+    The elimination enters the smooth generators first: in index order,
+    each generator of order 1 whose lead, a variable x_j, is not the lead
+    of an earlier one of order 1; then every other generator, in index
+    order. The counts depend on J and D alone, so the order changes no
+    count and no stop, only the rows built. Entered first, the smooth
+    generators' rows are all pivots at once, and they lead every monomial
+    of degree >= 1 in the ideal of their leads, so F5 skips every shift in
+    that ideal in the generators after them: the rest of the elimination
+    runs as if in that many variables fewer, as if each x_j had been
+    replaced by the power series the implicit function theorem gives it.
+    A later generator of order 1 with the same lead keeps its place:
+    entered early, it would only reduce to a higher order.
     """
-    bezout = max(max(_degrees(d, nv)) for d in gens) ** nv
+    parts = _ladder_parts(gens, nv, p)
+    bezout = (max(mask.bit_length() for _, mask, _, _ in parts) - 1) ** nv
+    # the entry order: the first generator of order 1 of each lead, then
+    # the rest
+    smooth = {}
+    for i, (order, _, _, (lead, *_)) in enumerate(parts):
+        if order == 1:
+            smooth.setdefault(lead, i)
+    first = list(smooth.values())
+    parts = [parts[i] for i in first] + [part for i, part in enumerate(parts) if i not in first]
     dim = 0
-    for D, filled in enumerate(_pivot_profile(gens, nv, p, [max_steps])):
+    for D, filled in enumerate(_pivot_profile(parts, nv, p, [max_steps])):
         full = math.comb(D + nv - 1, nv - 1)
         dim += full - filled
         if D and filled == full:

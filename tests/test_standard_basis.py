@@ -4,11 +4,13 @@ against independent oracles, Mora's standard bases among them."""
 import functools
 import gc
 import hashlib
+import heapq
 import inspect
 import itertools
 import math
 import random
 import sys
+import types
 
 import pytest
 from fractions import Fraction
@@ -31,6 +33,7 @@ from singchi.standard_basis import (
 from singchi.catalog import ACCEPTANCE_ROWS, ALTERNATE_MODULI, DEFAULT_MODULI, resolve_row
 from singchi.multiple_points import (
     _restricted_ideal,
+    invariant_tuple,
     multiple_point_ideal,
 )
 
@@ -309,9 +312,14 @@ def _profile_corpus():
     return tuple(cases)
 
 
+def _ladder(rows, nv, p=None):
+    """_pivot_profile on the rows, entered in their order."""
+    return sb._pivot_profile(sb._ladder_parts(rows, nv, p), nv, p)
+
+
 def _profile(rows, nv, bound, p=None):
     """The first bound + 1 pivot counts of _pivot_profile."""
-    return list(itertools.islice(sb._pivot_profile(rows, nv, p), bound + 1))
+    return list(itertools.islice(_ladder(rows, nv, p), bound + 1))
 
 
 def _truncated_dims(counts, nv):
@@ -345,7 +353,7 @@ def test_pivot_profile_matches_truncation_oracle():
 def test_pivot_profile_stops_below_the_exponent_limit():
     # a key's exponent fields hold exponents below 2^15, so the
     # elimination ends in ResourceLimitError before degree 2^15
-    profile = sb._pivot_profile([{1: 1}], 1)
+    profile = _ladder([{1: 1}], 1)
     assert list(itertools.islice(profile, 2**15)) == [0] + [1] * (2**15 - 1)
     with pytest.raises(ResourceLimitError):
         next(profile)
@@ -357,17 +365,17 @@ def test_slices_hold_terms_past_the_key_sum_limit_at_their_degree(n):
     # must land in the slice of its true degree, above every degree
     # reached here, and leave the counts of the squares alone
     squares = [{2 << 16 * j: 1} for j in range(n)]
-    expected = list(itertools.islice(sb._pivot_profile(squares, n), 5))
+    expected = list(itertools.islice(_ladder(squares, n), 5))
     for exp in itertools.product(NEAR_GUARD, repeat=n):
         if sum(exp) > 4:
-            profile = sb._pivot_profile(squares + [{_key(exp, n): 1}], n)
+            profile = _ladder(squares + [{_key(exp, n): 1}], n)
             assert list(itertools.islice(profile, 5)) == expected, exp
     # a ladder that seals far below such a term: its colength is d_D at
     # the seal degree D
     ring = ("x", "y", "z", "w")[:n]
     huge = "x^32767*y^32767*z^4"
     I = ideal(ring, f"x^2 + {huge}", *(f"{v}^2" for v in ring[1:]))
-    seal = next(D for D, filled in enumerate(sb._pivot_profile([g.nums for g in I.gens], n))
+    seal = next(D for D, filled in enumerate(_ladder([g.nums for g in I.gens], n))
                 if D and filled == math.comb(D + n - 1, n - 1))
     assert seal < parse_poly(huge, ring).degree() == 2**16 + 2
     assert colength(I) == truncated_quotient_dim(I.gens, ring, seal) == 2**n
@@ -479,10 +487,12 @@ def test_profile_of_redundant_generators_matches_all_rows():
 @pytest.fixture
 def profile_runs(monkeypatch):
     """The steps read from each _pivot_profile run, one list per run: per
-    degree, its count and whether the step built a row, that is listed the
+    degree, its count, whether the step built a row, that is listed the
     shifts of a generator's new rows (_monomials, outside the seal check
-    _covers, which lists a degree's monomials too)."""
-    runs, calls = [], [0]
+    _covers, which lists a degree's monomials too), and the rows it
+    reduced: the rows that were no pivot at once, new or pending, each of
+    which heapifies its columns once."""
+    runs, calls, heaps = [], [0], [0]
     profile, monomials, covers = sb._pivot_profile, sb._monomials, sb._covers
 
     def counting(nv, k):
@@ -496,16 +506,21 @@ def profile_runs(monkeypatch):
         finally:
             calls[0] = before
 
-    def recording(gens, nv, p=None, budget=None):
+    def heapify(columns):
+        heaps[0] += 1
+        heapq.heapify(columns)
+
+    def recording(parts, nv, p=None, budget=None):
         runs.append([])
-        before = calls[0]
-        for count in profile(gens, nv, p, budget):
-            runs[-1].append((count, calls[0] > before))
+        before, reduced = calls[0], heaps[0]
+        for count in profile(parts, nv, p, budget):
+            runs[-1].append((count, calls[0] > before, heaps[0] - reduced))
             yield count
-            before = calls[0]
+            before, reduced = calls[0], heaps[0]
 
     monkeypatch.setattr(sb, "_monomials", counting)
     monkeypatch.setattr(sb, "_covers", checking)
+    monkeypatch.setattr(sb, "heapq", types.SimpleNamespace(heapify=heapify, heappop=heapq.heappop, heappush=heapq.heappush))
     monkeypatch.setattr(sb, "_pivot_profile", recording)
     return runs
 
@@ -530,7 +545,7 @@ def _assert_stops_like_stepping(gens, ring, p, runs, top=None):
     got = sb._sealed_colength(rows, nv, p)
     where = (p, [str(g) for g in gens])
     assert len(runs) == 1, where
-    read = _truncated_dims([count for count, _ in runs[0]], nv)
+    read = _truncated_dims([count for count, *_ in runs[0]], nv)
     stop = len(read) - 1
     if value is None:
         assert stop > top and read[: top + 1] == dims, where
@@ -675,12 +690,13 @@ def test_seal_read_off_the_leads_of_the_degree_below(p, profile_runs):
         stop, _, step_built = _assert_stops_like_stepping(I.gens, XY, p, profile_runs)
         assert (stop, step_built) == (degree, built), gens
     # D^4 of rows I and IV seals at 7 from the leads of degree 6, which
-    # leave z2*z3^2*z4^3 free: 103 and 71 reductions, where rows that
-    # built the children of pending rows took 169 and 103, rows built as
-    # shifts of their generators 338 and 272, and building degree 7 as
-    # well 540 and 438
+    # leave z2*z3^2*z4^3 free: 43 and 32 reductions, where rows that built
+    # the children of pending rows took 483 and 345, rows built as shifts
+    # of their generators 598 and 460, and building degree 7 as well 963
+    # and 761. The leads do not depend on the order the generators enter
+    # in, so neither does the seal degree.
     field = sb.RATIONAL if p is None else prime_field(p)
-    for row, steps in (("I", 103), ("IV", 71)):
+    for row, steps in (("I", 43), ("IV", 32)):
         D4 = multiple_point_ideal(resolve_row(row).germ, 4)
         profile_runs.clear()
         assert colength(D4, field, max_steps=steps) == 24
@@ -816,7 +832,7 @@ def test_tangent_cone_closed_form_matches_truncation_oracle(p, profile_runs):
         profile_runs.clear()
         got = sb._sealed_colength(rows, 2, p)
         [run] = profile_runs
-        read = _truncated_dims([count for count, _ in run], 2)
+        read = _truncated_dims([count for count, *_ in run], 2)
         where = (p, kind, [str(g) for g in gens])
         assert read == truncated_quotient_dims(gens, XY, len(read) - 1, p), where
         assert got == (read[-1] if read[-1] == read[-2] else INFINITE), where
@@ -855,10 +871,10 @@ def test_rows_start_from_their_parents_only_off_the_f5_skips(p):
 @pytest.mark.parametrize("p", [None, 5, 2147483647])
 def test_rows_of_a_pending_parent_wait_for_its_pivot(p):
     # D^4 of row VIII (colength 24) and the stage of row II's D^3 chain
-    # with colength 26 take 33 and 161 reductions (26 and 119 over F_5)
+    # with colength 26 take 41 and 161 reductions (36 and 119 over F_5)
     # when a row whose parent is pending waits, dormant, for the parent's
-    # pivot, where building it took 386 and 245 (311 and 194)
-    steps = (26, 119) if p == 5 else (33, 161)
+    # pivot, where building it took 452 and 245 (405 and 194)
+    steps = (36, 119) if p == 5 else (41, 161)
     field = sb.RATIONAL if p is None else prime_field(p)
     D4 = multiple_point_ideal(resolve_row("VIII").germ, 4)
     [J] = [J for J in _catalog_colength_ideals(("II",)) if colength(J) == 26]
@@ -866,6 +882,125 @@ def test_rows_of_a_pending_parent_wait_for_its_pivot(p):
         assert colength(I, field, max_steps=n) == value
         with pytest.raises(ResourceLimitError):
             colength(I, field, max_steps=n - 1)
+
+
+def _reductions_to_seal(parts, nv, p):
+    """The row reductions of _pivot_profile on parts, entered in their
+    order, up to its seal."""
+    budget = [sb.DEFAULT_MAX_STEPS]
+    for D, filled in enumerate(sb._pivot_profile(parts, nv, p, budget)):
+        if D and filled == math.comb(D + nv - 1, nv - 1):
+            return sb.DEFAULT_MAX_STEPS - budget[0]
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_smooth_generators_enter_the_ladder_first(p, profile_runs, monkeypatch):
+    # D^4 of rows I and IV keeps, last, one generator of order 1, h_1 =
+    # z1 + z2 + z3 + z4 plus higher terms, from which no variable splits
+    # off. The ladder enters it first: its rows are pivots at once and lead
+    # every multiple of z1, so F5 skips those shifts of the other three,
+    # and the seal at 7 takes 43 and 32 reductions, with 62 rows reduced,
+    # where entered last it took 103 and 71, with 113. D^4 of row VIII has
+    # two generators of order 1, the last two, both with the lead z1: the
+    # first of them enters first and the second keeps its place, 41
+    # reductions (36 over F_5) against 33 (26) in index order, and 63 rows
+    # reduced against 73.
+    field = sb.RATIONAL if p is None else prime_field(p)
+    entered = []
+    recording = sb._pivot_profile
+
+    def entering(parts, nv, p=None, budget=None):
+        entered.append(parts)
+        return recording(parts, nv, p, budget)
+
+    monkeypatch.setattr(sb, "_pivot_profile", entering)
+    for row, orders, order, steps, reduced, before in (
+        ("I", [3, 2, 2, 1], (3, 0, 1, 2), 43, 62, (103, 113)),
+        ("IV", [3, 2, 2, 1], (3, 0, 1, 2), 32, 62, (71, 113)),
+        ("VIII", [3, 2, 1, 1], (2, 0, 1, 3), 36 if p == 5 else 41, 63, (26 if p == 5 else 33, 73)),
+    ):
+        J, _ = eliminate_linear_generators(multiple_point_ideal(resolve_row(row).germ, 4), field)
+        nv = len(J.ring)
+        parts = sb._ladder_parts(_rows(J.gens, J.ring, p), nv, p)
+        assert [part[0] for part in parts] == orders, row
+        # the generators of order 1 share the lead z1
+        assert {part[3][0] for part in parts if part[0] == 1} == {1}, row
+        entered.clear()
+        profile_runs.clear()
+        assert colength(J, field, max_steps=steps) == 24
+        assert entered == [[parts[i] for i in order]], row
+        [run] = profile_runs
+        assert sum(rows for *_, rows in run) == reduced, row
+        with pytest.raises(ResourceLimitError):
+            colength(J, field, max_steps=steps - 1)
+        profile_runs.clear()
+        assert _reductions_to_seal(parts, nv, p) == before[0], row
+        assert sum(rows for *_, rows in profile_runs[0]) == before[1], row
+
+
+@pytest.mark.parametrize("p", [None, 5, 2147483647])
+def test_a_smooth_generator_entered_first_cuts_the_rows_reduced(p, profile_runs):
+    # x + y^2 + x*y is smooth, and no variable splits off from it. Entered
+    # first, it leads every multiple of x, so only the rows y^k*g of
+    # g = x^4 + y^9 are built, and the one of them reduced, g, stays
+    # pending from degree 4 to 8, as the pivots of the smooth generator
+    # substitute x's power series into it term by term: 5 rows reduced
+    # against 14 with the smooth generator last. The substitution takes
+    # more reductions, 14 against 8, yet fewer rows make the shorter
+    # ladder.
+    rows = _rows(ideal(XY, "x^4 + y^9", "x + y^2 + x*y").gens, XY, p)
+    parts = sb._ladder_parts(rows, 2, p)
+    profile_runs.clear()
+    assert sb._sealed_colength(rows, 2, p) == 8
+    for order, work in (([parts[1], parts[0]], (5, 14)), (parts, (14, 8))):
+        reductions = _reductions_to_seal(order, 2, p)
+        steps = profile_runs[-1]
+        assert [count for count, *_ in steps] == [*range(8), 9]
+        assert (sum(rows for *_, rows in steps), reductions) == work
+    entered, first, _ = profile_runs
+    assert entered == first
+
+
+@functools.cache
+def _quad_ladders():
+    """Every seal ladder of invariant_tuple on the quadruple rows, over Q,
+    F_5 and F_2147483647: D^4 of each row and the section's c_p of its
+    triple point curve, as (generators, variables, p) for
+    _sealed_colength."""
+    ladders = []
+    sealed = sb._sealed_colength
+
+    def recording(gens, nv, p=None, max_steps=sb.DEFAULT_MAX_STEPS):
+        ladders.append((tuple(gens), nv, p))
+        return sealed(gens, nv, p, max_steps)
+
+    sb._sealed_colength = recording
+    try:
+        for p in (None, 5, 2147483647):
+            for row in QUAD_ROWS:
+                invariant_tuple(resolve_row(row).germ, field=sb.RATIONAL if p is None else prime_field(p))
+    finally:
+        sb._sealed_colength = sealed
+    return tuple(ladders)
+
+
+def test_counts_do_not_depend_on_the_entry_order(profile_runs):
+    # The counts per degree are those of J and D alone. On every seal
+    # ladder of the quadruple rows, entered in each order of its
+    # generators, the elimination makes the counts of the entry order
+    # _sealed_colength chooses up to its seal, and _sealed_colength gives
+    # the same colength.
+    ladders = _quad_ladders()
+    assert len(ladders) == 30 and sum(nv == 4 for _, nv, _ in ladders) == 9
+    for gens, nv, p in ladders:
+        profile_runs.clear()
+        value = sb._sealed_colength(list(gens), nv, p)
+        counts = [count for count, *_ in profile_runs[0]]
+        parts = sb._ladder_parts(gens, nv, p)
+        for order in itertools.permutations(range(len(gens))):
+            profile = sb._pivot_profile([parts[i] for i in order], nv, p)
+            assert list(itertools.islice(profile, len(counts))) == counts, (p, order)
+            assert sb._sealed_colength([gens[i] for i in order], nv, p) == value, (p, order)
 
 
 @pytest.mark.parametrize("p", [None, 5, 2147483647])
@@ -940,7 +1075,7 @@ def test_dormant_rows_keep_every_count_on_random_dense_ideals(profile_runs):
                 value = sb._sealed_colength(rows, nv, p, max_steps=1500)
             except ResourceLimitError:
                 value = None
-            read = _truncated_dims([count for count, _ in profile_runs[0]], nv)
+            read = _truncated_dims([count for count, *_ in profile_runs[0]], nv)
             stop = len(read) - 1
             dims = truncated_quotient_dims(gens, ring, min(stop, top), p)
             where = (p, [str(g) for g in gens])
